@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,6 +52,7 @@ from .protocol import (
     ExperimentResult,
     MethodSpec,
     aggregate_results,
+    fit_method,
     plan_experiments,
     result_to_dict,
     run_experiment,
@@ -344,11 +347,15 @@ def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
 
 
 class _GridData:
-    """Score-file index and aligned-table cache for one grid run.
+    """Score-file index, aligned-table cache and fit cache for one grid run.
 
-    Tables are loaded and aligned up front (sequentially), so worker threads
-    only ever read the cache; load or alignment failures are remembered and
-    re-raised for every cell that needs the poisoned (setting, split).
+    Validation and test tables are loaded and aligned up front
+    (sequentially), so worker threads only ever read that cache; load or
+    alignment failures are remembered and re-raised for every cell that
+    needs the poisoned (setting, split). No method uses the train split, so
+    its files are only hashed, for the input digests. Each parametric method
+    is fitted once per train setting, under a lock; a failed fit is
+    remembered the same way and re-raised in every cell that fits it.
     """
 
     def __init__(self, doc: dict, config_dir: Path):
@@ -364,6 +371,8 @@ class _GridData:
                 raise ParseError(f"duplicate score_files entry for {key}")
             self.files[key] = config_dir / str(entry["path"])
         self._aligned: dict[tuple[SettingDescriptor, str], AlignedScores | ScoreFuseError] = {}
+        self._fits: dict[tuple[SettingDescriptor, str], object] = {}
+        self._fit_lock = threading.Lock()
         self.digests: dict[str, str] = {}
 
     def _load(self, setting: SettingDescriptor, split: str) -> AlignedScores:
@@ -389,9 +398,29 @@ class _GridData:
         except ScoreFuseError as exc:
             self._aligned[key] = exc
 
+    def hash_split(self, setting: SettingDescriptor, split: str) -> None:
+        for matcher in self.matchers:
+            path = str(self.files[(matcher, setting, split)])
+            if path not in self.digests:
+                self.digests[path] = sha256_file(path)
+
     def aligned(self, setting: SettingDescriptor, split: str) -> AlignedScores:
         self.prepare(setting, split)
         cached = self._aligned[(setting, split)]
+        if isinstance(cached, ScoreFuseError):
+            raise cached
+        return cached
+
+    def fitted(self, setting: SettingDescriptor, method: MethodSpec, val_scores: AlignedScores):
+        """``fit_method(method, val_scores)`` for the train ``setting``, fitted once."""
+        key = (setting, method.method_id)
+        with self._fit_lock:
+            if key not in self._fits:
+                try:
+                    self._fits[key] = fit_method(method, val_scores)
+                except ScoreFuseError as exc:
+                    self._fits[key] = exc
+            cached = self._fits[key]
         if isinstance(cached, ScoreFuseError):
             raise cached
         return cached
@@ -438,7 +467,7 @@ def cmd_grid(args) -> int:
         data.prepare(item.train_setting, "validation")
         data.prepare(item.test_setting, "test")
         if data.has_split(item.train_setting, "train"):
-            data.prepare(item.train_setting, "train")
+            data.hash_split(item.train_setting, "train")
 
     cells = [(item, method) for item in plan.items for method in methods]
     results: list[ExperimentResult | None] = [None] * len(cells)
@@ -449,19 +478,15 @@ def cmd_grid(args) -> int:
         try:
             val = data.aligned(item.train_setting, "validation")
             test = data.aligned(item.test_setting, "test")
-            train = (
-                data.aligned(item.train_setting, "train")
-                if data.has_split(item.train_setting, "train")
-                else None
-            )
             results[idx] = run_experiment(
                 item,
                 method,
-                train,
+                None,
                 val,
                 test,
                 seed=seed,
                 enforce_validation_setting=enforce_val,
+                fit=functools.partial(data.fitted, item.train_setting),
             )
         except ScoreFuseError as exc:
             if not args.keep_going:
@@ -534,6 +559,19 @@ def cmd_grid(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum`` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when the text is not an integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scorefuse",
@@ -570,13 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--input-range", nargs=2, type=float, default=(0.0, 1.0))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--precision", type=int, default=2, help="decimals in the printed report")
+    p.add_argument(
+        "--precision", type=_int_at_least(0), default=2, help="decimals in the printed report"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("grid", help="run an experiment grid from a config JSON")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel cells (default 1)")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel cells (default 1)")
     p.add_argument("--keep-going", action="store_true", help="record cell failures and continue")
     p.set_defaults(fn=cmd_grid)
 

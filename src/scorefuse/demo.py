@@ -19,7 +19,7 @@ import numpy as np
 
 from .provenance import canonical_json
 from .rng import SplitMix64, substream_seed
-from .synth import _pair
+from .synth import synthetic_pairs
 from .tables import ScoreTable, SettingDescriptor, write_score_table
 
 CAMERAS = ("cam1", "cam2")
@@ -52,11 +52,7 @@ def _demo_table(
     means = np.concatenate([np.full(N_MATED, separation), np.zeros(N_NONMATED)])
     raw = means + NOISE_SIGMAS[matcher_id] * stream.normals(n)
     scores = (raw - AFFINE_LO) / (AFFINE_HI - AFFINE_LO)
-    records = tuple(
-        _pair(i, i < N_MATED, tag, setting).with_score(float(s))
-        for i, s in enumerate(scores)
-    )
-    return ScoreTable(matcher_id, (0.0, 1.0), records)
+    return ScoreTable(matcher_id, (0.0, 1.0), synthetic_pairs(N_MATED, n, tag, setting), scores)
 
 
 def build_demo(root, seed: int) -> Path:

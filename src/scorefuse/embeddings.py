@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, ParseError, UnknownEntityError
-from .tables import ComparisonPair, ComparisonRecord, ScoreTable
+from .tables import ComparisonPair, PairColumns, ScoreTable
 
 ROLES = ("reference", "probe")
 METRICS = ("euclidean_posterior", "cosine")
@@ -118,21 +118,11 @@ def _check_dims(x: Embedding, y: Embedding) -> None:
         )
 
 
-def score_euclidean(x: Embedding, y: Embedding) -> float:
-    """Euclidean-distance posterior 1 / (d + 1), always in (0, 1]."""
-    _check_dims(x, y)
-    a = np.asarray(x.vector, dtype=np.float64)
-    b = np.asarray(y.vector, dtype=np.float64)
+def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 / (float(np.linalg.norm(a - b)) + 1.0)
 
 
-def score_cosine(x: Embedding, y: Embedding) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm vectors are rejected."""
-    _check_dims(x, y)
-    a = np.asarray(x.vector, dtype=np.float64)
-    b = np.asarray(y.vector, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float, x: Embedding, y: Embedding) -> float:
     if na == 0.0 or nb == 0.0:
         bad = x.entity_id if na == 0.0 else y.entity_id
         raise ContractError(f"cosine undefined for zero-norm embedding {bad!r}")
@@ -140,10 +130,24 @@ def score_cosine(x: Embedding, y: Embedding) -> float:
     return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
 
 
+def score_euclidean(x: Embedding, y: Embedding) -> float:
+    """Euclidean-distance posterior 1 / (d + 1), always in (0, 1]."""
+    _check_dims(x, y)
+    return _euclidean(np.asarray(x.vector, dtype=np.float64), np.asarray(y.vector, dtype=np.float64))
+
+
+def score_cosine(x: Embedding, y: Embedding) -> float:
+    """Cosine similarity in [-1, 1]; zero-norm vectors are rejected."""
+    _check_dims(x, y)
+    a = np.asarray(x.vector, dtype=np.float64)
+    b = np.asarray(y.vector, dtype=np.float64)
+    return _cosine(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)), x, y)
+
+
 def batch_score(
     refs: EmbeddingSet,
     probes: EmbeddingSet,
-    pairs: list[ComparisonPair] | tuple[ComparisonPair, ...],
+    pairs: PairColumns | list[ComparisonPair] | tuple[ComparisonPair, ...],
     metric: str,
     matcher_id: str | None = None,
 ) -> ScoreTable:
@@ -151,25 +155,30 @@ def batch_score(
 
     ``metric`` is ``euclidean_posterior`` or ``cosine``; the returned table
     is declared [0, 1] resp. [-1, 1]. Unresolved ids raise
-    :class:`UnknownEntityError` naming the id.
+    :class:`UnknownEntityError` naming the id. Each pair's score is the
+    same arithmetic as :func:`score_euclidean` / :func:`score_cosine`; only
+    the conversion of each embedding to an array (and its norm) is done
+    once per embedding rather than once per pair.
     """
     if metric not in METRICS:
         raise ContractError(f"metric must be one of {METRICS}, got {metric!r}")
-    score_fn = score_euclidean if metric == "euclidean_posterior" else score_cosine
-    declared = (0.0, 1.0) if metric == "euclidean_posterior" else (-1.0, 1.0)
-    records = []
-    for pair in pairs:
-        probe = probes.lookup(pair.probe_id)
-        ref = refs.lookup(pair.reference_id)
-        records.append(
-            ComparisonRecord(
-                probe_id=pair.probe_id,
-                reference_id=pair.reference_id,
-                probe_subject=pair.probe_subject,
-                reference_subject=pair.reference_subject,
-                mated=pair.mated,
-                setting=pair.setting,
-                score=score_fn(ref, probe),
-            )
-        )
-    return ScoreTable(matcher_id or metric, declared, tuple(records))
+    cosine = metric == "cosine"
+    declared = (-1.0, 1.0) if cosine else (0.0, 1.0)
+    columns = PairColumns.of(pairs)
+    prepared: dict[int, tuple[np.ndarray, float]] = {}  # by object: a probe and a reference may share an id
+
+    def array(emb: Embedding) -> tuple[np.ndarray, float]:
+        if id(emb) not in prepared:
+            vec = np.asarray(emb.vector, dtype=np.float64)
+            prepared[id(emb)] = (vec, float(np.linalg.norm(vec)) if cosine else 0.0)
+        return prepared[id(emb)]
+
+    scores = []
+    for probe_id, ref_id in zip(columns.probe_ids.tolist(), columns.reference_ids.tolist()):
+        probe = probes.lookup(probe_id)
+        ref = refs.lookup(ref_id)
+        if len(ref.vector) != len(probe.vector):
+            _check_dims(ref, probe)
+        (a, na), (b, nb) = array(ref), array(probe)
+        scores.append(_cosine(a, b, na, nb, ref, probe) if cosine else _euclidean(a, b))
+    return ScoreTable(matcher_id or metric, declared, columns, scores)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, ParseError, TrainingError
+from .metrics import pcc
 from .tables import AlignedScores, ScoreTable
 
 WEIGHT_PROVENANCES = ("uniform", "pcc", "manual")
@@ -134,15 +135,6 @@ def fuse_weighted(scores, weights: FusionWeights) -> float:
     return float(num / den)
 
 
-def _pcc(a: np.ndarray, b: np.ndarray) -> float:
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = math.sqrt(float(ac @ ac) * float(bc @ bc))
-    if denom == 0.0:
-        raise ContractError("correlation undefined for zero-variance series")
-    return float(ac @ bc) / denom
-
-
 def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
     """Weight each matcher by the correlation of its validation scores with
     the mated labels (0/1); negative correlations clamp to weight 0.
@@ -163,7 +155,7 @@ def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
             raw.append(0.0)
             notes.append(f"matcher {mid!r} has zero score variance; weight forced to 0")
             continue
-        raw.append(_pcc(col, labels))
+        raw.append(pcc(col, labels))
     clamped = [max(0.0, r) for r in raw]
     if math.fsum(clamped) > 0.0:
         return FusionWeights(
@@ -257,7 +249,8 @@ def apply_fusion(method, test: AlignedScores) -> FusedTable:
 
     ``method`` is ``"avg"``, ``"bayes"``, a :class:`FusionWeights`, or a
     :class:`PerceptronFuser`; parametric methods must carry exactly the
-    test matcher ids, in order. Row order is preserved.
+    test matcher ids, in order. The fused table is a new score column over
+    ``test``'s pair columns, so row order is preserved.
     """
     mat = test.matrix
     if isinstance(method, str):
@@ -284,8 +277,7 @@ def apply_fusion(method, test: AlignedScores) -> FusedTable:
             raise ContractError(f"unknown fusion method {method!r}")
     fused = np.clip(fused, 0.0, 1.0)
     method_id = _method_id(method)
-    records = tuple(p.with_score(float(s)) for p, s in zip(test.pairs, fused))
-    return FusedTable(method_id, ScoreTable(method_id, (0.0, 1.0), records))
+    return FusedTable(method_id, ScoreTable(method_id, (0.0, 1.0), test.columns, fused))
 
 
 def fuser_to_dict(fuser: FusionWeights | PerceptronFuser) -> dict:

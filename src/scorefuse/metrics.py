@@ -108,15 +108,13 @@ class CorrelationMatrix:
     values: tuple[tuple[float, ...], ...]
 
 
-def _class_scores(table) -> tuple[np.ndarray, np.ndarray]:
+def class_scores(table) -> tuple[np.ndarray, np.ndarray]:
     """(mated, non-mated) score arrays from a ScoreTable or FusedTable."""
-    if hasattr(table, "table"):  # FusedTable
-        table = table.table
-    if isinstance(table, ScoreTable):
-        scores, mask = table.scores, table.mated_mask
-    else:
+    table = getattr(table, "table", table)  # a FusedTable wraps its ScoreTable
+    if not isinstance(table, ScoreTable):
         raise ContractError(f"expected a score table, got {type(table).__name__}")
-    return scores[mask], scores[~mask]
+    mask = table.mated_mask
+    return table.scores[mask], table.scores[~mask]
 
 
 def curves_from_scores(mated: np.ndarray, nonmated: np.ndarray) -> ThresholdCurves:
@@ -134,7 +132,7 @@ def curves_from_scores(mated: np.ndarray, nonmated: np.ndarray) -> ThresholdCurv
 
 def build_curves(table) -> ThresholdCurves:
     """Exact (ungridded) threshold curves for a labeled table."""
-    mated, nonmated = _class_scores(table)
+    mated, nonmated = class_scores(table)
     return curves_from_scores(mated, nonmated)
 
 
@@ -211,7 +209,7 @@ def rate_at_operating_point(
 
 def cohens_d(table) -> float:
     """Standardized mean difference with the pooled unbiased variance."""
-    mated, nonmated = _class_scores(table)
+    mated, nonmated = class_scores(table)
     n1, n0 = len(mated), len(nonmated)
     if n1 < 2 or n0 < 2:
         raise ContractError("cohens_d needs at least 2 samples per class")

@@ -10,15 +10,15 @@ and refuses to run if validation and test share comparison pairs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ContractError, LeakageError
 from .fusion import (
     FusionWeights,
+    PerceptronFuser,
     PerceptronHyper,
     apply_fusion,
     estimate_pcc_weights,
@@ -143,25 +143,25 @@ def plan_experiments(settings: list[SettingDescriptor], kinds) -> ExperimentPlan
     return ExperimentPlan(tuple(items))
 
 
-def _digest_aligned(aligned: AlignedScores) -> str:
-    h = hashlib.sha256()
-    for mid in aligned.matcher_ids:
-        h.update(mid.encode("utf-8"))
-        h.update(b"\x00")
-    for p in aligned.pairs:
-        h.update(f"{p.probe_id}|{p.reference_id}|{int(p.mated)}|{p.setting.key()}".encode())
-        h.update(b"\x00")
-    h.update(np.ascontiguousarray(aligned.matrix).tobytes())
-    return h.hexdigest()
-
-
 def _check_settings(aligned: AlignedScores, expected: SettingDescriptor, role: str) -> None:
-    for p in aligned.pairs:
-        if p.setting != expected:
-            raise ContractError(
-                f"{role} scores contain pair {p.key} from setting "
-                f"{p.setting.key()}, expected {expected.key()}"
-            )
+    c = aligned.columns
+    wrong = [code for code, setting in enumerate(c.settings) if setting != expected]
+    if not wrong:
+        return
+    row = int(np.flatnonzero(np.isin(c.setting_codes, wrong))[0])
+    setting = c.settings[c.setting_codes[row]]
+    raise ContractError(
+        f"{role} scores contain pair {c.key(row)} from setting "
+        f"{setting.key()}, expected {expected.key()}"
+    )
+
+
+def fit_method(method: MethodSpec, val_scores: AlignedScores) -> FusionWeights | PerceptronFuser:
+    """Fit a ``pcc_avg`` or ``perceptron`` method on its matchers' validation scores."""
+    val_sub = val_scores.select(method.matcher_ids)
+    if method.kind == "pcc_avg":
+        return estimate_pcc_weights(val_sub)
+    return train_perceptron(val_sub, method.hyper)
 
 
 def run_experiment(
@@ -174,13 +174,17 @@ def run_experiment(
     seed: int,
     provenance: Mapping[str, str] | None = None,
     enforce_validation_setting: bool = True,
+    fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
 ) -> ExperimentResult:
     """Fit (if parametric), evaluate on the test scores, package the result.
 
     Parametric methods are fitted on ``val_scores`` only, which must come
     from the train setting (checked unless ``enforce_validation_setting``
-    is off). Any comparison pair shared between the validation and test
-    partitions raises :class:`LeakageError`.
+    is off), by calling ``fit(method, val_scores)``; a grid passes a
+    function that fits each (train setting, method) once. Any comparison
+    pair shared between the validation and test partitions raises
+    :class:`LeakageError`. No method uses ``train_scores``; the parameter
+    keeps the (train, validation, test) call signature.
     """
     needs_val = method.kind in ("pcc_avg", "perceptron")
     if needs_val and val_scores is None:
@@ -212,22 +216,14 @@ def run_experiment(
     elif method.kind == "weighted":
         fused = apply_fusion(method.weights, test_sub)
         fitted = fuser_to_dict(method.weights)
-    elif method.kind == "pcc_avg":
-        val_sub = val_scores.select(method.matcher_ids)
-        weights = estimate_pcc_weights(val_sub)
-        fused = apply_fusion(weights, test_sub)
-        fitted = fuser_to_dict(weights)
-    else:  # perceptron
-        val_sub = val_scores.select(method.matcher_ids)
-        fuser = train_perceptron(val_sub, method.hyper)
+    else:  # pcc_avg, perceptron
+        fuser = fit(method, val_scores)
         fused = apply_fusion(fuser, test_sub)
         fitted = fuser_to_dict(fuser)
 
-    prov = {"test_scores_sha256": _digest_aligned(test_scores)}
+    prov = {"test_scores_sha256": test_scores.sha256}
     if val_scores is not None:
-        prov["validation_scores_sha256"] = _digest_aligned(val_scores)
-    if train_scores is not None:
-        prov["train_scores_sha256"] = _digest_aligned(train_scores)
+        prov["validation_scores_sha256"] = val_scores.sha256
     if provenance:
         prov.update(provenance)
     report = evaluate_table(fused)

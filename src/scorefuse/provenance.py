@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import uuid
 from pathlib import Path
 
 
@@ -36,10 +36,15 @@ def canonical_json(obj) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+    """Write via temp file + rename so readers never see partial output.
+
+    The temp file is created with mode 0666, so the kernel applies the
+    process umask as it would for a plain ``open``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

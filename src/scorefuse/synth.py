@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, UnsupportedOracleError
+from .metrics import class_scores
 from .rng import SplitMix64, normal_cdf, normal_quantile, substream_seed
-from .tables import AlignedScores, ComparisonPair, ScoreTable, SettingDescriptor
+from .tables import AlignedScores, PairColumns, ScoreTable, SettingDescriptor
 
 DEFAULT_SETTING = SettingDescriptor("synthcam", 1.0, "synthetic")
 
@@ -43,15 +44,23 @@ class GaussianScoreModel:
             raise ContractError("class sizes must be positive")
 
 
-def _pair(index: int, mated: bool, tag: str, setting: SettingDescriptor) -> ComparisonPair:
-    subject = f"{tag}s{index:06d}"
-    return ComparisonPair(
-        probe_id=f"{tag}p{index:06d}",
-        reference_id=f"{tag}r{index:06d}",
-        probe_subject=subject,
-        reference_subject=subject if mated else f"{tag}t{index:06d}",
-        mated=mated,
-        setting=setting,
+def synthetic_pairs(n_mated: int, n: int, tag: str, setting: SettingDescriptor) -> PairColumns:
+    """``n`` pairs in one setting, the first ``n_mated`` of them mated.
+
+    Row i has probe ``{tag}p{i:06d}``, reference ``{tag}r{i:06d}`` and probe
+    subject ``{tag}s{i:06d}``; a non-mated row's reference subject is
+    ``{tag}t{i:06d}``.
+    """
+    digits = [f"{i:06d}" for i in range(n)]
+    subjects = [f"{tag}s{d}" for d in digits]
+    return PairColumns(
+        [f"{tag}p{d}" for d in digits],
+        [f"{tag}r{d}" for d in digits],
+        subjects,
+        subjects[:n_mated] + [f"{tag}t{d}" for d in digits[n_mated:]],
+        np.arange(n) < n_mated,
+        np.zeros(n, dtype=np.intp),
+        (setting,),
     )
 
 
@@ -85,14 +94,9 @@ def generate_scores(
             min(model.mu_mated, model.mu_nonmated) - 9.0 * sig,
             max(model.mu_mated, model.mu_nonmated) + 9.0 * sig,
         )
-    records = [
-        _pair(i, True, id_tag, setting).with_score(float(s)) for i, s in enumerate(mated)
-    ]
-    records += [
-        _pair(model.n_mated + k, False, id_tag, setting).with_score(float(s))
-        for k, s in enumerate(non)
-    ]
-    return ScoreTable(matcher_id, declared, tuple(records))
+    n = model.n_mated + model.n_nonmated
+    pairs = synthetic_pairs(model.n_mated, n, id_tag, setting)
+    return ScoreTable(matcher_id, declared, pairs, np.concatenate([mated, non]))
 
 
 def analytic_auc(model: GaussianScoreModel) -> float:
@@ -135,11 +139,8 @@ def analytic_fmr_at_fnmr(model: GaussianScoreModel, q: float) -> float:
     return 1.0 - normal_cdf((t - model.mu_nonmated) / model.sigma_nonmated)
 
 
-def _class_arrays(table) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(table, "table"):  # FusedTable
-        table = table.table
-    scores, mask = table.scores, table.mated_mask
-    mated, non = scores[mask], scores[~mask]
+def _both_classes(table) -> tuple[np.ndarray, np.ndarray]:
+    mated, non = class_scores(table)
     if len(mated) == 0 or len(non) == 0:
         raise ContractError("need at least one score per class")
     return mated, non
@@ -152,7 +153,7 @@ def brute_force_auc(table) -> float:
     oracle for modest table sizes (the comparison matrix is chunked, so
     memory stays bounded).
     """
-    mated, non = _class_arrays(table)
+    mated, non = _both_classes(table)
     wins = 0.0
     chunk = max(1, int(5e6) // max(1, len(non)))
     for start in range(0, len(mated), chunk):
@@ -169,7 +170,7 @@ def brute_force_eer(table) -> float:
     the same zero-or-bracket interpolation rule as :func:`metrics.eer` is
     applied.
     """
-    mated, non = _class_arrays(table)
+    mated, non = _both_classes(table)
     scores = np.unique(np.concatenate([mated, non]))
     thresholds = np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
     fmr = np.array([(non >= t).mean() for t in thresholds])
@@ -209,7 +210,4 @@ def make_complementary_matchers(
     for j, mid in enumerate(matcher_ids):
         stream = SplitMix64(substream_seed(seed, "complementary", mid))
         matrix[:, j] = (means + stream.normals(n) - lo) / (hi - lo)
-    pairs = tuple(
-        _pair(i, i < n_per_class, "c", DEFAULT_SETTING) for i in range(n)
-    )
-    return AlignedScores(matcher_ids, pairs, matrix)
+    return AlignedScores(matcher_ids, synthetic_pairs(n_per_class, n, "c", DEFAULT_SETTING), matrix)

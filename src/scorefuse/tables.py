@@ -1,9 +1,10 @@
 """Canonical data model for labeled comparison scores.
 
 A comparison pairs one probe with one reference; ``mated`` records whether
-the two belong to the same subject. One :class:`ScoreTable` holds the scores
-of a single matcher; :func:`align_tables` joins several matchers into one
-score matrix keyed by (probe_id, reference_id).
+the two belong to the same subject. Pairs are stored as columns
+(:class:`PairColumns`); one :class:`ScoreTable` holds the score column of a
+single matcher over them, and :func:`align_tables` joins several matchers
+into one score matrix keyed by (probe_id, reference_id).
 
 Score CSV format (UTF-8, header required, one matcher per file)::
 
@@ -16,10 +17,12 @@ with ``repr`` so a canonical file round-trips byte-identically.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,14 @@ class SettingDescriptor:
         return f"{self.dataset_id}-{self.camera_id}-{self.distance_m:g}"
 
 
+def _check_mated(mated: bool, probe_subject: str, reference_subject: str) -> None:
+    if mated != (probe_subject == reference_subject):
+        raise ContractError(
+            f"mated={mated} inconsistent with subjects "
+            f"{probe_subject!r} vs {reference_subject!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ComparisonPair:
     """A probe/reference pairing with ground truth and setting metadata."""
@@ -78,12 +89,7 @@ class ComparisonPair:
     setting: SettingDescriptor
 
     def __post_init__(self):
-        same = self.probe_subject == self.reference_subject
-        if self.mated != same:
-            raise ContractError(
-                f"mated={self.mated} inconsistent with subjects "
-                f"{self.probe_subject!r} vs {self.reference_subject!r}"
-            )
+        _check_mated(self.mated, self.probe_subject, self.reference_subject)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -112,103 +118,252 @@ class ComparisonRecord(ComparisonPair):
         if not math.isfinite(self.score):
             raise ContractError(f"score must be finite, got {self.score}")
 
-    def pair(self) -> ComparisonPair:
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    i = int(np.argmax(mask)) if len(mask) else 0
+    return i if len(mask) and mask[i] else None
+
+
+def _first_not_equal(values, expected) -> int | None:
+    if values.count(expected) == len(values):
+        return None
+    return next(i for i, v in enumerate(values) if v != expected)
+
+
+def _first_repeat(keys) -> tuple[int, int] | None:
+    """(row, earlier row) of the first key seen before, or None."""
+    if len(set(keys)) == len(keys):
+        return None
+    seen: dict = {}
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i, seen[key]
+        seen[key] = i
+
+
+def _inconsistent(mated: np.ndarray, probe_subjects, reference_subjects) -> int | None:
+    """First row whose ``mated`` flag disagrees with subject equality."""
+    same = np.asarray(probe_subjects, dtype=object) == np.asarray(reference_subjects, dtype=object)
+    return _first_true(np.asarray(mated, dtype=bool) != same)
+
+
+def _per_row(values, codes: np.ndarray) -> list:
+    """``values[code]`` for every row's code."""
+    table = np.empty(len(values), dtype=object)
+    table[:] = values
+    return table[codes].tolist()
+
+
+class PairColumns:
+    """Comparison pairs stored as columns.
+
+    ``probe_ids``, ``reference_ids``, ``probe_subjects`` and
+    ``reference_subjects`` are object arrays of ``str``, ``mated`` is a bool
+    array and ``setting_codes`` an int array indexing ``settings``, a tuple of
+    distinct :class:`SettingDescriptor`. Arrays are read-only, so every table
+    over the same pairs (each matcher's scores, a fused column) shares one
+    instance and its cached key index. Indexing and iteration yield
+    :class:`ComparisonPair` objects, for code written against single pairs.
+    """
+
+    def __init__(
+        self,
+        probe_ids,
+        reference_ids,
+        probe_subjects,
+        reference_subjects,
+        mated,
+        setting_codes,
+        settings,
+    ):
+        text = [
+            _frozen(np.array(col, dtype=object).reshape(-1))
+            for col in (probe_ids, reference_ids, probe_subjects, reference_subjects)
+        ]
+        self.probe_ids, self.reference_ids, self.probe_subjects, self.reference_subjects = text
+        self.mated = _frozen(np.array(mated, dtype=bool).reshape(-1))
+        self.setting_codes = _frozen(np.array(setting_codes, dtype=np.intp).reshape(-1))
+        self.settings = tuple(settings)
+        n = len(self.mated)
+        if any(len(col) != n for col in text) or len(self.setting_codes) != n:
+            raise ContractError("pair columns must have equal lengths")
+        if len(set(self.settings)) != len(self.settings):
+            raise ContractError("settings must be distinct")
+        codes = self.setting_codes
+        if n and (codes.min() < 0 or codes.max() >= len(self.settings)):
+            raise ContractError("setting code out of range")
+        bad = _inconsistent(self.mated, self.probe_subjects, self.reference_subjects)
+        if bad is not None:
+            _check_mated(bool(self.mated[bad]), self.probe_subjects[bad], self.reference_subjects[bad])
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "PairColumns":
+        """Columns of a sequence of :class:`ComparisonPair` (or records)."""
+        pairs = tuple(pairs)
+        index: dict[SettingDescriptor, int] = {}
+        codes = [index.setdefault(p.setting, len(index)) for p in pairs]
+        return cls(
+            [p.probe_id for p in pairs],
+            [p.reference_id for p in pairs],
+            [p.probe_subject for p in pairs],
+            [p.reference_subject for p in pairs],
+            [p.mated for p in pairs],
+            codes,
+            tuple(index),
+        )
+
+    @classmethod
+    def of(cls, pairs) -> "PairColumns":
+        return pairs if isinstance(pairs, PairColumns) else cls.from_pairs(pairs)
+
+    def __len__(self) -> int:
+        return len(self.mated)
+
+    def __getitem__(self, i: int) -> ComparisonPair:
         return ComparisonPair(
-            self.probe_id,
-            self.reference_id,
-            self.probe_subject,
-            self.reference_subject,
-            self.mated,
-            self.setting,
+            self.probe_ids[i],
+            self.reference_ids[i],
+            self.probe_subjects[i],
+            self.reference_subjects[i],
+            bool(self.mated[i]),
+            self.settings[self.setting_codes[i]],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def key(self, i: int) -> tuple[str, str]:
+        return (self.probe_ids[i], self.reference_ids[i])
+
+    @cached_property
+    def key_index(self) -> dict[tuple[str, str], int]:
+        """Row of each (probe_id, reference_id) key (the last, if repeated)."""
+        keys = zip(self.probe_ids.tolist(), self.reference_ids.tolist())
+        return dict(zip(keys, range(len(self))))
+
+    def first_duplicate(self) -> int | None:
+        """First row whose key appeared on an earlier row, or None."""
+        if len(self.key_index) == len(self):
+            return None
+        return _first_repeat(list(zip(self.probe_ids.tolist(), self.reference_ids.tolist())))[0]
+
+    def setting_fields(self) -> tuple[list, list, list]:
+        """Per-row camera_id, distance_m and dataset_id."""
+        s, codes = self.settings, self.setting_codes
+        return (
+            _per_row([x.camera_id for x in s], codes),
+            _per_row([x.distance_m for x in s], codes),
+            _per_row([x.dataset_id for x in s], codes),
         )
 
 
-@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """All comparison scores of one matcher, with its declared score range."""
+    """All comparison scores of one matcher, with its declared score range.
 
-    matcher_id: str
-    declared_range: tuple[float, float]
-    records: tuple[ComparisonRecord, ...]
+    A float64 ``scores`` column over a :class:`PairColumns`. Build it from
+    columns, ``ScoreTable(matcher_id, declared_range, columns, scores)``, or
+    from a sequence of :class:`ComparisonRecord`; ``records``, the row view,
+    is built on first use.
+    """
 
-    def __post_init__(self):
-        lo, hi = self.declared_range
+    def __init__(self, matcher_id: str, declared_range, rows, scores=None):
+        if isinstance(rows, PairColumns):
+            if scores is None:
+                raise ContractError("a table built from columns needs a scores column")
+            columns = rows
+        else:
+            records = tuple(rows)
+            columns = PairColumns.from_pairs(records)
+            scores = [r.score for r in records]
+            self.__dict__["records"] = records
+        lo, hi = declared_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ContractError(f"invalid declared_range [{lo}, {hi}]")
-        seen = set()
-        for rec in self.records:
-            if not (lo <= rec.score <= hi):
-                raise RangeViolationError(
-                    f"score {rec.score!r} for pair {rec.key} outside "
-                    f"declared range [{lo}, {hi}]"
-                )
-            if rec.key in seen:
-                raise DuplicatePairError(f"duplicate comparison pair {rec.key}")
-            seen.add(rec.key)
+        scores = _frozen(np.array(scores, dtype=np.float64).reshape(-1))
+        if len(scores) != len(columns):
+            raise ContractError(f"{len(scores)} scores for {len(columns)} pairs")
+        outside = _first_true(~((lo <= scores) & (scores <= hi)))
+        dup = columns.first_duplicate()
+        if outside is not None and (dup is None or outside <= dup):
+            raise RangeViolationError(
+                f"score {float(scores[outside])!r} for pair {columns.key(outside)} outside "
+                f"declared range [{lo}, {hi}]"
+            )
+        if dup is not None:
+            raise DuplicatePairError(f"duplicate comparison pair {columns.key(dup)}")
+        self.matcher_id = matcher_id
+        self.declared_range = (lo, hi)
+        self.columns = columns
+        self.scores = scores
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.scores)
 
-    @cached_property
-    def scores(self) -> np.ndarray:
-        arr = np.array([r.score for r in self.records], dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
+    @property
     def mated_mask(self) -> np.ndarray:
-        arr = np.array([r.mated for r in self.records], dtype=bool)
-        arr.setflags(write=False)
-        return arr
+        return self.columns.mated
+
+    @cached_property
+    def records(self) -> tuple[ComparisonRecord, ...]:
+        return tuple(p.with_score(s) for p, s in zip(self.columns, self.scores.tolist()))
 
     def n_mated(self) -> int:
         return int(self.mated_mask.sum())
 
     def n_nonmated(self) -> int:
-        return len(self.records) - self.n_mated()
+        return len(self) - self.n_mated()
 
 
-@dataclass(frozen=True, eq=False)
 class AlignedScores:
     """Scores of N matchers joined on (probe_id, reference_id).
 
-    ``matrix[i, j]`` is matcher ``matcher_ids[j]``'s score for ``pairs[i]``;
-    every entry lies in [0, 1].
+    ``matrix[i, j]`` is matcher ``matcher_ids[j]``'s score for row ``i`` of
+    ``columns``; every entry lies in [0, 1]. ``pairs`` may be given as a
+    :class:`PairColumns` or a sequence of :class:`ComparisonPair`; the
+    ``pairs`` attribute is the row view, built on first use.
     """
 
-    matcher_ids: tuple[str, ...]
-    pairs: tuple[ComparisonPair, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n_ids = len(self.matcher_ids)
+    def __init__(self, matcher_ids, pairs, matrix):
+        matcher_ids = tuple(matcher_ids)
+        n_ids = len(matcher_ids)
         if n_ids < 1:
             raise ContractError("need at least one matcher")
-        if len(set(self.matcher_ids)) != n_ids:
-            raise ContractError(f"matcher ids not distinct: {self.matcher_ids}")
-        if len(self.pairs) < 1:
+        if len(set(matcher_ids)) != n_ids:
+            raise ContractError(f"matcher ids not distinct: {matcher_ids}")
+        columns = PairColumns.of(pairs)
+        if len(columns) < 1:
             raise ContractError("aligned scores need at least one row")
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.shape != (len(self.pairs), n_ids):
+        mat = np.asarray(matrix, dtype=np.float64)
+        if mat.shape != (len(columns), n_ids):
             raise ContractError(
                 f"matrix shape {mat.shape} does not match "
-                f"{len(self.pairs)} pairs x {n_ids} matchers"
+                f"{len(columns)} pairs x {n_ids} matchers"
             )
         if not np.all(np.isfinite(mat)):
             raise ContractError("aligned scores must be finite")
         if mat.min() < 0.0 or mat.max() > 1.0:
             raise ContractError("aligned scores must lie in [0, 1]")
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self.matcher_ids = matcher_ids
+        self.columns = columns
+        self.matrix = mat
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.columns)
 
     @cached_property
+    def pairs(self) -> tuple[ComparisonPair, ...]:
+        return tuple(self.columns)
+
+    @property
     def mated_mask(self) -> np.ndarray:
-        arr = np.array([p.mated for p in self.pairs], dtype=bool)
-        arr.setflags(write=False)
-        return arr
+        return self.columns.mated
 
     def column(self, matcher_id: str) -> np.ndarray:
         try:
@@ -223,10 +378,34 @@ class AlignedScores:
         missing = [m for m, c in zip(matcher_ids, cols) if c < 0]
         if missing:
             raise ContractError(f"matchers not present in aligned scores: {missing}")
-        return AlignedScores(tuple(matcher_ids), self.pairs, self.matrix[:, cols])
+        return AlignedScores(tuple(matcher_ids), self.columns, self.matrix[:, cols])
 
-    def keys(self) -> set[tuple[str, str]]:
-        return {p.key for p in self.pairs}
+    def keys(self):
+        """The (probe_id, reference_id) keys, as a set-like view."""
+        return self.columns.key_index.keys()
+
+    @cached_property
+    def sha256(self) -> str:
+        """Digest of matcher ids, row keys, labels, settings and scores.
+
+        The hashed bytes are each matcher id plus NUL, then per row
+        ``probe|reference|mated 0/1|setting key`` plus NUL, then the
+        row-major float64 matrix.
+        """
+        c = self.columns
+        h = hashlib.sha256()
+        for mid in self.matcher_ids:
+            h.update(mid.encode("utf-8"))
+            h.update(b"\x00")
+        rows = zip(
+            c.probe_ids.tolist(),
+            c.reference_ids.tolist(),
+            _per_row(["0", "1"], c.mated.astype(np.intp)),
+            _per_row([s.key() for s in c.settings], c.setting_codes),
+        )
+        h.update("".join(f"{p}|{r}|{m}|{k}\x00" for p, r, m, k in rows).encode("utf-8"))
+        h.update(np.ascontiguousarray(self.matrix).tobytes())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -244,14 +423,115 @@ class SplitSpec:
             raise ContractError("split partitions must be pairwise disjoint")
 
 
-def _parse_float(text: str, what: str, path, lineno: int) -> float:
+# ---------------------------------------------------------------- CSV input
+
+
+class _FirstBadRow:
+    """The error that reading a CSV file row by row would report.
+
+    Such a reading checks every row in a fixed order of checks and stops at
+    the first failure, so it reports the first failing check of the earliest
+    bad row. Here each check runs over whole columns, in that same order, and
+    looks only at the rows before the earliest failure found so far
+    (``limit``); a later check can therefore only replace the error with one
+    on an earlier row. The first check is the column count, after which
+    ``columns`` holds the fields of the rows before ``limit``.
+    """
+
+    def __init__(self, path: Path, rows: list, width: int):
+        self.path = path
+        self.limit = len(rows)
+        self.error: Exception | None = None
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        bad = _first_true(lengths != width)
+        if bad is not None:
+            self.fail(bad, ParseError, f"expected {width} columns, got {lengths[bad]}")
+        self.columns = tuple(zip(*rows[: self.limit])) or ((),) * width
+
+    def fail(self, row: int | None, cls, message) -> None:
+        """Record ``cls`` at ``row`` if it is earlier than the current error.
+
+        ``message`` is a string or a function of the row giving one.
+        """
+        if row is not None and row < self.limit:
+            text = message(row) if callable(message) else message
+            self.limit = row
+            self.error = cls(f"{self.path}:{row + 2}: {text}")
+
+    def head(self, column):
+        return column[: self.limit]
+
+    def mated(self, flags) -> np.ndarray:
+        flags = self.head(flags)
+        if flags.count("1") + flags.count("0") != len(flags):
+            bad = next(i for i, f in enumerate(flags) if f not in ("0", "1"))
+            self.fail(bad, ParseError, f"mated must be 0 or 1, got {flags[bad]!r}")
+        return np.array(self.head(flags), dtype=object) == "1"
+
+    def floats(self, texts, what: str) -> np.ndarray:
+        """The rows' ``texts`` as finite floats."""
+        texts = self.head(texts)
+        try:
+            values = np.fromiter(map(float, texts), np.float64, len(texts))
+        except ValueError:
+            bad = next(i for i, text in enumerate(texts) if not _is_float(text))
+            self.fail(bad, ParseError, f"non-numeric {what} {texts[bad]!r}")
+            values = np.fromiter(map(float, texts[:bad]), np.float64, bad)
+        self.fail(
+            _first_true(~np.isfinite(values)),
+            ParseError,
+            lambda i: f"non-finite {what} {texts[i]!r}",
+        )
+        return values
+
+    def duplicates(self, probes, refs) -> None:
+        found = _first_repeat(list(zip(self.head(probes), self.head(refs))))
+        if found is not None:
+            row, first = found
+            key = (probes[row], refs[row])
+            self.fail(row, DuplicatePairError, f"duplicate pair {key}, first seen on line {first + 2}")
+
+    def pairs(self, probes, refs, psubs, rsubs, mated, cams, distances, dsets) -> PairColumns:
+        """The checks of the pair constructors (setting, then mated flag), then the columns."""
+        triples = list(zip(self.head(cams), distances[: self.limit].tolist(), self.head(dsets)))
+        index = {t: k for k, t in enumerate(dict.fromkeys(triples))}
+        raw = np.fromiter(map(index.__getitem__, triples), np.intp, len(triples))
+        descriptors: dict[SettingDescriptor, int] = {}
+        remap = []
+        for k, triple in enumerate(index):
+            try:
+                setting = SettingDescriptor(*triple)
+            except ContractError as exc:
+                self.fail(_first_true(raw == k), ParseError, str(exc))
+                setting = None
+            remap.append(descriptors.setdefault(setting, len(descriptors)))
+        n = self.limit
+        bad = _inconsistent(mated[:n], psubs[:n], rsubs[:n])
+        if bad is not None:
+            try:
+                _check_mated(bool(mated[bad]), psubs[bad], rsubs[bad])
+            except ContractError as exc:
+                self.fail(bad, ParseError, str(exc))
+        if self.error is not None:
+            raise self.error
+        codes = np.array(remap, dtype=np.intp)[raw] if len(raw) else raw
+        return PairColumns(probes, refs, psubs, rsubs, mated, codes, tuple(descriptors))
+
+
+def _is_float(text: str) -> bool:
     try:
-        value = float(text)
+        float(text)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-numeric {what} {text!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"{path}:{lineno}: non-finite {what} {text!r}")
-    return value
+        return False
+    return True
+
+
+def _read_rows(path: Path, header: tuple[str, ...]) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise ParseError(f"{path}:1: bad header, expected {','.join(header)}")
+        return list(reader)
 
 
 def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
@@ -260,60 +540,31 @@ def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
     Raises :class:`ParseError` (with the offending line number) for malformed
     rows, :class:`RangeViolationError` for scores outside ``declared_range``,
     and :class:`DuplicatePairError` for repeated (probe_id, reference_id).
+    When several rows are bad, the error names the first of them.
     """
     path = Path(path)
     lo, hi = declared_range
-    records: list[ComparisonRecord] = []
-    matcher_id: str | None = None
-    seen: dict[tuple[str, str], int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(SCORE_CSV_HEADER):
-            raise ParseError(f"{path}:1: bad header, expected {','.join(SCORE_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(SCORE_CSV_HEADER):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(SCORE_CSV_HEADER)} columns, got {len(row)}"
-                )
-            mid, probe, ref, psub, rsub, mated_s, cam, dist_s, dset, score_s = row
-            if matcher_id is None:
-                matcher_id = mid
-            elif mid != matcher_id:
-                raise ParseError(
-                    f"{path}:{lineno}: matcher_id {mid!r} differs from {matcher_id!r} "
-                    "(one matcher per file)"
-                )
-            if mated_s not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: mated must be 0 or 1, got {mated_s!r}")
-            dist = _parse_float(dist_s, "distance_m", path, lineno)
-            score = _parse_float(score_s, "score", path, lineno)
-            if not (lo <= score <= hi):
-                raise RangeViolationError(
-                    f"{path}:{lineno}: score {score_s} outside declared range [{lo}, {hi}]"
-                )
-            key = (probe, ref)
-            if key in seen:
-                raise DuplicatePairError(
-                    f"{path}:{lineno}: duplicate pair {key}, first seen on line {seen[key]}"
-                )
-            seen[key] = lineno
-            try:
-                rec = ComparisonRecord(
-                    probe_id=probe,
-                    reference_id=ref,
-                    probe_subject=psub,
-                    reference_subject=rsub,
-                    mated=(mated_s == "1"),
-                    setting=SettingDescriptor(cam, dist, dset),
-                    score=score,
-                )
-            except ContractError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            records.append(rec)
-    if matcher_id is None:
-        matcher_id = path.stem
-    return ScoreTable(matcher_id, (lo, hi), tuple(records))
+    check = _FirstBadRow(path, _read_rows(path, SCORE_CSV_HEADER), len(SCORE_CSV_HEADER))
+    mids, probes, refs, psubs, rsubs, flags, cams, dists, dsets, score_texts = check.columns
+    matcher_id = mids[0] if mids else path.stem
+    check.fail(
+        _first_not_equal(check.head(mids), matcher_id),
+        ParseError,
+        lambda i: f"matcher_id {mids[i]!r} differs from {matcher_id!r} (one matcher per file)",
+    )
+    mated = check.mated(flags)
+    distances = check.floats(dists, "distance_m")
+    scores = check.floats(score_texts, "score")
+    outside = ~((lo <= scores) & (scores <= hi))
+    check.fail(
+        _first_true(outside[: check.limit]),
+        RangeViolationError,
+        lambda i: f"score {score_texts[i]} outside declared range [{lo}, {hi}]",
+    )
+    check.duplicates(probes, refs)
+    n = check.limit
+    columns = check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets)
+    return ScoreTable(matcher_id, (lo, hi), columns, scores[:n])
 
 
 PAIRS_CSV_HEADER = (
@@ -328,72 +579,52 @@ PAIRS_CSV_HEADER = (
 )
 
 
-def load_pairs(path) -> tuple[ComparisonPair, ...]:
-    """Parse a comparison-pair CSV (score CSV columns minus matcher/score)."""
+def load_pairs(path) -> PairColumns:
+    """Parse a comparison-pair CSV (score CSV columns minus matcher/score).
+
+    The result is a sequence of :class:`ComparisonPair` stored as columns.
+    """
     path = Path(path)
-    pairs: list[ComparisonPair] = []
-    seen: dict[tuple[str, str], int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(PAIRS_CSV_HEADER):
-            raise ParseError(f"{path}:1: bad header, expected {','.join(PAIRS_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(PAIRS_CSV_HEADER):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(PAIRS_CSV_HEADER)} columns, got {len(row)}"
-                )
-            probe, ref, psub, rsub, mated_s, cam, dist_s, dset = row
-            if mated_s not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: mated must be 0 or 1, got {mated_s!r}")
-            dist = _parse_float(dist_s, "distance_m", path, lineno)
-            key = (probe, ref)
-            if key in seen:
-                raise DuplicatePairError(
-                    f"{path}:{lineno}: duplicate pair {key}, first seen on line {seen[key]}"
-                )
-            seen[key] = lineno
-            try:
-                pairs.append(
-                    ComparisonPair(
-                        probe_id=probe,
-                        reference_id=ref,
-                        probe_subject=psub,
-                        reference_subject=rsub,
-                        mated=(mated_s == "1"),
-                        setting=SettingDescriptor(cam, dist, dset),
-                    )
-                )
-            except ContractError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return tuple(pairs)
+    check = _FirstBadRow(path, _read_rows(path, PAIRS_CSV_HEADER), len(PAIRS_CSV_HEADER))
+    probes, refs, psubs, rsubs, flags, cams, dists, dsets = check.columns
+    mated = check.mated(flags)
+    distances = check.floats(dists, "distance_m")
+    check.duplicates(probes, refs)
+    return check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets)
+
+
+# ---------------------------------------------------------------- CSV output
 
 
 def score_table_csv_text(table: ScoreTable) -> str:
     """The canonical CSV form (repr floats, LF newlines)."""
+    c = table.columns
+    cams, dists, dsets = c.setting_fields()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCORE_CSV_HEADER)
-    for r in table.records:
-        writer.writerow(
-            (
-                table.matcher_id,
-                r.probe_id,
-                r.reference_id,
-                r.probe_subject,
-                r.reference_subject,
-                "1" if r.mated else "0",
-                r.setting.camera_id,
-                repr(r.setting.distance_m),
-                r.setting.dataset_id,
-                repr(r.score),
-            )
+    writer.writerows(
+        zip(
+            repeat(table.matcher_id),
+            c.probe_ids.tolist(),
+            c.reference_ids.tolist(),
+            c.probe_subjects.tolist(),
+            c.reference_subjects.tolist(),
+            _per_row(["0", "1"], c.mated.astype(np.intp)),
+            cams,
+            map(repr, dists),
+            dsets,
+            map(repr, table.scores.tolist()),
         )
+    )
     return buf.getvalue()
 
 
 def write_score_table(table: ScoreTable, path) -> None:
     Path(path).write_text(score_table_csv_text(table), encoding="utf-8", newline="")
+
+
+# ---------------------------------------------------------------- transforms
 
 
 def normalize_scores(table: ScoreTable, method: str = "affine_to_unit") -> ScoreTable:
@@ -414,20 +645,12 @@ def normalize_scores(table: ScoreTable, method: str = "affine_to_unit") -> Score
         raise ContractError(f"unknown normalization method {method!r}")
     if not hi > lo:
         raise ContractError(f"affine_to_unit needs hi > lo, got [{lo}, {hi}]")
-    span = hi - lo
-    records = tuple(
-        ComparisonRecord(
-            probe_id=r.probe_id,
-            reference_id=r.reference_id,
-            probe_subject=r.probe_subject,
-            reference_subject=r.reference_subject,
-            mated=r.mated,
-            setting=r.setting,
-            score=(r.score - lo) / span,
-        )
-        for r in table.records
-    )
-    return ScoreTable(table.matcher_id, (0.0, 1.0), records)
+    return ScoreTable(table.matcher_id, (0.0, 1.0), table.columns, (table.scores - lo) / (hi - lo))
+
+
+def _setting_remap(settings: tuple, onto: tuple) -> np.ndarray:
+    """Index into ``onto`` of each setting, -1 where absent."""
+    return np.array([onto.index(s) if s in onto else -1 for s in settings], dtype=np.intp)
 
 
 def align_tables(tables: list[ScoreTable]) -> AlignedScores:
@@ -453,35 +676,55 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
         if len(t) == 0:
             raise ContractError(f"matcher {t.matcher_id!r} table is empty")
 
-    maps = [{r.key: r for r in t.records} for t in tables]
-    all_keys = set().union(*(m.keys() for m in maps))
-    for t, m in zip(tables, maps):
-        missing = sorted(all_keys - m.keys())
-        if missing:
-            shown = ", ".join(map(str, missing[:5]))
-            more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
-            raise AlignmentError(
-                f"matcher {t.matcher_id!r} is missing {len(missing)} pair(s): {shown}{more}"
-            )
+    base = tables[0].columns
+    base_keys = list(zip(base.probe_ids.tolist(), base.reference_ids.tolist()))
+    # keys are unique per table, so equal lengths and no failed lookup mean
+    # every table covers exactly the base keys
+    try:
+        gathers = [
+            np.fromiter(map(t.columns.key_index.__getitem__, base_keys), np.intp, len(base_keys))
+            for t in tables[1:]
+        ]
+        complete = all(len(t) == len(base) for t in tables)
+    except KeyError:
+        complete = False
+    if not complete:
+        key_sets = [t.columns.key_index.keys() for t in tables]
+        all_keys = set().union(*key_sets)
+        for t, keys in zip(tables, key_sets):
+            missing = sorted(all_keys - keys)
+            if missing:
+                shown = ", ".join(map(str, missing[:5]))
+                more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
+                raise AlignmentError(
+                    f"matcher {t.matcher_id!r} is missing {len(missing)} pair(s): {shown}{more}"
+                )
 
-    base = tables[0]
-    pairs = []
     matrix = np.empty((len(base), len(tables)), dtype=np.float64)
-    for i, rec in enumerate(base.records):
-        for j, m in enumerate(maps):
-            other = m[rec.key]
-            if other.mated != rec.mated:
-                raise ConsistencyError(f"conflicting mated flags for pair {rec.key}")
-            if other.setting != rec.setting:
-                raise ConsistencyError(f"conflicting settings for pair {rec.key}")
-            if (other.probe_subject, other.reference_subject) != (
-                rec.probe_subject,
-                rec.reference_subject,
-            ):
-                raise ConsistencyError(f"conflicting subjects for pair {rec.key}")
-            matrix[i, j] = other.score
-        pairs.append(rec.pair())
-    return AlignedScores(tuple(ids), tuple(pairs), matrix)
+    matrix[:, 0] = tables[0].scores
+    conflicts = []  # (row, table, check) of each table's first conflicting row
+    for j, (t, idx) in enumerate(zip(tables[1:], gathers), 1):
+        other = t.columns
+        matrix[:, j] = t.scores[idx]
+        setting_codes = _setting_remap(other.settings, base.settings)[other.setting_codes[idx]]
+        checks = (
+            other.mated[idx] != base.mated,
+            setting_codes != base.setting_codes,
+            (other.probe_subjects[idx] != base.probe_subjects)
+            | (other.reference_subjects[idx] != base.reference_subjects),
+        )
+        for k, mask in enumerate(checks):
+            row = _first_true(mask)
+            if row is not None:
+                conflicts.append((row, j, k))
+    if conflicts:
+        row, _, k = min(conflicts)
+        what = ("mated flags", "settings", "subjects")[k]
+        raise ConsistencyError(f"conflicting {what} for pair {base.key(row)}")
+    return AlignedScores(tuple(ids), base, matrix)
+
+
+# ---------------------------------------------------------------- subject splits
 
 
 def _round_half_up(x: float) -> int:

@@ -1,0 +1,393 @@
+"""Columnar loading, joining and writing of score tables.
+
+The loaders read whole columns and validate them with array operations, but
+must report exactly what a row-by-row reading reports: the same exception
+class and message, for the earliest bad line. ``reference_load`` below is
+that row-by-row reading, kept as the oracle.
+"""
+
+import hashlib
+import math
+import random
+import re
+
+import numpy as np
+import pytest
+
+from scorefuse.cli import main
+from scorefuse.errors import (
+    AlignmentError,
+    ConsistencyError,
+    ContractError,
+    DuplicatePairError,
+    ParseError,
+    RangeViolationError,
+)
+from scorefuse.tables import (
+    PAIRS_CSV_HEADER,
+    SCORE_CSV_HEADER,
+    AlignedScores,
+    ComparisonPair,
+    ComparisonRecord,
+    ScoreTable,
+    SettingDescriptor,
+    align_tables,
+    load_pairs,
+    load_score_table,
+    score_table_csv_text,
+)
+
+from helpers import table
+
+SCORE_HEADER = ",".join(SCORE_CSV_HEADER)
+PAIRS_HEADER = ",".join(PAIRS_CSV_HEADER)
+
+
+def score_rows(n=6):
+    """Valid score rows: even rows mated, two settings."""
+    rows = []
+    for i in range(n):
+        mated = i % 2 == 0
+        rsub = f"s{i}" if mated else f"t{i}"
+        dist = "1.0" if i < n // 2 else "2.6"
+        rows.append(["m", f"p{i}", f"r{i}", f"s{i}", rsub, "1" if mated else "0", "cam0", dist, "unit", f"0.{i + 1}"])
+    return rows
+
+
+def write_rows(path, header, rows):
+    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def reference_load(path, declared_range=None):
+    """Row-by-row reading of a score CSV (or, without a range, a pairs CSV).
+
+    Returns the list of parsed rows, or raises what the first bad row raises.
+    """
+    import csv
+
+    header = SCORE_CSV_HEADER if declared_range else PAIRS_CSV_HEADER
+    out, seen, matcher_id = [], {}, None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise ParseError(f"{path}:1: bad header, expected {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            if declared_range:
+                mid, *row, score_s = row
+                if matcher_id is None:
+                    matcher_id = mid
+                elif mid != matcher_id:
+                    raise ParseError(
+                        f"{path}:{lineno}: matcher_id {mid!r} differs from {matcher_id!r} "
+                        "(one matcher per file)"
+                    )
+            probe, ref, psub, rsub, mated_s, cam, dist_s, dset = row
+            if mated_s not in ("0", "1"):
+                raise ParseError(f"{path}:{lineno}: mated must be 0 or 1, got {mated_s!r}")
+            values = {}
+            for what, text in (("distance_m", dist_s),) + (
+                (("score", score_s),) if declared_range else ()
+            ):
+                try:
+                    values[what] = float(text)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric {what} {text!r}") from None
+                if not math.isfinite(values[what]):
+                    raise ParseError(f"{path}:{lineno}: non-finite {what} {text!r}")
+            if declared_range:
+                lo, hi = declared_range
+                if not (lo <= values["score"] <= hi):
+                    raise RangeViolationError(
+                        f"{path}:{lineno}: score {score_s} outside declared range [{lo}, {hi}]"
+                    )
+            key = (probe, ref)
+            if key in seen:
+                raise DuplicatePairError(
+                    f"{path}:{lineno}: duplicate pair {key}, first seen on line {seen[key]}"
+                )
+            seen[key] = lineno
+            try:
+                pair = ComparisonPair(
+                    probe, ref, psub, rsub, mated_s == "1",
+                    SettingDescriptor(cam, values["distance_m"], dset),
+                )
+            except ContractError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            out.append(pair.with_score(values["score"]) if declared_range else pair)
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ParseError as exc:
+        return (type(exc), str(exc))
+
+
+# ---------------------------------------------------------------- named error cases
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        (5, "2", ParseError, "mated must be 0 or 1, got '2'"),
+        (9, "abc", ParseError, "non-numeric score 'abc'"),
+        (9, "nan", ParseError, "non-finite score 'nan'"),
+        (9, "-inf", ParseError, "non-finite score '-inf'"),
+        (7, "far", ParseError, "non-numeric distance_m 'far'"),
+        (7, "inf", ParseError, "non-finite distance_m 'inf'"),
+        (7, "0", ParseError, "distance_m must be positive, got 0.0"),
+        (9, "1.25", RangeViolationError, "score 1.25 outside declared range [0.0, 1.0]"),
+        (0, "other", ParseError, "matcher_id 'other' differs from 'm' (one matcher per file)"),
+        (5, "0", ParseError, "mated=False inconsistent with subjects 's4' vs 's4'"),
+    ],
+)
+def test_load_score_table_names_the_bad_line(tmp_path, field, value, error, message):
+    rows = score_rows()
+    rows[4][field] = value  # line 6
+    path = write_rows(tmp_path / "t.csv", SCORE_HEADER, rows)
+    with pytest.raises(error) as exc:
+        load_score_table(path, (0.0, 1.0))
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}:6: {message}"
+
+
+def test_load_score_table_duplicate_names_both_lines(tmp_path):
+    rows = score_rows()
+    rows[3][1:3] = ["p1", "r1"]  # line 5 repeats line 3
+    path = write_rows(tmp_path / "t.csv", SCORE_HEADER, rows)
+    with pytest.raises(DuplicatePairError) as exc:
+        load_score_table(path, (0.0, 1.0))
+    assert str(exc.value) == f"{path}:5: duplicate pair ('p1', 'r1'), first seen on line 3"
+
+
+def test_load_score_table_wrong_column_count(tmp_path):
+    rows = score_rows()
+    rows[2] = rows[2][:-1]  # line 4
+    rows[4] = rows[4] + ["extra"]
+    path = write_rows(tmp_path / "t.csv", SCORE_HEADER, rows)
+    with pytest.raises(ParseError) as exc:
+        load_score_table(path, (0.0, 1.0))
+    assert str(exc.value) == f"{path}:4: expected 10 columns, got 9"
+
+
+def test_load_reports_earliest_line_not_first_check(tmp_path):
+    # line 4 fails a late check (subjects), line 5 an early one (column count)
+    rows = score_rows()
+    rows[2][4] = "other"
+    rows[3] = rows[3][:3]
+    path = write_rows(tmp_path / "t.csv", SCORE_HEADER, rows)
+    with pytest.raises(ParseError, match=r"t\.csv:4: mated=True inconsistent"):
+        load_score_table(path, (0.0, 1.0))
+    # on one line, the check a row meets first wins: range before duplicate
+    rows = score_rows()
+    rows[3][1:3] = ["p1", "r1"]
+    rows[3][9] = "7.0"
+    path = write_rows(tmp_path / "u.csv", SCORE_HEADER, rows)
+    with pytest.raises(RangeViolationError, match=r"u\.csv:5: score 7\.0"):
+        load_score_table(path, (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        (4, "x", ParseError, "mated must be 0 or 1, got 'x'"),
+        (6, "", ParseError, "non-numeric distance_m ''"),
+        (6, "nan", ParseError, "non-finite distance_m 'nan'"),
+        (6, "-2", ParseError, "distance_m must be positive, got -2.0"),
+        (4, "1", ParseError, "mated=True inconsistent with subjects 's3' vs 't3'"),
+        (1, "r0", DuplicatePairError, "duplicate pair ('p0', 'r0'), first seen on line 2"),
+    ],
+)
+def test_load_pairs_names_the_bad_line(tmp_path, field, value, error, message):
+    rows = [r[1:9] for r in score_rows()]
+    rows[3][field] = value  # line 5
+    if field == 1:
+        rows[3][0] = "p0"
+    path = write_rows(tmp_path / "pairs.csv", PAIRS_HEADER, rows)
+    with pytest.raises(error) as exc:
+        load_pairs(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}:5: {message}"
+
+
+def test_load_pairs_wrong_column_count(tmp_path):
+    rows = [r[1:9] for r in score_rows()]
+    rows[1] = rows[1] + ["x"]
+    path = write_rows(tmp_path / "pairs.csv", PAIRS_HEADER, rows)
+    with pytest.raises(ParseError) as exc:
+        load_pairs(path)
+    assert str(exc.value) == f"{path}:3: expected 8 columns, got 9"
+
+
+# ---------------------------------------------------------------- against the row-by-row oracle
+
+
+def _mutate(rng: random.Random, rows: list[list[str]], scored: bool) -> None:
+    """One random corruption (or harmless variation) of one row."""
+    i = rng.randrange(len(rows))
+    row = rows[i]
+    off = 1 if scored else 0  # column offset of probe_id
+    if len(row) != off + 9 - (not scored):
+        return  # already cut short or lengthened
+    kind = rng.randrange(9)
+    if kind == 0:
+        row[off + 4] = rng.choice(["0", "1", "2", "", " 1"])
+    elif kind == 1:
+        row[off + 6] = rng.choice(["x", "inf", "nan", "0", "-1", "1", "2.60", "1e0", " 3"])
+    elif kind == 2 and scored:
+        row[9] = rng.choice(["abc", "nan", "inf", "1.5", "-0.1", "1", "0", "1e-3", ""])
+    elif kind == 3 and scored:
+        row[0] = rng.choice(["m", "n"])
+    elif kind == 4:
+        donor = rows[rng.randrange(len(rows))]
+        if len(donor) > off + 1:
+            row[off], row[off + 1] = donor[off], donor[off + 1]
+    elif kind == 5:
+        row[off + rng.choice([2, 3])] = rng.choice(["s0", "t1", "s2"])
+    elif kind == 6:
+        rows[i] = row[: rng.randrange(len(row))] if rng.random() < 0.5 else row + ["x"]
+    elif kind == 7:
+        row[off + 5] = rng.choice(["cam0", "cam1"])
+    else:
+        row[off + 7] = "unit,quoted"  # written quoted; still one field
+
+
+def _write_csv(path, header, rows):
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@pytest.mark.parametrize("scored", [True, False])
+def test_loaders_match_row_by_row_reading(tmp_path, scored):
+    rng = random.Random(20250417 + scored)
+    header = SCORE_HEADER if scored else PAIRS_HEADER
+    outcomes = set()
+    for case in range(400):
+        rows = [r if scored else r[1:9] for r in score_rows(8)]
+        for _ in range(rng.randrange(1, 4)):
+            _mutate(rng, rows, scored)
+        path = tmp_path / f"case{case}.csv"
+        _write_csv(path, header, rows)
+        if scored:
+            want = outcome(reference_load, path, (0.0, 1.0))
+            got = outcome(load_score_table, path, (0.0, 1.0))
+            if got[0] == "ok":
+                got = ("ok", list(got[1].records))
+        else:
+            want = outcome(reference_load, path)
+            got = outcome(load_pairs, path)
+            if got[0] == "ok":
+                got = ("ok", list(got[1]))
+        assert got == want, (case, rows)
+        outcomes.add(want[0] if want[0] == "ok" else re.sub(r".*?:\d+: (\S+ \S+).*", r"\1", want[1]))
+    # the cases reach every check: ok, and each error's first two words
+    assert "ok" in outcomes and len(outcomes) >= (14 if scored else 9), sorted(outcomes)
+
+
+# ---------------------------------------------------------------- joins
+
+
+def _conflicting(t: ScoreTable, row: int, **changes) -> ScoreTable:
+    """``t`` renamed to matcher "b", with one record changed and the rows reversed."""
+    records = list(t.records)
+    rec = records[row]
+    fields = {f: getattr(rec, f) for f in ("probe_id", "reference_id", "probe_subject",
+                                          "reference_subject", "mated", "setting", "score")}
+    fields.update(changes)
+    records[row] = ComparisonRecord(**fields)
+    return ScoreTable("b", (0.0, 1.0), tuple(reversed(records)))
+
+
+@pytest.mark.parametrize(
+    "changes, what",
+    [
+        ({"mated": False, "reference_subject": "zz"}, "mated flags"),
+        ({"setting": SettingDescriptor("cam9", 1.0, "unit")}, "settings"),
+        ({"probe_subject": "s99", "reference_subject": "s99"}, "subjects"),
+    ],
+)
+def test_align_conflict_names_the_pair(changes, what):
+    a = table([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], matcher_id="a")
+    b = _conflicting(a, 2, **changes)
+    with pytest.raises(ConsistencyError) as exc:
+        align_tables([a, b])
+    assert str(exc.value) == f"conflicting {what} for pair {a.records[2].key}"
+
+
+def test_align_reports_first_row_then_first_check():
+    a = table([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], matcher_id="a")
+    b = _conflicting(a, 4, setting=SettingDescriptor("cam9", 1.0, "unit"))
+    b = _conflicting(ScoreTable("x", (0.0, 1.0), tuple(reversed(b.records))), 1,
+                     probe_subject="q", reference_subject="q")
+    with pytest.raises(ConsistencyError, match=r"subjects for pair \('p00001'"):
+        align_tables([a, b])
+
+
+def test_align_joins_on_keys_in_any_row_order():
+    a = table([0.9, 0.8], [0.1, 0.2, 0.3], matcher_id="a")
+    b = ScoreTable("b", (0.0, 1.0), tuple(r.with_score(r.score / 2) for r in reversed(a.records)))
+    al = align_tables([a, b])
+    assert [p.key for p in al.pairs] == [r.key for r in a.records]
+    np.testing.assert_array_equal(al.matrix[:, 1], a.scores / 2)
+
+
+@pytest.mark.parametrize(
+    "keep_a, keep_b, short",
+    [
+        (slice(None), slice(None, -1), "b"),  # b lacks a key of a
+        (slice(None, -1), slice(None), "a"),  # b has a key a lacks
+        (slice(1, None), slice(None, -1), "a"),  # same length, different keys
+    ],
+)
+def test_align_missing_key_in_either_table(keep_a, keep_b, short):
+    a = table([0.9, 0.8], [0.1, 0.2, 0.3], matcher_id="a")
+    records = a.records
+    a = ScoreTable("a", (0.0, 1.0), records[keep_a])
+    b = ScoreTable("b", (0.0, 1.0), tuple(reversed(records[keep_b])))
+    with pytest.raises(AlignmentError, match=f"'{short}' is missing 1 pair"):
+        align_tables([a, b])
+
+
+def test_aligned_digest_matches_row_by_row_formula():
+    settings = [SettingDescriptor("c1", 1.0, "d"), SettingDescriptor("c2", 2.6, "d")]
+    pairs = [
+        ComparisonPair(f"p{i}", f"r{i}", f"s{i}", f"s{i}" if i % 3 else f"t{i}", bool(i % 3), settings[i % 2])
+        for i in range(7)
+    ]
+    matrix = np.linspace(0.0, 1.0, 14).reshape(7, 2)
+    al = AlignedScores(("x", "y"), tuple(pairs), matrix)
+    h = hashlib.sha256()
+    for mid in al.matcher_ids:
+        h.update(mid.encode("utf-8") + b"\x00")
+    for p in pairs:
+        h.update(f"{p.probe_id}|{p.reference_id}|{int(p.mated)}|{p.setting.key()}".encode() + b"\x00")
+    h.update(np.ascontiguousarray(matrix).tobytes())
+    assert al.sha256 == h.hexdigest()
+
+
+# ---------------------------------------------------------------- round trips
+
+
+def test_round_trip_of_demo_file_is_byte_identical(tmp_path):
+    assert main(["synth", "--demo", str(tmp_path / "demo"), "--seed", "3"]) == 0
+    for path in sorted((tmp_path / "demo" / "scores").glob("m2__*.csv")):
+        text = path.read_text(encoding="utf-8")
+        assert score_table_csv_text(load_score_table(path, (0.0, 1.0))) == text
+
+
+def test_round_trip_of_synth_file_is_byte_identical(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["synth", "--out", str(out), "--n-mated", "40", "--n-nonmated", "90", "--seed", "5",
+            "--camera", "c,1", "--id-tag", 'q"x:']
+    assert main(args) == 0
+    text = out.read_text(encoding="utf-8")
+    t = load_score_table(out, (-0.6, 1.5))  # unclamped: mu +- 9 sigma
+    assert score_table_csv_text(t) == text
+    assert t.columns.settings == (SettingDescriptor("c,1", 1.0, "synthetic"),)

@@ -1,0 +1,180 @@
+"""Grid runs and command-line contracts: usage errors, file modes, the unused
+train split, and fitting each parametric fuser once per train setting."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import scorefuse
+import scorefuse.protocol
+from scorefuse.cli import main
+from scorefuse.errors import ContractError
+from scorefuse.provenance import atomic_write_text
+
+SRC = Path(scorefuse.__file__).resolve().parents[1]
+
+
+def cli(*argv, cwd=None):
+    """``scorefuse`` as a separate process: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scorefuse.cli", *map(str, argv)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def small_demo(tmp_path, kinds=("intra",), methods=("avg",), seed=11) -> Path:
+    """The demo restricted to two 1-m / 2.6-m settings of cam1 and a few methods."""
+    demo = tmp_path / "demo"
+    assert main(["synth", "--demo", str(demo), "--seed", str(seed)]) == 0
+    config = json.loads((demo / "config.json").read_text())
+    config["settings"] = [s for s in config["settings"] if s["camera_id"] == "cam1"]
+    config["kinds"] = list(kinds)
+    config["methods"] = [m for m in config["methods"] if m["method_id"] in methods]
+    config["group_by"] = ["method"]
+    path = demo / "small.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+# ---------------------------------------------------------------- usage errors
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_jobs_below_one_is_a_usage_error(tmp_path, jobs):
+    config = small_demo(tmp_path)
+    code, err = cli("grid", "--config", config, "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err and "Traceback" not in err
+    assert not (config.parent / "results").exists()
+
+
+def test_eval_negative_precision_is_a_usage_error(tmp_path):
+    scores = sorted((small_demo(tmp_path).parent / "scores").glob("m1__*__test.csv"))[0]
+    out = tmp_path / "ev"
+    code, err = cli("eval", "--scores", scores, "--out-dir", out, "--precision", "-1")
+    assert code == 2
+    assert "--precision" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- file modes
+
+
+def test_artifacts_follow_the_umask(tmp_path):
+    config = small_demo(tmp_path)
+    old = os.umask(0o022)
+    try:
+        code, err = cli("grid", "--config", config)
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    results = config.parent / "results"
+    result = sorted(results.glob("result__*.json"))[0]
+    for path in (result, results / "summary.csv.meta.json", results / "summary.csv"):
+        assert path.stat().st_mode & 0o777 == 0o644, path
+
+
+def test_artifacts_follow_a_umask_set_after_import(tmp_path):
+    old = os.umask(0o077)
+    try:
+        atomic_write_text(tmp_path / "a.json", "{}\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "a.json").stat().st_mode & 0o777 == 0o600
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+# ---------------------------------------------------------------- the train split
+
+
+def test_malformed_train_file_is_hashed_not_loaded(tmp_path):
+    config_path = small_demo(tmp_path, methods=("avg", "pcc_avg"))
+    config = json.loads(config_path.read_text())
+    train = config_path.parent / "scores" / "train.csv"
+    train.write_text("not,a,score,file\n", encoding="utf-8")
+    config["score_files"] += [
+        {**entry, "split": "train", "path": "scores/train.csv"}
+        for entry in config["score_files"]
+        if entry["split"] == "validation"
+    ]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    assert main(["grid", "--config", str(config_path)]) == 0
+    results = config_path.parent / "results"
+    cells = sorted(results.glob("result__*.json"))
+    assert len(cells) == 2 * 2
+    digest = scorefuse.provenance.sha256_file(train)
+    for path in cells + [results / "summary.json"]:
+        doc = json.loads(path.read_text())
+        assert doc["input_digests"][str(train)] == digest, path
+        assert "train_scores_sha256" not in doc.get("provenance", {})
+
+
+# ---------------------------------------------------------------- one fit per train setting
+
+
+def _count_calls(monkeypatch, name, raises=None):
+    calls = []
+    original = getattr(scorefuse.protocol, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].matcher_ids)
+        if raises is not None:
+            raise raises
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scorefuse.protocol, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_each_fuser_is_fitted_once_per_train_setting(tmp_path, monkeypatch, jobs):
+    config_path = small_demo(tmp_path, kinds=("intra", "cross_distance"), methods=("pcc_avg", "perceptron"))
+    config = json.loads(config_path.read_text())
+    for method in config["methods"]:
+        if method["kind"] == "perceptron":
+            method["hyper"] = {"max_epochs": 50}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    pcc = _count_calls(monkeypatch, "estimate_pcc_weights")
+    perceptron = _count_calls(monkeypatch, "train_perceptron")
+
+    assert main(["grid", "--config", str(config_path), "--jobs", jobs]) == 0
+    assert len(pcc) == len(perceptron) == 2  # 2 train settings, each in 2 plan items
+    results = config_path.parent / "results"
+    by_train = {}
+    for path in results.glob("result__*__pcc_avg.json"):
+        doc = json.loads(path.read_text())
+        by_train.setdefault(json.dumps(doc["train_setting"]), []).append(doc["fitted"])
+    assert len(by_train) == 2 and all(len(f) == 2 and f[0] == f[1] for f in by_train.values())
+
+
+def test_failed_fit_fails_each_cell_that_needs_it(tmp_path, monkeypatch, capsys):
+    config = small_demo(tmp_path, kinds=("intra", "cross_distance"), methods=("avg", "pcc_avg"))
+    calls = _count_calls(monkeypatch, "estimate_pcc_weights", ContractError("no weights today"))
+    assert main(["grid", "--config", str(config), "--keep-going", "--jobs", "2"]) == 4
+    assert len(calls) == 2
+    summary = json.loads((config.parent / "results" / "summary.json").read_text())
+    failures = summary["failures"]
+    assert len(failures) == 4 and {f["method_id"] for f in failures} == {"pcc_avg"}
+    assert all(f["error"] == "ContractError" and f["message"] == "no weights today" for f in failures)
+    assert summary["summary"]["method"][0]["n_results"] == 4  # avg
+
+
+def test_leakage_takes_precedence_over_a_failed_fit(tmp_path, monkeypatch, capsys):
+    config_path = small_demo(tmp_path, methods=("pcc_avg",))
+    config = json.loads(config_path.read_text())
+    for entry in config["score_files"]:
+        if entry["split"] == "test":
+            entry["path"] = entry["path"].replace("__test.csv", "__validation.csv")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    calls = _count_calls(monkeypatch, "estimate_pcc_weights", ContractError("no weights today"))
+    assert main(["grid", "--config", str(config_path), "--keep-going"]) == 6
+    summary = json.loads((config_path.parent / "results" / "summary.json").read_text())
+    assert [f["error"] for f in summary["failures"]] == ["LeakageError"] * 2
+    assert calls == []
