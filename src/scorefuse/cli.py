@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -335,7 +336,7 @@ def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
     if entry.get("hyper"):
         try:
             hyper = PerceptronHyper(**entry["hyper"])
-        except TypeError as exc:
+        except (TypeError, ContractError) as exc:
             raise ParseError(f"method {entry['method_id']!r}: bad hyper ({exc})") from None
     return MethodSpec(
         method_id=str(entry["method_id"]),
@@ -572,6 +573,44 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _finite_float(minimum: float, inclusive: bool = True):
+    """argparse type: a finite float >= ``minimum`` (> if not ``inclusive``), else exit 2."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        if value < minimum or (value == minimum and not inclusive):
+            relation = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(f"must be a number {relation} {minimum:g}, got {text!r}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+class _InputRange(argparse.Action):
+    """``--input-range LO HI``: two finite bounds with LO <= HI, else exit 2."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi = values
+        if lo > hi:
+            raise argparse.ArgumentError(self, f"lower bound {lo!r} exceeds upper bound {hi!r}")
+        setattr(namespace, self.dest, (lo, hi))
+
+
+def _add_input_range(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--input-range",
+        nargs=2,
+        type=_finite_float(-math.inf),
+        action=_InputRange,
+        default=(0.0, 1.0),
+        metavar=("LO", "HI"),
+        help="declared score range of the inputs (default 0 1)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scorefuse",
@@ -595,18 +634,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True, help="per-matcher score CSVs")
     p.add_argument("--validation", nargs="*", default=[], help="validation CSVs (parametric)")
     p.add_argument("--weights-file", default=None, help="manual weights JSON (weighted)")
-    p.add_argument("--input-range", nargs=2, type=float, default=(0.0, 1.0))
+    _add_input_range(p)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--max-epochs", type=int, default=10000)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument(
+        "--learning-rate",
+        type=_finite_float(0.0, inclusive=False),
+        default=0.05,
+        help="ignored: the perceptron is fitted by Newton steps; kept for old command lines",
+    )
+    p.add_argument(
+        "--max-epochs",
+        type=_int_at_least(1),
+        default=10000,
+        help="cap on the perceptron's Newton iterations (default 10000)",
+    )
+    p.add_argument(
+        "--tolerance",
+        type=_finite_float(0.0),
+        default=1e-8,
+        help="stop the perceptron fit once an iteration lowers its objective by less (default 1e-8)",
+    )
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("eval", help="compute the metric report for one score CSV")
     p.add_argument("--scores", required=True)
-    p.add_argument("--input-range", nargs=2, type=float, default=(0.0, 1.0))
+    _add_input_range(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument(
         "--precision", type=_int_at_least(0), default=2, help="decimals in the printed report"
@@ -622,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="pairwise score correlations across matchers")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--input-range", nargs=2, type=float, default=(0.0, 1.0))
+    _add_input_range(p)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)

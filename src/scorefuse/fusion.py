@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -52,10 +53,15 @@ class FusionWeights:
 
 @dataclass(frozen=True)
 class TrainingLog:
+    """How a perceptron fit went. ``epochs_run`` counts Newton iterations;
+    ``stop_reason`` is ``"converged"`` or ``"max_iter"``, or ``None`` when
+    read from a document written before the field existed."""
+
     initial_loss: float
     final_loss: float
     epochs_run: int
     seed: int
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -166,16 +172,45 @@ def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
     return FusionWeights(validation.matcher_ids, uniform, "uniform", tuple(raw), tuple(notes))
 
 
+RIDGE = 1e-4  # lambda of the (lambda / 2) * ||w||^2 penalty; the bias is not penalised
+
+STOP_REASONS = ("converged", "max_iter")
+
+_MAX_HALVINGS = 60  # a step shrunk 2**60-fold moves no parameter
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class PerceptronHyper:
+    """Fit settings. ``max_epochs`` caps the Newton iterations; the fit stops
+    earlier once an iteration lowers the objective by less than
+    ``tolerance``. ``learning_rate`` is accepted for compatibility and
+    ignored: Newton steps need no step size."""
+
     learning_rate: float = 0.05
     max_epochs: int = 10000
     tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs < 1 or self.tolerance < 0:
-            raise ContractError(f"invalid perceptron hyperparameters: {self}")
+        problems = []
+        if not (_is_real(self.learning_rate) and self.learning_rate > 0):
+            problems.append("learning_rate must be a finite number > 0")
+        if not (_is_int(self.max_epochs) and self.max_epochs >= 1):
+            problems.append("max_epochs must be an integer >= 1")
+        if not (_is_real(self.tolerance) and self.tolerance >= 0):
+            problems.append("tolerance must be a finite number >= 0")
+        if not _is_int(self.seed):
+            problems.append("seed must be an integer")
+        if problems:
+            raise ContractError(f"invalid perceptron hyperparameters: {'; '.join(problems)}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -190,48 +225,61 @@ def _cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
 def train_perceptron(
     validation: AlignedScores, hyper: PerceptronHyper | None = None
 ) -> PerceptronFuser:
-    """Fit the logistic unit by full-batch gradient descent on mean
-    cross-entropy over the validation rows.
+    """Fit the logistic unit by damped Newton steps (iteratively reweighted
+    least squares) on mean cross-entropy plus ``RIDGE / 2 * ||w||^2`` over
+    the validation rows.
 
-    Weights and bias start at zero, so the fit is deterministic; the seed is
-    recorded in the training log for provenance only. Training stops at
-    ``max_epochs`` or once the per-epoch loss decrease falls below
-    ``tolerance``.
+    The ridge keeps the optimum finite on separable data. Weights and bias
+    start at zero, so the fit is deterministic; the seed is recorded in the
+    training log for provenance only. Each iteration solves one
+    (N+1)x(N+1) Newton system and halves the step until the objective does
+    not increase, so the loss never ends above where it began. The fit stops
+    once an iteration lowers the objective by less than ``tolerance``
+    (``converged``) or after ``max_epochs`` iterations (``max_iter``).
     """
     hyper = hyper or PerceptronHyper()
     y = validation.mated_mask.astype(np.float64)
     n_mated = int(y.sum())
     if n_mated == 0 or n_mated == len(y):
         raise ContractError("validation scores must contain both classes")
-    x = validation.matrix
-    n, n_feat = x.shape
-    w = np.zeros(n_feat, dtype=np.float64)
-    b = 0.0
-    initial_loss = _cross_entropy(_sigmoid(x @ w + b), y)
-    prev_loss = initial_loss
-    loss = initial_loss
-    epochs = 0
-    for epochs in range(1, hyper.max_epochs + 1):
-        residual = _sigmoid(x @ w + b) - y
-        step_w = hyper.learning_rate * (x.T @ residual) / n
-        step_b = hyper.learning_rate * float(residual.mean())
-        w -= step_w
-        b -= step_b
-        loss = _cross_entropy(_sigmoid(x @ w + b), y)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss at epoch {epochs}")
-        if loss > prev_loss:
-            # a divergent step (oversized learning rate) is rolled back, so
-            # the returned parameters never score worse than where they began
-            w += step_w
-            b += step_b
-            loss = prev_loss
+    n, n_feat = validation.matrix.shape
+    x = np.column_stack([validation.matrix, np.ones(n)])  # last column fits the bias
+    penalty = np.full(n_feat + 1, RIDGE)
+    penalty[-1] = 0.0
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        p = _sigmoid(x @ theta)
+        return _cross_entropy(p, y) + 0.5 * float(penalty @ theta**2), p
+
+    theta = np.zeros(n_feat + 1)
+    value, p = objective(theta)
+    initial_loss = _cross_entropy(p, y)
+    stop_reason = "max_iter"
+    iterations = 0
+    for iterations in range(1, hyper.max_epochs + 1):
+        grad = x.T @ (p - y) / n + penalty * theta
+        hessian = (x.T * (p * (1.0 - p))) @ x / n + np.diag(penalty)
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            raise TrainingError(f"singular Newton system at iteration {iterations}") from None
+        for _ in range(_MAX_HALVINGS):
+            trial = theta - step
+            trial_value, trial_p = objective(trial)
+            if trial_value <= value:
+                break
+            step = step / 2.0
+        else:
+            stop_reason = "converged"  # no step lowers the objective: at its minimum
             break
-        if prev_loss - loss < hyper.tolerance:
+        decrease = value - trial_value
+        theta, value, p = trial, trial_value, trial_p
+        if decrease < hyper.tolerance:
+            stop_reason = "converged"
             break
-        prev_loss = loss
-    log = TrainingLog(initial_loss, loss, epochs, hyper.seed)
-    return PerceptronFuser(validation.matcher_ids, tuple(float(c) for c in w), b, log)
+    log = TrainingLog(initial_loss, _cross_entropy(p, y), iterations, hyper.seed, stop_reason)
+    w = theta[:-1]
+    return PerceptronFuser(validation.matcher_ids, tuple(float(c) for c in w), float(theta[-1]), log)
 
 
 def _method_id(method) -> str:
@@ -302,6 +350,7 @@ def fuser_to_dict(fuser: FusionWeights | PerceptronFuser) -> dict:
                 "final_loss": fuser.training_log.final_loss,
                 "epochs_run": fuser.training_log.epochs_run,
                 "seed": fuser.training_log.seed,
+                "stop_reason": fuser.training_log.stop_reason,
             },
         }
     raise ContractError(f"cannot serialize {fuser!r}")
@@ -331,11 +380,18 @@ def fuser_from_dict(doc: dict) -> FusionWeights | PerceptronFuser:
                     float(log["final_loss"]),
                     int(log["epochs_run"]),
                     int(log["seed"]),
+                    _stop_reason(log.get("stop_reason")),
                 ),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed fuser document: {exc}") from None
     raise ParseError(f"unknown fuser kind {doc.get('kind')!r}")
+
+
+def _stop_reason(value) -> str | None:
+    if value is not None and value not in STOP_REASONS:
+        raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {value!r}")
+    return value
 
 
 def save_fuser(fuser: FusionWeights | PerceptronFuser, path) -> None:

@@ -178,3 +178,79 @@ def test_leakage_takes_precedence_over_a_failed_fit(tmp_path, monkeypatch, capsy
     summary = json.loads((config_path.parent / "results" / "summary.json").read_text())
     assert [f["error"] for f in summary["failures"]] == ["LeakageError"] * 2
     assert calls == []
+
+
+# ---------------------------------------------------------------- perceptron hyperparameters and ranges
+
+
+@pytest.fixture(scope="module")
+def demo_config(tmp_path_factory):
+    return small_demo(tmp_path_factory.mktemp("bad"), methods=("perceptron",))
+
+
+@pytest.mark.parametrize(
+    "hyper",
+    [
+        '{"max_epochs": 2.5}',
+        '{"max_epochs": true}',
+        '{"max_epochs": 0}',
+        '{"tolerance": NaN}',
+        '{"tolerance": -1}',
+        '{"learning_rate": 0}',
+        '{"learning_rate": Infinity}',
+        '{"seed": true}',
+    ],
+)
+def test_grid_hyper_out_of_schema_is_a_parse_error(demo_config, hyper):
+    config = json.loads(demo_config.read_text())
+    config["methods"][0]["hyper"] = json.loads(hyper)
+    config["output_dir"] = "results-bad"
+    path = demo_config.parent / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, err = cli("grid", "--config", path)
+    assert code == 3
+    assert "'perceptron'" in err and next(iter(json.loads(hyper))) in err
+    assert "Traceback" not in err
+    assert not (demo_config.parent / "results-bad").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-epochs", "2.5"),
+        ("--max-epochs", "0"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "-1"),
+        ("--learning-rate", "0"),
+        ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"),
+    ],
+)
+def test_fuse_hyper_flag_out_of_range_is_a_usage_error(demo_config, tmp_path, flag, value):
+    scores = demo_config.parent / "scores"
+    out = tmp_path / "fused"
+    code, err = cli(
+        "fuse", "--method", "perceptron",
+        "--inputs", *sorted(scores.glob("m[12]__demo-cam1-1__test.csv")),
+        "--validation", *sorted(scores.glob("m[12]__demo-cam1-1__validation.csv")),
+        "--out-dir", out, flag, value,
+    )
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "eval", "correlate"])
+@pytest.mark.parametrize("bounds", [("1", "0"), ("0", "inf"), ("nan", "1")])
+def test_input_range_must_be_finite_and_ordered(demo_config, tmp_path, command, bounds):
+    inputs = sorted((demo_config.parent / "scores").glob("m[12]__demo-cam1-1__test.csv"))
+    out = tmp_path / "out"
+    argv = {
+        "fuse": ["fuse", "--method", "avg", "--inputs", *inputs, "--out-dir", out],
+        "eval": ["eval", "--scores", inputs[0], "--out-dir", out],
+        "correlate": ["correlate", "--inputs", *inputs, "--out", out],
+    }[command]
+    code, err = cli(*argv, "--input-range", *bounds)
+    assert code == 2
+    assert "--input-range" in err and "Traceback" not in err
+    assert not out.exists()
