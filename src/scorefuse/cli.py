@@ -49,6 +49,7 @@ from .metrics import (
 )
 from .protocol import (
     GROUP_BYS,
+    METHOD_KINDS,
     PLAN_KINDS,
     ExperimentResult,
     MethodSpec,
@@ -279,6 +280,11 @@ def _validate_grid_config(doc: dict, config_path: Path) -> dict:
     def fail(msg: str):
         raise ParseError(f"{config_path}: {msg}")
 
+    def check_distance(entry: dict, where: str) -> None:
+        d = entry["distance_m"]
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or not (math.isfinite(d) and d > 0):
+            fail(f"{where} entry {entry!r}: distance_m must be a number > 0, got {d!r}")
+
     if not isinstance(doc, dict):
         fail("config must be a JSON object")
     if doc.get("schema") != "scorefuse-grid-config/1":
@@ -292,30 +298,45 @@ def _validate_grid_config(doc: dict, config_path: Path) -> dict:
         ("score_files", list),
         ("methods", list),
     ):
-        if key not in doc or not isinstance(doc[key], typ):
+        if key not in doc or not isinstance(doc[key], typ) or isinstance(doc[key], bool):
             fail(f"missing or mistyped key {key!r} (expected {typ.__name__})")
-    if not doc["matchers"] or len(set(doc["matchers"])) != len(doc["matchers"]):
+    for key in ("kinds", "settings", "methods"):
+        if not doc[key]:
+            fail(f"{key!r} must be a nonempty list")
+    if (
+        not doc["matchers"]
+        or not all(isinstance(m, str) for m in doc["matchers"])
+        or len(set(doc["matchers"])) != len(doc["matchers"])
+    ):
         fail("matchers must be a nonempty list of unique ids")
-    unknown = set(doc["kinds"]) - set(PLAN_KINDS)
+    unknown = [k for k in doc["kinds"] if k not in PLAN_KINDS]
     if unknown:
-        fail(f"unknown kinds {sorted(unknown)}")
+        fail(f"unknown kinds {unknown}")
     for entry in doc["settings"]:
         if not isinstance(entry, dict) or not {"camera_id", "distance_m", "dataset_id"} <= entry.keys():
             fail(f"bad setting entry {entry!r}")
+        check_distance(entry, "settings")
     for entry in doc["score_files"]:
         needed = {"matcher_id", "camera_id", "distance_m", "dataset_id", "split", "path"}
         if not isinstance(entry, dict) or not needed <= entry.keys():
             fail(f"bad score_files entry {entry!r}")
+        check_distance(entry, "score_files")
         if entry["split"] not in ("train", "validation", "test"):
             fail(f"bad split {entry['split']!r} in score_files")
     method_ids = []
     for entry in doc["methods"]:
         if not isinstance(entry, dict) or not {"method_id", "kind", "matchers"} <= entry.keys():
             fail(f"bad method entry {entry!r}")
+        method = f"method {entry['method_id']!r}"
         method_ids.append(entry["method_id"])
-        extra = set(entry["matchers"]) - set(doc["matchers"])
+        if entry["kind"] not in METHOD_KINDS:
+            fail(f"{method}: 'kind' must be one of {METHOD_KINDS}, got {entry['kind']!r}")
+        matchers = entry["matchers"]
+        if not isinstance(matchers, list) or not matchers or not all(isinstance(m, str) for m in matchers):
+            fail(f"{method}: 'matchers' must be a nonempty list of matcher ids, got {matchers!r}")
+        extra = set(matchers) - set(doc["matchers"])
         if extra:
-            fail(f"method {entry['method_id']!r} names unknown matchers {sorted(extra)}")
+            fail(f"{method} names unknown matchers {sorted(extra)}")
     if len(set(method_ids)) != len(method_ids):
         fail("method_id values must be unique")
     group_by = doc.get("group_by", ["method"])
@@ -685,10 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic labeled score tables")
     p.add_argument("--out", help="output score CSV")
     p.add_argument("--model-file", default=None, help="Gaussian model JSON")
-    p.add_argument("--mu-nonmated", type=float, default=0.3)
-    p.add_argument("--sigma-nonmated", type=float, default=0.1)
-    p.add_argument("--mu-mated", type=float, default=0.6)
-    p.add_argument("--sigma-mated", type=float, default=0.1)
+    p.add_argument("--mu-nonmated", type=_finite_float(-math.inf), default=0.3)
+    p.add_argument("--sigma-nonmated", type=_finite_float(-math.inf), default=0.1)
+    p.add_argument("--mu-mated", type=_finite_float(-math.inf), default=0.6)
+    p.add_argument("--sigma-mated", type=_finite_float(-math.inf), default=0.1)
     p.add_argument("--n-mated", type=int, default=1000)
     p.add_argument("--n-nonmated", type=int, default=1000)
     p.add_argument("--clamp", action="store_true", help="clamp samples into [0, 1]")

@@ -38,6 +38,9 @@ class GaussianScoreModel:
     clamp: bool = False
 
     def __post_init__(self):
+        for name in ("mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma_nonmated <= 0 or self.sigma_mated <= 0:
             raise ContractError("sigmas must be strictly positive")
         if self.n_mated < 1 or self.n_nonmated < 1:

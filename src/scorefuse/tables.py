@@ -434,14 +434,23 @@ class _FirstBadRow:
     bad row. Here each check runs over whole columns, in that same order, and
     looks only at the rows before the earliest failure found so far
     (``limit``); a later check can therefore only replace the error with one
-    on an earlier row. The first check is the column count, after which
-    ``columns`` holds the fields of the rows before ``limit``.
+    on an earlier row. A plain file is split into ``columns`` in one pass
+    (:func:`_plain_columns`); any other is read by ``csv.reader``, and its
+    first check is the column count, after which ``columns`` holds the fields
+    of the rows before ``limit``.
     """
 
-    def __init__(self, path: Path, rows: list, width: int):
+    def __init__(self, path: Path, header: tuple[str, ...]):
         self.path = path
-        self.limit = len(rows)
         self.error: Exception | None = None
+        columns = _plain_columns(path, header)
+        if columns is not None:
+            self.limit = len(columns[0])
+            self.columns = columns
+            return
+        rows = _read_rows(path, header)
+        width = len(header)
+        self.limit = len(rows)
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
         bad = _first_true(lengths != width)
         if bad is not None:
@@ -484,27 +493,38 @@ class _FirstBadRow:
         )
         return values
 
-    def duplicates(self, probes, refs) -> None:
-        found = _first_repeat(list(zip(self.head(probes), self.head(refs))))
-        if found is not None:
-            row, first = found
+    def key_index(self, probes, refs) -> dict[tuple[str, str], int]:
+        """Row of each (probe, reference) key; a repeated key fails on its second row.
+
+        It looks at every row of ``columns``: the first repeat among them is
+        also the first among the rows before ``limit``, when it lies there.
+        """
+        index = dict(zip(zip(probes, refs), range(len(probes))))
+        if len(index) < len(probes):
+            row, first = _first_repeat(list(zip(probes, refs)))
             key = (probes[row], refs[row])
             self.fail(row, DuplicatePairError, f"duplicate pair {key}, first seen on line {first + 2}")
+        return index
 
-    def pairs(self, probes, refs, psubs, rsubs, mated, cams, distances, dsets) -> PairColumns:
-        """The checks of the pair constructors (setting, then mated flag), then the columns."""
-        triples = list(zip(self.head(cams), distances[: self.limit].tolist(), self.head(dsets)))
-        index = {t: k for k, t in enumerate(dict.fromkeys(triples))}
-        raw = np.fromiter(map(index.__getitem__, triples), np.intp, len(triples))
-        descriptors: dict[SettingDescriptor, int] = {}
-        remap = []
-        for k, triple in enumerate(index):
+    def pairs(
+        self, probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index
+    ) -> PairColumns:
+        """The checks of the pair constructors (setting, then mated flag), then the columns.
+
+        A setting is a distinct (camera, distance, dataset) triple, numbered in
+        order of first appearance; each column is coded on its own and the
+        codes combined, so no per-row triple is built.
+        """
+        codes, first = _first_appearance(distances[: self.limit])
+        for column in (self.head(cams), self.head(dsets)):
+            column_codes, n_distinct = _text_codes(column)
+            codes, first = _first_appearance(codes * n_distinct + column_codes)
+        settings = []
+        for row in first.tolist():
             try:
-                setting = SettingDescriptor(*triple)
+                settings.append(SettingDescriptor(cams[row], float(distances[row]), dsets[row]))
             except ContractError as exc:
-                self.fail(_first_true(raw == k), ParseError, str(exc))
-                setting = None
-            remap.append(descriptors.setdefault(setting, len(descriptors)))
+                self.fail(row, ParseError, str(exc))
         n = self.limit
         bad = _inconsistent(mated[:n], psubs[:n], rsubs[:n])
         if bad is not None:
@@ -514,8 +534,27 @@ class _FirstBadRow:
                 self.fail(bad, ParseError, str(exc))
         if self.error is not None:
             raise self.error
-        codes = np.array(remap, dtype=np.intp)[raw] if len(raw) else raw
-        return PairColumns(probes, refs, psubs, rsubs, mated, codes, tuple(descriptors))
+        columns = PairColumns(probes, refs, psubs, rsubs, mated, codes, settings)
+        columns.__dict__["key_index"] = key_index
+        return columns
+
+
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes numbering the distinct ``values`` in order of first appearance,
+    and the first row of each code."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _text_codes(column) -> tuple[np.ndarray, int]:
+    """Codes numbering the distinct strings of ``column``, and how many there are."""
+    if not column or column.count(column[0]) == len(column):
+        return np.zeros(len(column), dtype=np.intp), 1
+    distinct = {text: k for k, text in enumerate(dict.fromkeys(column))}
+    return np.fromiter(map(distinct.__getitem__, column), np.intp, len(column)), len(distinct)
 
 
 def _is_float(text: str) -> bool:
@@ -524,6 +563,33 @@ def _is_float(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _plain_columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | None:
+    """The columns of a plain CSV file, or None for any other file.
+
+    A plain file has the expected header, no ``"`` and no CR, and exactly
+    ``len(header) - 1`` commas on every body line, so it has no blank line
+    either. ``csv.reader`` would split such a file on commas and LFs alone:
+    one split of the joined body lines gives every field, and column k is
+    every ``len(header)``-th field from the k-th.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None  # csv.reader then fails where a row-by-row reading fails
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    width = len(header)
+    if lines[0] != ",".join(header):
+        return None
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    if list(map(str.count, body, repeat(","))).count(width - 1) != len(body):
+        return None
+    fields = ",".join(body).split(",") if body else []
+    return [fields[k::width] for k in range(width)]
 
 
 def _read_rows(path: Path, header: tuple[str, ...]) -> list[list[str]]:
@@ -544,7 +610,7 @@ def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
     """
     path = Path(path)
     lo, hi = declared_range
-    check = _FirstBadRow(path, _read_rows(path, SCORE_CSV_HEADER), len(SCORE_CSV_HEADER))
+    check = _FirstBadRow(path, SCORE_CSV_HEADER)
     mids, probes, refs, psubs, rsubs, flags, cams, dists, dsets, score_texts = check.columns
     matcher_id = mids[0] if mids else path.stem
     check.fail(
@@ -561,9 +627,9 @@ def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
         RangeViolationError,
         lambda i: f"score {score_texts[i]} outside declared range [{lo}, {hi}]",
     )
-    check.duplicates(probes, refs)
+    key_index = check.key_index(probes, refs)
     n = check.limit
-    columns = check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets)
+    columns = check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
     return ScoreTable(matcher_id, (lo, hi), columns, scores[:n])
 
 
@@ -585,12 +651,12 @@ def load_pairs(path) -> PairColumns:
     The result is a sequence of :class:`ComparisonPair` stored as columns.
     """
     path = Path(path)
-    check = _FirstBadRow(path, _read_rows(path, PAIRS_CSV_HEADER), len(PAIRS_CSV_HEADER))
+    check = _FirstBadRow(path, PAIRS_CSV_HEADER)
     probes, refs, psubs, rsubs, flags, cams, dists, dsets = check.columns
     mated = check.mated(flags)
     distances = check.floats(dists, "distance_m")
-    check.duplicates(probes, refs)
-    return check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets)
+    key_index = check.key_index(probes, refs)
+    return check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
 
 
 # ---------------------------------------------------------------- CSV output
@@ -677,9 +743,10 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
             raise ContractError(f"matcher {t.matcher_id!r} table is empty")
 
     base = tables[0].columns
-    base_keys = list(zip(base.probe_ids.tolist(), base.reference_ids.tolist()))
-    # keys are unique per table, so equal lengths and no failed lookup mean
-    # every table covers exactly the base keys
+    # keys are unique per table, so the base key index lists every row's key
+    # in row order, and equal lengths and no failed lookup mean every table
+    # covers exactly the base keys
+    base_keys = base.key_index
     try:
         gathers = [
             np.fromiter(map(t.columns.key_index.__getitem__, base_keys), np.intp, len(base_keys))

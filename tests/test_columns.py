@@ -249,45 +249,97 @@ def _mutate(rng: random.Random, rows: list[list[str]], scored: bool) -> None:
     elif kind == 5:
         row[off + rng.choice([2, 3])] = rng.choice(["s0", "t1", "s2"])
     elif kind == 6:
-        rows[i] = row[: rng.randrange(len(row))] if rng.random() < 0.5 else row + ["x"]
+        r = rng.random()
+        if r < 0.4:
+            rows[i] = row[: rng.randrange(len(row))]
+        elif r < 0.8:
+            rows[i] = row + ["x"]
+        elif i + 1 < len(rows):
+            rows[i + 1] = [row.pop()] + rows[i + 1]  # the file keeps its number of commas
     elif kind == 7:
         row[off + 5] = rng.choice(["cam0", "cam1"])
     else:
         row[off + 7] = "unit,quoted"  # written quoted; still one field
 
 
-def _write_csv(path, header, rows):
-    import csv
+# File-level formats: line ending, final newline, an inserted blank body line,
+# a field holding a quote. Plain LF files take the loaders' split path; the
+# others are read by csv.reader.
+FORMATS = [
+    {"eol": "\n", "final": True},
+    {"eol": "\n", "final": False},
+    {"eol": "\r\n", "final": True},
+    {"eol": "\r\n", "final": False},
+    {"eol": "\n", "final": True, "blank": True},
+    {"eol": "\r\n", "final": False, "blank": True},
+    {"eol": "\n", "final": True, "quote": True},
+]
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+def _write_csv(path, header, rows, fmt, rng):
+    import csv
+    import io
+
+    rows = [list(r) for r in rows]
+    if fmt.get("quote"):
+        row = rng.choice(rows)
+        k = rng.randrange(len(row))
+        row[k] = row[k][:1] + '"' + row[k][1:]  # written as "x""y"; still one field
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=fmt["eol"]).writerows(rows)
+    lines = [header] + buf.getvalue().split(fmt["eol"])[:-1]
+    if fmt.get("blank"):
+        lines.insert(rng.randrange(1, len(lines) + 1), "")
+    text = fmt["eol"].join(lines) + (fmt["eol"] if fmt["final"] else "")
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _load(scored, path):
+    """The loader's outcome, with the table or pairs as a list of rows."""
+    if scored:
+        got = outcome(load_score_table, path, (0.0, 1.0))
+        return ("ok", list(got[1].records)) if got[0] == "ok" else got
+    got = outcome(load_pairs, path)
+    return ("ok", list(got[1])) if got[0] == "ok" else got
 
 
 @pytest.mark.parametrize("scored", [True, False])
-def test_loaders_match_row_by_row_reading(tmp_path, scored):
+def test_loaders_match_row_by_row_reading(tmp_path, monkeypatch, scored):
+    import scorefuse.tables as tables
+
+    split_used = []
+    split = tables._plain_columns
+
+    def spy(path, header):
+        columns = split(path, header)
+        split_used.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(tables, "_plain_columns", spy)
     rng = random.Random(20250417 + scored)
     header = SCORE_HEADER if scored else PAIRS_HEADER
-    outcomes = set()
+    outcomes, paths = set(), set()
     for case in range(400):
         rows = [r if scored else r[1:9] for r in score_rows(8)]
         for _ in range(rng.randrange(1, 4)):
             _mutate(rng, rows, scored)
+        fmt = FORMATS[case % len(FORMATS)]
         path = tmp_path / f"case{case}.csv"
-        _write_csv(path, header, rows)
-        if scored:
-            want = outcome(reference_load, path, (0.0, 1.0))
-            got = outcome(load_score_table, path, (0.0, 1.0))
-            if got[0] == "ok":
-                got = ("ok", list(got[1].records))
-        else:
-            want = outcome(reference_load, path)
-            got = outcome(load_pairs, path)
-            if got[0] == "ok":
-                got = ("ok", list(got[1]))
-        assert got == want, (case, rows)
+        _write_csv(path, header, rows, fmt, rng)
+        want = outcome(reference_load, path, *([(0.0, 1.0)] if scored else []))
+        split_used.clear()
+        assert _load(scored, path) == want, (case, fmt, rows)
+        plain = fmt["eol"] == "\n" and not fmt.get("blank") and not fmt.get("quote") and all(
+            len(r) == header.count(",") + 1 and not re.search('[",]', "".join(r)) for r in rows
+        )
+        assert split_used == [plain], (case, fmt, rows)
+        paths.add(plain)
+        with monkeypatch.context() as m:  # the same file through csv.reader
+            m.setattr(tables, "_plain_columns", lambda path, header: None)
+            assert _load(scored, path) == want, (case, fmt, rows)
         outcomes.add(want[0] if want[0] == "ok" else re.sub(r".*?:\d+: (\S+ \S+).*", r"\1", want[1]))
-    # the cases reach every check: ok, and each error's first two words
+    # the cases reach both read paths, and every check: ok, and each error's first two words
+    assert paths == {True, False}
     assert "ok" in outcomes and len(outcomes) >= (14 if scored else 9), sorted(outcomes)
 
 
@@ -391,3 +443,15 @@ def test_round_trip_of_synth_file_is_byte_identical(tmp_path):
     t = load_score_table(out, (-0.6, 1.5))  # unclamped: mu +- 9 sigma
     assert score_table_csv_text(t) == text
     assert t.columns.settings == (SettingDescriptor("c,1", 1.0, "synthetic"),)
+
+
+def test_round_trip_of_file_with_commas_in_ids(tmp_path):
+    out = tmp_path / "c.csv"
+    args = ["synth", "--out", str(out), "--n-mated", "30", "--n-nonmated", "50", "--seed", "2",
+            "--clamp", "--id-tag", "a,b:"]
+    assert main(args) == 0
+    text = out.read_text(encoding="utf-8")
+    assert '"a,b:p000000","a,b:r000000"' in text  # quoted, so csv.reader reads this file
+    t = load_score_table(out, (0.0, 1.0))
+    assert t.columns.probe_ids[0] == "a,b:p000000"
+    assert score_table_csv_text(t) == text

@@ -254,3 +254,87 @@ def test_input_range_must_be_finite_and_ordered(demo_config, tmp_path, command, 
     assert code == 2
     assert "--input-range" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- config contract
+
+
+def _set(*path_and_value):
+    """A config mutation setting ``config[k1][k2]... = value``."""
+    *path, key, value = path_and_value
+
+    def mutate(config):
+        for k in path:
+            config = config[k]
+        config[key] = value
+
+    return mutate
+
+
+# (mutation, words the error must name); each breaks grid_config.schema.json
+CONFIG_MUTATIONS = {
+    "kinds-empty": (_set("kinds", []), ["'kinds'"]),
+    "methods-empty": (_set("methods", []), ["'methods'"]),
+    "settings-empty": (_set("settings", []), ["'settings'"]),
+    "seed-bool": (_set("seed", True), ["'seed'"]),
+    "method-matchers-string": (_set("methods", 0, "matchers", "m1"), ["'matchers'", "method 'avg'"]),
+    "method-kind-unknown": (_set("methods", 0, "kind", "bogus"), ["'kind'", "method 'avg'"]),
+    "settings-distance-text": (_set("settings", 0, "distance_m", "x"), ["settings entry", "'x'"]),
+    "score-files-distance-text": (_set("score_files", 0, "distance_m", "x"), ["score_files entry", "'x'"]),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_demo(tmp_path_factory):
+    return small_demo(tmp_path_factory.mktemp("contract"))
+
+
+def _mutated(config_path: Path, mutation) -> tuple[dict, Path]:
+    config = json.loads(config_path.read_text())
+    config["methods"] = [m for m in config["methods"] if m["method_id"] == "avg"]  # the mutations' methods[0]
+    config["output_dir"] = "results-mutated"
+    mutation(config)
+    path = config_path.parent / "mutated.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return config, path
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_MUTATIONS))
+def test_grid_config_out_of_schema_is_a_parse_error(contract_demo, name):
+    mutation, words = CONFIG_MUTATIONS[name]
+    _, path = _mutated(contract_demo, mutation)
+    code, err = cli("grid", "--config", path)
+    assert code == 3, err
+    assert all(w in err for w in words), err
+    assert "Traceback" not in err
+    assert not (contract_demo.parent / "results-mutated").exists()
+
+
+def test_configs_the_schema_rejects_are_refused(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SRC / "scorefuse" / "schemas" / "grid_config.schema.json").read_text())
+    demo = tmp_path / "demo"
+    assert main(["synth", "--demo", str(demo), "--seed", "5"]) == 0
+    config_path = demo / "config.json"
+    jsonschema.validate(json.loads(config_path.read_text()), schema)
+    for name, (mutation, _) in sorted(CONFIG_MUTATIONS.items()):
+        config, path = _mutated(config_path, mutation)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(config, schema)
+        assert main(["grid", "--config", str(path)]) in (3, 4), name
+        assert not (demo / "results-mutated").exists(), name
+    assert main(["grid", "--config", str(config_path)]) == 0
+    assert (demo / "results" / "summary.json").exists()
+
+
+# ---------------------------------------------------------------- synth model parameters
+
+
+@pytest.mark.parametrize("flag", ["--mu-nonmated", "--sigma-nonmated", "--mu-mated", "--sigma-mated"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_model_flag_is_a_usage_error(tmp_path, flag, value):
+    out = tmp_path / "x.csv"
+    code, err = cli("synth", "--out", out, flag, value)
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()

@@ -190,3 +190,12 @@ def test_generated_table_round_trips_through_csv(tmp_path):
 
     back = load_score_table(path, t.declared_range)
     assert [r.score for r in back.records] == [r.score for r in t.records]
+
+
+@pytest.mark.parametrize("field", ["mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_parameters(field, value):
+    params = dict(mu_nonmated=0.3, sigma_nonmated=0.1, mu_mated=0.6, sigma_mated=0.1)
+    params[field] = value
+    with pytest.raises(ContractError, match=f"^{field} must be finite"):
+        GaussianScoreModel(**params, n_mated=1, n_nonmated=1, seed=0)
