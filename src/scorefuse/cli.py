@@ -15,9 +15,11 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 from pathlib import Path
 
 from .demo import build_demo
@@ -48,9 +50,6 @@ from .metrics import (
     roc_from_curves,
 )
 from .protocol import (
-    GROUP_BYS,
-    METHOD_KINDS,
-    PLAN_KINDS,
     ExperimentResult,
     MethodSpec,
     aggregate_results,
@@ -60,6 +59,7 @@ from .protocol import (
     run_experiment,
 )
 from .provenance import (
+    read_json,
     sha256_file,
     write_csv_artifact,
     write_json_artifact,
@@ -232,10 +232,7 @@ def cmd_synth(args) -> int:
         print(f"demo written; run: scorefuse grid --config {config}")
         return 0
     if args.model_file:
-        try:
-            doc = json.loads(Path(args.model_file).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.model_file}: invalid JSON ({exc.msg})") from None
+        doc = read_json(args.model_file)
         try:
             model = GaussianScoreModel(
                 mu_nonmated=float(doc["mu_nonmated"]),
@@ -274,76 +271,92 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- grid
 
 
-def _validate_grid_config(doc: dict, config_path: Path) -> dict:
-    """Check the config against the shipped schema (schemas/grid_config.schema.json)."""
+_TYPES = {  # JSON Schema type: (test, how a message names it)
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "a list"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "number": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
+    "integer": (lambda v: type(v) is int or type(v) is float and v.is_integer(), "an integer"),
+}
+
+
+def _violations(value, schema: dict, path: tuple[str, ...] = ()):
+    """Each way ``value`` breaks ``schema``, as a message naming the key.
+
+    Reads the keywords that schemas/grid_config.schema.json uses and no
+    other: type, const, enum, required, properties, additionalProperties
+    (false), items, minItems, uniqueItems, minimum and exclusiveMinimum. Its
+    const and enum values are strings, which ``==`` compares as JSON does.
+    Beyond JSON Schema, a number must be finite as a float.
+    """
+    name = ": ".join(path) or "config"
+    if "type" in schema and not _TYPES[schema["type"]][0](value):
+        yield f"{name} must be {_TYPES[schema['type']][1]}, got {value!r}"
+        return
+    if "const" in schema and value != schema["const"]:
+        yield f"{name} must be {schema['const']!r}, got {value!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield f"{name} must be one of {schema['enum']}, got {value!r}"
+    if type(value) in (int, float):
+        if "minimum" in schema and not value >= schema["minimum"]:
+            yield f"{name} must be >= {schema['minimum']}, got {value!r}"
+        if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
+            yield f"{name} must be > {schema['exclusiveMinimum']}, got {value!r}"
+    if isinstance(value, dict):
+        yield from (f"{name}: missing key {k!r}" for k in schema.get("required", ()) if k not in value)
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties") is False:
+            yield from (f"{name}: unknown key {k!r}" for k in value if k not in properties)
+        for key, sub in properties.items():
+            if key in value:
+                yield from _violations(value[key], sub, (*path, repr(key)))
+    if isinstance(value, list):
+        for entry in value if "items" in schema else ():
+            # a method is named by its id, as in the grid's other messages
+            if path[-1] == "'methods'" and isinstance(entry, dict) and "method_id" in entry:
+                label = f"method {entry['method_id']!r}"
+            else:
+                label = f"{path[-1][1:-1]} entry {entry!r}"
+            yield from _violations(entry, schema["items"], (*path[:-1], label))
+        if len(value) < schema.get("minItems", 0):
+            yield f"{name} must have at least {schema['minItems']} entry, got {value!r}"
+        if schema.get("uniqueItems") and len({json.dumps(v, sort_keys=True) for v in value}) < len(value):
+            yield f"{name} must not repeat an entry, got {value!r}"
+
+
+def _validate_grid_config(doc, config_path: Path) -> None:
+    """Check the config against schemas/grid_config.schema.json, then the
+    rules that schema does not state: each method's matchers are among the
+    config's and its id is unique, every file name is one the system can
+    open, and ``output_dir`` is a relative path inside the config file's
+    directory."""
 
     def fail(msg: str):
         raise ParseError(f"{config_path}: {msg}")
 
-    def check_distance(entry: dict, where: str) -> None:
-        d = entry["distance_m"]
-        if isinstance(d, bool) or not isinstance(d, (int, float)) or not (math.isfinite(d) and d > 0):
-            fail(f"{where} entry {entry!r}: distance_m must be a number > 0, got {d!r}")
-
-    if not isinstance(doc, dict):
-        fail("config must be a JSON object")
-    if doc.get("schema") != "scorefuse-grid-config/1":
-        fail("schema must be 'scorefuse-grid-config/1'")
-    for key, typ in (
-        ("seed", int),
-        ("output_dir", str),
-        ("kinds", list),
-        ("matchers", list),
-        ("settings", list),
-        ("score_files", list),
-        ("methods", list),
-    ):
-        if key not in doc or not isinstance(doc[key], typ) or isinstance(doc[key], bool):
-            fail(f"missing or mistyped key {key!r} (expected {typ.__name__})")
-    for key in ("kinds", "settings", "methods"):
-        if not doc[key]:
-            fail(f"{key!r} must be a nonempty list")
-    if (
-        not doc["matchers"]
-        or not all(isinstance(m, str) for m in doc["matchers"])
-        or len(set(doc["matchers"])) != len(doc["matchers"])
-    ):
-        fail("matchers must be a nonempty list of unique ids")
-    unknown = [k for k in doc["kinds"] if k not in PLAN_KINDS]
-    if unknown:
-        fail(f"unknown kinds {unknown}")
-    for entry in doc["settings"]:
-        if not isinstance(entry, dict) or not {"camera_id", "distance_m", "dataset_id"} <= entry.keys():
-            fail(f"bad setting entry {entry!r}")
-        check_distance(entry, "settings")
-    for entry in doc["score_files"]:
-        needed = {"matcher_id", "camera_id", "distance_m", "dataset_id", "split", "path"}
-        if not isinstance(entry, dict) or not needed <= entry.keys():
-            fail(f"bad score_files entry {entry!r}")
-        check_distance(entry, "score_files")
-        if entry["split"] not in ("train", "validation", "test"):
-            fail(f"bad split {entry['split']!r} in score_files")
-    method_ids = []
-    for entry in doc["methods"]:
-        if not isinstance(entry, dict) or not {"method_id", "kind", "matchers"} <= entry.keys():
-            fail(f"bad method entry {entry!r}")
-        method = f"method {entry['method_id']!r}"
-        method_ids.append(entry["method_id"])
-        if entry["kind"] not in METHOD_KINDS:
-            fail(f"{method}: 'kind' must be one of {METHOD_KINDS}, got {entry['kind']!r}")
-        matchers = entry["matchers"]
-        if not isinstance(matchers, list) or not matchers or not all(isinstance(m, str) for m in matchers):
-            fail(f"{method}: 'matchers' must be a nonempty list of matcher ids, got {matchers!r}")
-        extra = set(matchers) - set(doc["matchers"])
-        if extra:
-            fail(f"{method} names unknown matchers {sorted(extra)}")
-    if len(set(method_ids)) != len(method_ids):
-        fail("method_id values must be unique")
-    group_by = doc.get("group_by", ["method"])
-    if not isinstance(group_by, list) or not group_by or set(group_by) - set(GROUP_BYS):
-        fail(f"group_by must be a nonempty subset of {GROUP_BYS}")
-    doc["group_by"] = group_by
-    return doc
+    schema_file = resources.files(__package__) / "schemas" / "grid_config.schema.json"
+    for msg in _violations(doc, json.loads(schema_file.read_text(encoding="utf-8"))):
+        fail(msg)
+    method_ids = [method["method_id"] for method in doc["methods"]]
+    if len(set(method_ids)) < len(method_ids):
+        fail(f"'method_id' values must be unique, got {method_ids}")
+    for method in doc["methods"]:
+        unknown = set(method["matchers"]) - set(doc["matchers"])
+        if unknown:
+            fail(f"method {method['method_id']!r} names unknown matchers {sorted(unknown)}")
+    for key, entries in (("output_dir", [doc]), ("path", doc["score_files"]), ("weights_file", doc["methods"])):
+        for name in (entry[key] for entry in entries if key in entry):
+            try:
+                usable = b"\0" not in os.fsencode(name)
+            except UnicodeEncodeError:
+                usable = False
+            if not usable:
+                fail(f"{key!r} {name!r} is not a usable file name")
+    config_dir = config_path.parent.resolve()
+    output_dir = doc["output_dir"]
+    if Path(output_dir).is_absolute() or not (config_dir / output_dir).resolve().is_relative_to(config_dir):
+        fail(f"'output_dir' must be a relative path inside the config file's directory, got {output_dir!r}")
 
 
 def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
@@ -357,15 +370,9 @@ def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
     if entry.get("hyper"):
         try:
             hyper = PerceptronHyper(**entry["hyper"])
-        except (TypeError, ContractError) as exc:
+        except ContractError as exc:
             raise ParseError(f"method {entry['method_id']!r}: bad hyper ({exc})") from None
-    return MethodSpec(
-        method_id=str(entry["method_id"]),
-        kind=str(entry["kind"]),
-        matcher_ids=tuple(entry["matchers"]),
-        weights=weights,
-        hyper=hyper,
-    )
+    return MethodSpec(entry["method_id"], entry["kind"], tuple(entry["matchers"]), weights, hyper)
 
 
 class _GridData:
@@ -381,17 +388,14 @@ class _GridData:
     """
 
     def __init__(self, doc: dict, config_dir: Path):
-        self.config_dir = config_dir
         self.matchers = list(doc["matchers"])
         self.files: dict[tuple[str, SettingDescriptor, str], Path] = {}
         for entry in doc["score_files"]:
-            setting = SettingDescriptor(
-                str(entry["camera_id"]), float(entry["distance_m"]), str(entry["dataset_id"])
-            )
-            key = (str(entry["matcher_id"]), setting, str(entry["split"]))
+            setting = SettingDescriptor(entry["camera_id"], entry["distance_m"], entry["dataset_id"])
+            key = (entry["matcher_id"], setting, entry["split"])
             if key in self.files:
                 raise ParseError(f"duplicate score_files entry for {key}")
-            self.files[key] = config_dir / str(entry["path"])
+            self.files[key] = config_dir / entry["path"]
         self._aligned: dict[tuple[SettingDescriptor, str], AlignedScores | ScoreFuseError] = {}
         self._fits: dict[tuple[SettingDescriptor, str], object] = {}
         self._fit_lock = threading.Lock()
@@ -466,20 +470,15 @@ class _GridData:
 
 def cmd_grid(args) -> int:
     config_path = Path(args.config)
-    try:
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{config_path}: invalid JSON ({exc.msg})") from None
-    doc = _validate_grid_config(doc, config_path)
+    doc = read_json(config_path)
+    _validate_grid_config(doc, config_path)
     config_dir = config_path.parent
-    seed = int(doc["seed"])
-    out_dir = config_dir / str(doc["output_dir"])
-    enforce_val = bool(doc.get("enforce_validation_setting", True))
+    seed = doc["seed"]
+    out_dir = config_dir / doc["output_dir"]
+    enforce_val = doc.get("enforce_validation_setting", True)
+    group_by = doc.get("group_by", ["method"])
 
-    settings = [
-        SettingDescriptor(str(e["camera_id"]), float(e["distance_m"]), str(e["dataset_id"]))
-        for e in doc["settings"]
-    ]
+    settings = [SettingDescriptor(e["camera_id"], e["distance_m"], e["dataset_id"]) for e in doc["settings"]]
     plan = plan_experiments(settings, doc["kinds"])
     methods = [_method_from_config(entry, config_dir) for entry in doc["methods"]]
     data = _GridData(doc, config_dir)
@@ -549,7 +548,7 @@ def cmd_grid(args) -> int:
         {k: f[k] for k in ("cell", "method_id", "error", "message")} for f in failures
     ]
     if ok_results:
-        summaries = {gb: aggregate_results(ok_results, gb) for gb in doc["group_by"]}
+        summaries = {gb: aggregate_results(ok_results, gb) for gb in group_by}
     else:
         summaries = {}
     write_json_artifact(
@@ -559,7 +558,7 @@ def cmd_grid(args) -> int:
         inputs=all_inputs,
     )
     if ok_results:
-        primary = summaries[doc["group_by"][0]]
+        primary = summaries[group_by[0]]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(primary[0].keys()), lineterminator="\n")
         writer.writeheader()

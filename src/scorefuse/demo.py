@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .provenance import canonical_json
+from .provenance import atomic_write_text, canonical_json
 from .rng import SplitMix64, substream_seed
 from .synth import synthetic_pairs
 from .tables import ScoreTable, SettingDescriptor, write_score_table
@@ -62,7 +62,6 @@ def build_demo(root, seed: int) -> Path:
     """
     root = Path(root)
     scores_dir = root / "scores"
-    scores_dir.mkdir(parents=True, exist_ok=True)
     settings = [
         SettingDescriptor(cam, dist, DATASET) for cam in CAMERAS for dist in DISTANCES
     ]
@@ -119,5 +118,5 @@ def build_demo(root, seed: int) -> Path:
         "group_by": ["method", "method_kind"],
     }
     config_path = root / "config.json"
-    config_path.write_text(canonical_json(config), encoding="utf-8")
+    atomic_write_text(config_path, canonical_json(config))
     return config_path

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ContractError, ParseError, UnknownEntityError
+from .provenance import not_utf8
 from .tables import ComparisonPair, PairColumns, ScoreTable
 
 ROLES = ("reference", "probe")
@@ -77,33 +78,41 @@ class EmbeddingSet:
             raise UnknownEntityError(f"unknown entity id {entity_id!r}") from None
 
 
+def _lines(path: Path):
+    """The lines of a UTF-8 text file, read one at a time."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from None
+
+
 def load_embeddings(path) -> EmbeddingSet:
     """Read a JSON-lines embedding file."""
     path = Path(path)
     embeddings = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or not {"entity_id", "role", "vector"} <= obj.keys():
-                raise ParseError(
-                    f"{path}:{lineno}: expected object with entity_id, role, vector"
-                )
-            vector = obj["vector"]
-            if not isinstance(vector, list) or not all(
-                isinstance(v, (int, float)) for v in vector
-            ):
-                raise ParseError(f"{path}:{lineno}: vector must be a list of numbers")
-            try:
-                embeddings.append(
-                    Embedding(str(obj["entity_id"]), str(obj["role"]), tuple(map(float, vector)))
-                )
-            except ContractError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict) or not {"entity_id", "role", "vector"} <= obj.keys():
+            raise ParseError(
+                f"{path}:{lineno}: expected object with entity_id, role, vector"
+            )
+        vector = obj["vector"]
+        if not isinstance(vector, list) or not all(
+            isinstance(v, (int, float)) for v in vector
+        ):
+            raise ParseError(f"{path}:{lineno}: vector must be a list of numbers")
+        try:
+            embeddings.append(
+                Embedding(str(obj["entity_id"]), str(obj["role"]), tuple(map(float, vector)))
+            )
+        except ContractError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     try:
         return EmbeddingSet.from_embeddings(embeddings)
     except ContractError as exc:

@@ -14,12 +14,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, ParseError, TrainingError
 from .metrics import pcc
+from .provenance import atomic_write_text, read_json
 from .tables import AlignedScores, ScoreTable
 
 WEIGHT_PROVENANCES = ("uniform", "pcc", "manual")
@@ -395,14 +395,8 @@ def _stop_reason(value) -> str | None:
 
 
 def save_fuser(fuser: FusionWeights | PerceptronFuser, path) -> None:
-    Path(path).write_text(
-        json.dumps(fuser_to_dict(fuser), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(path, json.dumps(fuser_to_dict(fuser), indent=2, sort_keys=True) + "\n")
 
 
 def load_fuser(path) -> FusionWeights | PerceptronFuser:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
-    return fuser_from_dict(doc)
+    return fuser_from_dict(read_json(path))

@@ -19,11 +19,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, UndefinedEffectError
+from .provenance import atomic_write_text
 from .tables import AlignedScores, ScoreTable
 
 
@@ -296,8 +296,8 @@ def roc_csv_text(roc: RocCurve) -> str:
 
 
 def write_curves_csv(curves: ThresholdCurves, path) -> None:
-    Path(path).write_text(curves_csv_text(curves), encoding="utf-8", newline="")
+    atomic_write_text(path, curves_csv_text(curves))
 
 
 def write_roc_csv(roc: RocCurve, path) -> None:
-    Path(path).write_text(roc_csv_text(roc), encoding="utf-8", newline="")
+    atomic_write_text(path, roc_csv_text(roc))

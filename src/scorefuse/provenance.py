@@ -1,4 +1,4 @@
-"""Reproducibility plumbing: digests, canonical JSON, atomic writes.
+"""Reproducibility plumbing: digests, canonical JSON, UTF-8 reads, atomic writes.
 
 Output artifacts never contain timestamps or environment data, only the
 tool version, the run seed and input digests, so re-running a command with
@@ -14,6 +14,8 @@ import json
 import os
 import uuid
 from pathlib import Path
+
+from .errors import ParseError
 
 
 def tool_version() -> str:
@@ -33,6 +35,29 @@ def sha256_file(path) -> str:
 def canonical_json(obj) -> str:
     """Deterministic, human-readable JSON text (sorted keys, LF, indent 2)."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for an input file whose bytes are not UTF-8."""
+    byte = exc.object[exc.start]
+    return ParseError(f"{path}: not valid UTF-8 (byte 0x{byte:02x}: {exc.reason})")
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings as written."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
 
 
 def atomic_write_text(path, text: str) -> None:

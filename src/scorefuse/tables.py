@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -36,6 +37,7 @@ from .errors import (
     PartitionError,
     RangeViolationError,
 )
+from .provenance import atomic_write_text, not_utf8, read_text
 from .rng import SplitMix64, substream_seed
 
 SCORE_CSV_HEADER = (
@@ -574,11 +576,7 @@ def _plain_columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | Non
     one split of the joined body lines gives every field, and column k is
     every ``len(header)``-th field from the k-th.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None  # csv.reader then fails where a row-by-row reading fails
+    text = read_text(path)
     if '"' in text or "\r" in text:
         return None
     lines = text.split("\n")
@@ -592,12 +590,31 @@ def _plain_columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | Non
     return [fields[k::width] for k in range(width)]
 
 
+_FIELD_LIMIT_LOCK = threading.Lock()
+
+
 def _read_rows(path: Path, header: tuple[str, ...]) -> list[list[str]]:
+    """The body rows of a CSV file, read by ``csv.reader``.
+
+    ``csv.reader`` refuses a field longer than a process-wide limit (128 Ki
+    characters by default) that the split path does not have. The limit is
+    raised to the size of the file, which no field can exceed, and never
+    lowered.
+    """
+    size = path.stat().st_size
+    with _FIELD_LIMIT_LOCK:
+        if csv.field_size_limit() < size:
+            csv.field_size_limit(size)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != list(header):
-            raise ParseError(f"{path}:1: bad header, expected {','.join(header)}")
-        return list(reader)
+        try:
+            if next(reader, None) != list(header):
+                raise ParseError(f"{path}:1: bad header, expected {','.join(header)}")
+            return list(reader)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
@@ -687,7 +704,7 @@ def score_table_csv_text(table: ScoreTable) -> str:
 
 
 def write_score_table(table: ScoreTable, path) -> None:
-    Path(path).write_text(score_table_csv_text(table), encoding="utf-8", newline="")
+    atomic_write_text(path, score_table_csv_text(table))
 
 
 # ---------------------------------------------------------------- transforms

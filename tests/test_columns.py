@@ -343,6 +343,37 @@ def test_loaders_match_row_by_row_reading(tmp_path, monkeypatch, scored):
     assert "ok" in outcomes and len(outcomes) >= (14 if scored else 9), sorted(outcomes)
 
 
+def test_long_field_reads_the_same_on_both_paths(tmp_path):
+    # 140,000 characters: more than csv.reader's default field limit (131,072)
+    rows = score_rows()
+    rows[2][1] = "p" * 140_000
+    got = {}
+    for eol in ("\n", "\r\n"):
+        path = tmp_path / f"{len(eol)}.csv"
+        path.write_bytes((eol.join([SCORE_HEADER] + [",".join(r) for r in rows]) + eol).encode("utf-8"))
+        got[eol] = _load(True, path)
+    assert got["\n"] == got["\r\n"]
+    assert got["\n"][0] == "ok" and got["\n"][1][2].probe_id == rows[2][1]
+
+
+def test_csv_reader_error_names_the_file_and_line(tmp_path, monkeypatch):
+    import csv
+
+    rows = score_rows()
+    rows[1][1] = "p" * 40
+    path = tmp_path / "t.csv"
+    path.write_bytes("\r\n".join([SCORE_HEADER] + [",".join(r) for r in rows]).encode("utf-8"))
+    set_limit = csv.field_size_limit
+    monkeypatch.setattr(csv, "field_size_limit", lambda: 1 << 30)  # the loader leaves the limit alone
+    old = set_limit(20)  # the longest header field has 17 characters
+    try:
+        with pytest.raises(ParseError) as exc:
+            load_score_table(path, (0.0, 1.0))
+    finally:
+        set_limit(old)
+    assert str(exc.value) == f"{path}:3: field larger than field limit (20)"
+
+
 # ---------------------------------------------------------------- joins
 
 

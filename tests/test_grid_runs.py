@@ -1,5 +1,6 @@
-"""Grid runs and command-line contracts: usage errors, file modes, the unused
-train split, and fitting each parametric fuser once per train setting."""
+"""Grid runs and command-line contracts: usage errors, file modes and atomic
+writes, the unused train split, fitting each parametric fuser once per train
+setting, the grid config contract, and input that is not UTF-8."""
 
 import json
 import os
@@ -11,9 +12,24 @@ import pytest
 
 import scorefuse
 import scorefuse.protocol
+import scorefuse.provenance
 from scorefuse.cli import main
+from scorefuse.demo import build_demo
 from scorefuse.errors import ContractError
+from scorefuse.fusion import FusionWeights, fuser_to_dict, save_fuser
+from scorefuse.metrics import (
+    build_curves,
+    curves_csv_text,
+    roc_csv_text,
+    roc_from_curves,
+    write_curves_csv,
+    write_roc_csv,
+)
+from scorefuse.protocol import GROUP_BYS, METHOD_KINDS, PLAN_KINDS
 from scorefuse.provenance import atomic_write_text
+from scorefuse.tables import score_table_csv_text, write_score_table
+
+from helpers import table
 
 SRC = Path(scorefuse.__file__).resolve().parents[1]
 
@@ -88,6 +104,52 @@ def test_artifacts_follow_a_umask_set_after_import(tmp_path):
         os.umask(old)
     assert (tmp_path / "a.json").stat().st_mode & 0o777 == 0o600
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+def _writers():
+    """name -> (write to a path, the text it must write, or None to skip that check)."""
+    scores = table([0.9, 0.7], [0.2, 0.1])
+    curves = build_curves(scores)
+    roc = roc_from_curves(curves)
+    weights = FusionWeights(("a", "b"), (3.0, 1.0), "manual")
+    return {
+        "score-table": (lambda p: write_score_table(scores, p), score_table_csv_text(scores)),
+        "curves": (lambda p: write_curves_csv(curves, p), curves_csv_text(curves)),
+        "roc": (lambda p: write_roc_csv(roc, p), roc_csv_text(roc)),
+        "fuser": (
+            lambda p: save_fuser(weights, p),
+            json.dumps(fuser_to_dict(weights), indent=2, sort_keys=True) + "\n",
+        ),
+        "demo-config": (lambda p: build_demo(p.parent, 3), None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writers()))
+def test_writers_are_atomic(tmp_path, monkeypatch, name):
+    write, text = _writers()[name]
+    target = tmp_path / "out" / ("config.json" if name == "demo-config" else "artifact")
+    old = os.umask(0o022)
+    try:
+        write(target)
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == 0o644
+    if text is not None:
+        assert target.read_bytes() == text.encode("utf-8")
+
+    target.write_text("old\n", encoding="utf-8")
+    replace = os.replace
+
+    def fail_on_target(src, dst):
+        if Path(dst) == target:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(scorefuse.provenance.os, "replace", fail_on_target)
+    with pytest.raises(OSError, match="disk full"):
+        write(target)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert not [p for p in target.parent.rglob("*") if p.name.endswith(".tmp")]
 
 
 # ---------------------------------------------------------------- the train split
@@ -271,7 +333,8 @@ def _set(*path_and_value):
     return mutate
 
 
-# (mutation, words the error must name); each breaks grid_config.schema.json
+# (mutation, words the error must name); each breaks grid_config.schema.json,
+# except those in CODE_RULES, which break a rule the schema does not state
 CONFIG_MUTATIONS = {
     "kinds-empty": (_set("kinds", []), ["'kinds'"]),
     "methods-empty": (_set("methods", []), ["'methods'"]),
@@ -281,7 +344,18 @@ CONFIG_MUTATIONS = {
     "method-kind-unknown": (_set("methods", 0, "kind", "bogus"), ["'kind'", "method 'avg'"]),
     "settings-distance-text": (_set("settings", 0, "distance_m", "x"), ["settings entry", "'x'"]),
     "score-files-distance-text": (_set("score_files", 0, "distance_m", "x"), ["score_files entry", "'x'"]),
+    "weights-file-number": (_set("methods", 0, "weights_file", 5), ["'weights_file'", "method 'avg'"]),
+    "enforce-validation-text": (_set("enforce_validation_setting", "false"), ["'enforce_validation_setting'"]),
+    "settings-camera-number": (_set("settings", 0, "camera_id", 1), ["settings entry", "'camera_id'"]),
+    "method-id-number": (_set("methods", 0, "method_id", 7), ["'method_id'", "method 7"]),
+    "hyper-number": (_set("methods", 0, "hyper", 0), ["'hyper'", "method 'avg'"]),
+    "score-files-path-number": (_set("score_files", 0, "path", 3), ["score_files entry", "'path'"]),
+    "output-dir-escapes": (_set("output_dir", "../escaped"), ["'output_dir'", "'../escaped'"]),
+    "method-matchers-unknown": (_set("methods", 0, "matchers", ["m1", "m9"]), ["method 'avg'", "'m9'"]),
+    "score-files-path-nul": (_set("score_files", 0, "path", "a\0b"), ["'path'", "'a\\x00b'"]),
+    "settings-distance-huge": (_set("settings", 0, "distance_m", 10**400), ["settings entry", "'distance_m'"]),
 }
+CODE_RULES = {"output-dir-escapes", "method-matchers-unknown", "score-files-path-nul", "settings-distance-huge"}
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +382,15 @@ def test_grid_config_out_of_schema_is_a_parse_error(contract_demo, name):
     assert all(w in err for w in words), err
     assert "Traceback" not in err
     assert not (contract_demo.parent / "results-mutated").exists()
+    assert not (contract_demo.parent.parent / "escaped").exists()
+
+
+def test_grid_output_dir_must_not_be_absolute(contract_demo, capsys):
+    inside = contract_demo.parent / "results-absolute"
+    _, path = _mutated(contract_demo, _set("output_dir", str(inside)))
+    assert main(["grid", "--config", str(path)]) == 3
+    assert "'output_dir'" in capsys.readouterr().err
+    assert not inside.exists()
 
 
 def test_configs_the_schema_rejects_are_refused(tmp_path):
@@ -319,12 +402,85 @@ def test_configs_the_schema_rejects_are_refused(tmp_path):
     jsonschema.validate(json.loads(config_path.read_text()), schema)
     for name, (mutation, _) in sorted(CONFIG_MUTATIONS.items()):
         config, path = _mutated(config_path, mutation)
-        with pytest.raises(jsonschema.ValidationError):
+        if name in CODE_RULES:
             jsonschema.validate(config, schema)
-        assert main(["grid", "--config", str(path)]) in (3, 4), name
+        else:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(config, schema)
+        assert main(["grid", "--config", str(path)]) == 3, name
         assert not (demo / "results-mutated").exists(), name
     assert main(["grid", "--config", str(config_path)]) == 0
     assert (demo / "results" / "summary.json").exists()
+
+
+def test_schema_enums_match_the_protocol():
+    schema = json.loads((SRC / "scorefuse" / "schemas" / "grid_config.schema.json").read_text())
+    properties = schema["properties"]
+    assert tuple(properties["kinds"]["items"]["enum"]) == PLAN_KINDS
+    assert tuple(properties["methods"]["items"]["properties"]["kind"]["enum"]) == METHOD_KINDS
+    assert tuple(properties["group_by"]["items"]["enum"]) == GROUP_BYS
+    assert properties["score_files"]["items"]["properties"]["split"]["enum"] == ["train", "validation", "test"]
+
+
+# ---------------------------------------------------------------- input that is not UTF-8
+
+
+def _not_utf8(path: Path, text: str, word: str) -> Path:
+    """``text`` written to ``path`` with the first ``word`` spelled with a Latin-1 e-acute."""
+    data = text.encode("utf-8")
+    assert word.encode() in data
+    path.write_bytes(data.replace(word.encode(), word.encode().replace(b"e", b"\xe9"), 1))
+    return path
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["score-csv", "pairs-csv", "embeddings", "grid-config", "grid-weights-file", "weights-file", "model-file"],
+)
+def test_input_that_is_not_utf8_is_a_parse_error(contract_demo, tmp_path, reader):
+    demo = contract_demo.parent
+    scores = sorted((demo / "scores").glob("m[12]__demo-cam1-1__test.csv"))
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text('{"entity_id": "r1", "role": "reference", "vector": [1.0, 0.0]}\n', encoding="utf-8")
+    probes = tmp_path / "probes.jsonl"
+    probes.write_text('{"entity_id": "p1", "role": "probe", "vector": [0.0, 1.0]}\n', encoding="utf-8")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(
+        "probe_id,reference_id,probe_subject,reference_subject,mated,camera_id,distance_m,dataset_id\n"
+        "p1,r1,s1,s2,0,cam0,1.0,unit\n",
+        encoding="utf-8",
+    )
+    weights = json.dumps(fuser_to_dict(FusionWeights(("m1", "m2"), (1.0, 1.0), "manual")))
+    out = tmp_path / "out"
+    if reader == "score-csv":
+        bad = _not_utf8(tmp_path / "bad.csv", scores[0].read_text(encoding="utf-8"), "demo")
+        argv = ["eval", "--scores", bad, "--out-dir", out]
+    elif reader in ("pairs-csv", "embeddings"):
+        source = pairs if reader == "pairs-csv" else refs
+        bad = _not_utf8(tmp_path / f"bad{source.suffix}", source.read_text(encoding="utf-8"), "reference")
+        inputs = {"--references": refs, "--probes": probes, "--pairs": pairs}
+        inputs["--pairs" if reader == "pairs-csv" else "--references"] = bad
+        argv = ["score", *[a for kv in inputs.items() for a in kv], "--metric", "cosine", "--out", out / "s.csv"]
+    elif reader == "grid-config":
+        bad = _not_utf8(demo / "bad-config.json", contract_demo.read_text(encoding="utf-8"), "results")
+        argv = ["grid", "--config", bad]
+    elif reader == "grid-weights-file":
+        bad = _not_utf8(demo / "bad-weights.json", weights, "weights")
+        config = json.loads(contract_demo.read_text(encoding="utf-8"))
+        config["methods"] = [{"method_id": "w", "kind": "weighted", "matchers": ["m1", "m2"], "weights_file": bad.name}]
+        config["output_dir"] = "results-weights"
+        (demo / "weights-config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["grid", "--config", demo / "weights-config.json"]
+    elif reader == "weights-file":
+        bad = _not_utf8(tmp_path / "bad.json", weights, "weights")
+        argv = ["fuse", "--method", "weighted", "--inputs", *scores, "--weights-file", bad, "--out-dir", out]
+    else:
+        bad = _not_utf8(tmp_path / "bad.json", '{"mu_nonmated": 0.3, "note": "demo"}', "demo")
+        argv = ["synth", "--model-file", bad, "--out", out / "s.csv"]
+    code, err = cli(*argv)
+    assert code == 3, err
+    assert bad.name in err and "UTF-8" in err and "Traceback" not in err
+    assert not out.exists() and not (demo / "results-weights").exists()
 
 
 # ---------------------------------------------------------------- synth model parameters
