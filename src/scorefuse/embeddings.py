@@ -98,6 +98,8 @@ def load_embeddings(path) -> EmbeddingSet:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ParseError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(obj, dict) or not {"entity_id", "role", "vector"} <= obj.keys():
             raise ParseError(
                 f"{path}:{lineno}: expected object with entity_id, role, vector"

@@ -58,6 +58,8 @@ def read_json(path):
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
 def atomic_write_text(path, text: str) -> None:

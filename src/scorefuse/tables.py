@@ -126,6 +126,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen_state(self, state: dict) -> None:
+    """``__setstate__`` that leaves unpickled arrays read-only, as they were built."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            _frozen(value)
+    self.__dict__.update(state)
+
+
 def _first_true(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     i = int(np.argmax(mask)) if len(mask) else 0
@@ -172,6 +180,8 @@ class PairColumns:
     over the same pairs (each matcher's scores, a fused column) shares one
     instance and its cached key index. Indexing and iteration yield
     :class:`ComparisonPair` objects, for code written against single pairs.
+    ``check_mated=False`` skips the check that every ``mated`` flag agrees
+    with subject equality, for a caller that has already made it.
     """
 
     def __init__(
@@ -183,6 +193,8 @@ class PairColumns:
         mated,
         setting_codes,
         settings,
+        *,
+        check_mated: bool = True,
     ):
         text = [
             _frozen(np.array(col, dtype=object).reshape(-1))
@@ -200,7 +212,7 @@ class PairColumns:
         codes = self.setting_codes
         if n and (codes.min() < 0 or codes.max() >= len(self.settings)):
             raise ContractError("setting code out of range")
-        bad = _inconsistent(self.mated, self.probe_subjects, self.reference_subjects)
+        bad = _inconsistent(self.mated, self.probe_subjects, self.reference_subjects) if check_mated else None
         if bad is not None:
             _check_mated(bool(self.mated[bad]), self.probe_subjects[bad], self.reference_subjects[bad])
 
@@ -223,6 +235,8 @@ class PairColumns:
     @classmethod
     def of(cls, pairs) -> "PairColumns":
         return pairs if isinstance(pairs, PairColumns) else cls.from_pairs(pairs)
+
+    __setstate__ = _frozen_state
 
     def __len__(self) -> int:
         return len(self.mated)
@@ -355,6 +369,8 @@ class AlignedScores:
         self.matcher_ids = matcher_ids
         self.columns = columns
         self.matrix = mat
+
+    __setstate__ = _frozen_state
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -536,7 +552,8 @@ class _FirstBadRow:
                 self.fail(bad, ParseError, str(exc))
         if self.error is not None:
             raise self.error
-        columns = PairColumns(probes, refs, psubs, rsubs, mated, codes, settings)
+        # every row's mated flag was checked above
+        columns = PairColumns(probes, refs, psubs, rsubs, mated, codes, settings, check_mated=False)
         columns.__dict__["key_index"] = key_index
         return columns
 
@@ -626,8 +643,52 @@ def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
     When several rows are bad, the error names the first of them.
     """
     path = Path(path)
+    return _score_table(path, declared_range, _FirstBadRow(path, SCORE_CSV_HEADER))
+
+
+def load_score_tables(paths, declared_range: tuple[float, float]):
+    """Yield each file's :func:`load_score_table`, in order, reading a file
+    only when the previous one has loaded.
+
+    Files that list the same comparisons, as the matchers of one setting and
+    split do, share one :class:`PairColumns`. A later file whose eight pair
+    fields, as read, equal the first file's row for row, and whose matcher id
+    and scores pass their checks, keeps only its matcher id and score column
+    over the first table's columns. Any other file is checked in full, so a
+    bad file raises what :func:`load_score_table` raises for it.
+    """
+    first = fields = None
+    for path in map(Path, paths):
+        check = _FirstBadRow(path, SCORE_CSV_HEADER)
+        if first is None:
+            first, fields = _score_table(path, declared_range, check), check.columns[1:9]
+            yield first
+            continue
+        table = _shared_table(check, fields, first.columns, declared_range)
+        yield _score_table(path, declared_range, check) if table is None else table
+
+
+def _shared_table(check: _FirstBadRow, fields, columns: PairColumns, declared_range) -> ScoreTable | None:
+    """The table of ``check``'s file over ``columns``, or None unless its pair
+    fields equal ``fields`` and its matcher id and scores pass their checks."""
+    mids, score_texts = check.columns[0], check.columns[9]
+    if check.error is not None or not mids or mids.count(mids[0]) != len(mids):
+        return None
+    if check.columns[1:9] != fields:
+        return None
+    try:
+        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
+    except ValueError:
+        return None
     lo, hi = declared_range
-    check = _FirstBadRow(path, SCORE_CSV_HEADER)
+    if not np.all((lo <= scores) & (scores <= hi)):  # also false for NaN
+        return None
+    return ScoreTable(mids[0], declared_range, columns, scores)
+
+
+def _score_table(path: Path, declared_range, check: _FirstBadRow) -> ScoreTable:
+    """The checks of :func:`load_score_table` over ``check``'s columns, then its table."""
+    lo, hi = declared_range
     mids, probes, refs, psubs, rsubs, flags, cams, dists, dsets, score_texts = check.columns
     matcher_id = mids[0] if mids else path.stem
     check.fail(
@@ -760,6 +821,8 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
             raise ContractError(f"matcher {t.matcher_id!r} table is empty")
 
     base = tables[0].columns
+    if all(t.columns is base for t in tables[1:]):
+        return AlignedScores(tuple(ids), base, np.column_stack([t.scores for t in tables]))
     # keys are unique per table, so the base key index lists every row's key
     # in row order, and equal lengths and no failed lookup mean every table
     # covers exactly the base keys

@@ -8,6 +8,7 @@ that row-by-row reading, kept as the oracle.
 
 import hashlib
 import math
+import pickle
 import random
 import re
 
@@ -22,6 +23,7 @@ from scorefuse.errors import (
     DuplicatePairError,
     ParseError,
     RangeViolationError,
+    ScoreFuseError,
 )
 from scorefuse.tables import (
     PAIRS_CSV_HEADER,
@@ -34,6 +36,7 @@ from scorefuse.tables import (
     align_tables,
     load_pairs,
     load_score_table,
+    load_score_tables,
     score_table_csv_text,
 )
 
@@ -341,6 +344,62 @@ def test_loaders_match_row_by_row_reading(tmp_path, monkeypatch, scored):
     # the cases reach both read paths, and every check: ok, and each error's first two words
     assert paths == {True, False}
     assert "ok" in outcomes and len(outcomes) >= (14 if scored else 9), sorted(outcomes)
+
+
+def _group_outcome(tables, loaded: list):
+    """Each table's matcher, range and rows, then the aligned digest; or the
+    first error and the number of files loaded before it. ``loaded`` receives
+    the tables."""
+    try:
+        loaded.extend(tables)
+        aligned = align_tables(loaded)
+    except ScoreFuseError as exc:
+        return (type(exc), str(exc), len(loaded))
+    return ("ok", [(t.matcher_id, t.declared_range, t.records) for t in loaded], aligned.sha256)
+
+
+def test_group_loader_matches_loading_each_file(tmp_path):
+    rng = random.Random(20261018)
+    outcomes, shared = set(), set()
+    for case in range(240):
+        base = score_rows(8)
+        paths, variants = [], []
+        for k in range(rng.randrange(2, 5)):
+            rows = [[f"m{k}", *r[1:9], repr(rng.random())] for r in base]
+            variant = rng.choice(
+                ["same", "crlf"] if k == 0 else ["same", "mutated", "score", "reordered", "crlf", "quoted", "longer"]
+            )
+            if variant == "mutated":
+                for _ in range(rng.randrange(1, 3)):
+                    _mutate(rng, rows, True)
+            elif variant == "score":  # the first file's pairs, with one bad or edge score
+                rng.choice(rows)[9] = rng.choice(["1.5", "-0.1", "nan", "inf", "abc", "1", "0"])
+            elif variant == "reordered":
+                rng.shuffle(rows)
+            elif variant == "longer":  # the first file's rows, then a short row
+                rows.append(rows[0][: rng.randrange(1, 10)])
+            variants.append(variant)
+            fmt = {"crlf": FORMATS[2], "quoted": FORMATS[6]}.get(variant, FORMATS[0])
+            paths.append(tmp_path / f"case{case}-{k}.csv")
+            _write_csv(paths[-1], SCORE_HEADER, rows, fmt, rng)
+        want = _group_outcome((load_score_table(p, (0.0, 1.0)) for p in paths), [])
+        tables = []
+        assert _group_outcome(load_score_tables(paths, (0.0, 1.0)), tables) == want, (case, variants)
+        outcomes.add(want[0] if want[0] == "ok" else want[0].__name__)
+        if want[0] == "ok":
+            shared.update(t.columns is tables[0].columns for t in tables[1:])
+    # both ways of loading a later file, and errors of loading and of joining
+    assert shared == {True, False}
+    assert {"ok", "ParseError", "AlignmentError", "ConsistencyError"} <= outcomes, outcomes
+
+
+def test_pickled_tables_keep_read_only_arrays():
+    a = table([0.9, 0.7], [0.2], matcher_id="a")
+    aligned = align_tables([a, ScoreTable("b", (0.0, 1.0), a.columns, a.scores / 2)])
+    copy = pickle.loads(pickle.dumps(aligned))
+    assert copy.sha256 == aligned.sha256
+    for arr in (copy.matrix, copy.columns.probe_ids, copy.columns.mated, copy.columns.setting_codes):
+        assert not arr.flags.writeable
 
 
 def test_long_field_reads_the_same_on_both_paths(tmp_path):

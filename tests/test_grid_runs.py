@@ -4,6 +4,7 @@ setting, the grid config contract, and input that is not UTF-8."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from scorefuse.metrics import (
 )
 from scorefuse.protocol import GROUP_BYS, METHOD_KINDS, PLAN_KINDS
 from scorefuse.provenance import atomic_write_text
-from scorefuse.tables import score_table_csv_text, write_score_table
+from scorefuse.tables import PAIRS_CSV_HEADER, score_table_csv_text, write_score_table
 
 from helpers import table
 
@@ -242,6 +243,65 @@ def test_leakage_takes_precedence_over_a_failed_fit(tmp_path, monkeypatch, capsy
     assert calls == []
 
 
+# ---------------------------------------------------------------- --jobs
+
+
+EDITED = "scores/m2__demo-cam1-2.6__validation.csv"  # neither the first matcher's file nor the last
+
+
+def _reverse_rows(demo: Path) -> None:
+    header, *rows = (demo / EDITED).read_text(encoding="utf-8").splitlines(keepends=True)
+    (demo / EDITED).write_text(header + "".join(reversed(rows)), encoding="utf-8")
+
+
+def _bad_score(demo: Path) -> None:
+    lines = (demo / EDITED).read_text(encoding="utf-8").split("\n")
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",high"
+    (demo / EDITED).write_text("\n".join(lines), encoding="utf-8")
+
+
+def _undeclared(demo: Path) -> None:
+    config = json.loads((demo / "config.json").read_text(encoding="utf-8"))
+    config["score_files"] = [e for e in config["score_files"] if e["path"] != EDITED]
+    (demo / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "case, edit, code, message",
+    [
+        ("clean", None, 0, None),
+        ("reordered", _reverse_rows, 0, None),  # cannot share the first file's pair columns
+        ("bad-file", _bad_score, 3, f"{EDITED}:6: non-numeric score 'high'"),
+        ("undeclared", _undeclared, 4, "no score file declared for matcher 'm2', setting demo-cam1-2.6"),
+        ("missing-file", lambda demo: (demo / EDITED).unlink(), 7, "i/o error: [Errno 2] No such file"),
+    ],
+)
+def test_grid_outputs_do_not_depend_on_jobs(tmp_path, capsys, case, edit, code, message):
+    demo = tmp_path / "demo"
+    assert main(["synth", "--demo", str(demo), "--seed", "4"]) == 0
+    if edit is not None:
+        edit(demo)
+    capsys.readouterr()
+    runs = []
+    for jobs in ("1", "2", "4"):
+        exit_code = main(["grid", "--config", str(demo / "config.json"), "--jobs", jobs, "--keep-going"])
+        results = demo / "results"
+        files = {p.name: p.read_bytes() for p in results.iterdir()} if results.exists() else {}
+        runs.append((exit_code, capsys.readouterr(), files))
+        shutil.rmtree(results, ignore_errors=True)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    exit_code, out, files = runs[0]
+    assert exit_code == code, out.err
+    if case == "missing-file":
+        assert message in out.err and EDITED in out.err and files == {}
+        return
+    summary = json.loads(files["summary.json"])
+    assert len(files) > 3
+    assert all(message in f["message"] for f in summary["failures"]) if message else not summary["failures"]
+    if case in ("bad-file", "undeclared"):  # the group's files after the failing one are not hashed
+        assert summary["failures"] and not [p for p in summary["input_digests"] if "m3__demo-cam1-2.6__val" in p]
+
+
 # ---------------------------------------------------------------- perceptron hyperparameters and ranges
 
 
@@ -354,8 +414,28 @@ CONFIG_MUTATIONS = {
     "method-matchers-unknown": (_set("methods", 0, "matchers", ["m1", "m9"]), ["method 'avg'", "'m9'"]),
     "score-files-path-nul": (_set("score_files", 0, "path", "a\0b"), ["'path'", "'a\\x00b'"]),
     "settings-distance-huge": (_set("settings", 0, "distance_m", 10**400), ["settings entry", "'distance_m'"]),
+    "settings-camera-separator": (
+        _set("settings", 0, "camera_id", "x/../../../escaped"),
+        ["settings entry", "'camera_id'", "path separator"],
+    ),
+    "score-files-dataset-separator": (
+        _set("score_files", 0, "dataset_id", "../escaped"),
+        ["score_files entry", "'dataset_id'", "path separator"],
+    ),
+    "method-id-separator": (
+        _set("methods", 0, "method_id", "../../../escaped"),
+        ["method '../../../escaped'", "'method_id'", "path separator"],
+    ),
 }
-CODE_RULES = {"output-dir-escapes", "method-matchers-unknown", "score-files-path-nul", "settings-distance-huge"}
+CODE_RULES = {
+    "output-dir-escapes",
+    "method-matchers-unknown",
+    "score-files-path-nul",
+    "settings-distance-huge",
+    "settings-camera-separator",
+    "score-files-dataset-separator",
+    "method-id-separator",
+}
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +462,7 @@ def test_grid_config_out_of_schema_is_a_parse_error(contract_demo, name):
     assert all(w in err for w in words), err
     assert "Traceback" not in err
     assert not (contract_demo.parent / "results-mutated").exists()
-    assert not (contract_demo.parent.parent / "escaped").exists()
+    assert not [p for p in contract_demo.parent.parent.rglob("escaped*")], err
 
 
 def test_grid_output_dir_must_not_be_absolute(contract_demo, capsys):
@@ -481,6 +561,32 @@ def test_input_that_is_not_utf8_is_a_parse_error(contract_demo, tmp_path, reader
     assert code == 3, err
     assert bad.name in err and "UTF-8" in err and "Traceback" not in err
     assert not out.exists() and not (demo / "results-weights").exists()
+
+
+@pytest.mark.parametrize("reader", ["grid-config", "weights-file", "embeddings"])
+def test_json_nested_too_deeply_is_a_parse_error(contract_demo, tmp_path, reader):
+    deep = "[" * 200_000 + "]" * 200_000  # deeper than the interpreter's recursion limit
+    scores = sorted((contract_demo.parent / "scores").glob("m[12]__demo-cam1-1__test.csv"))
+    out = tmp_path / "out"
+    bad = tmp_path / ("bad.jsonl" if reader == "embeddings" else "bad.json")
+    if reader == "embeddings":
+        bad.write_text('{"entity_id": "r1", "role": "reference", "vector": [1.0]}\n' + deep + "\n", encoding="utf-8")
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(",".join(PAIRS_CSV_HEADER) + "\np1,r1,s1,s2,0,cam0,1.0,unit\n", encoding="utf-8")
+        argv = ["score", "--references", bad, "--probes", bad, "--pairs", pairs, "--metric", "cosine",
+                "--out", out / "s.csv"]
+    else:
+        bad.write_text(deep, encoding="utf-8")
+        argv = {
+            "grid-config": ["grid", "--config", bad],
+            "weights-file": ["fuse", "--method", "weighted", "--inputs", *scores, "--weights-file", bad,
+                             "--out-dir", out],
+        }[reader]
+    code, err = cli(*argv)
+    assert code == 3, err
+    where = f"{bad}:2:" if reader == "embeddings" else f"{bad}:"
+    assert f"{where} invalid JSON (nested too deeply)" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "results").exists()
 
 
 # ---------------------------------------------------------------- synth model parameters
