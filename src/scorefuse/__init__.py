@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .embeddings import (
-    Embedding,
     EmbeddingSet,
     batch_score,
     load_embeddings,
@@ -60,8 +59,6 @@ from .synth import (
 )
 from .tables import (
     AlignedScores,
-    ComparisonPair,
-    ComparisonRecord,
     ScoreTable,
     SettingDescriptor,
     SplitSpec,

@@ -85,8 +85,7 @@ FUSE_METHODS = ("avg", "bayes", "pcc_avg", "weighted", "perceptron")
 def _load_tables(paths, input_range, normalize: bool) -> list[ScoreTable]:
     lo, hi = input_range
     tables = []
-    for path in paths:
-        table = load_score_table(path, (lo, hi))
+    for path, table in zip(paths, load_score_tables(paths, (lo, hi))):
         if normalize:
             table = normalize_scores(table, "affine_to_unit")
         elif table.declared_range != (0.0, 1.0):
@@ -333,11 +332,17 @@ def _validate_grid_config(doc, config_path: Path) -> None:
     rules that schema does not state: each method's matchers are among the
     config's and its id is unique, every file name is one the system can
     open, ``output_dir`` is a relative path inside the config file's
-    directory, and no camera, dataset or method id, which become parts of
-    result file names, holds a path separator."""
+    directory, and every camera, dataset and method id, which become parts
+    of result file names, is such a name and holds no path separator."""
 
     def fail(msg: str):
         raise ParseError(f"{config_path}: {msg}")
+
+    def usable(name: str) -> bool:
+        try:
+            return b"\0" not in os.fsencode(name)
+        except UnicodeEncodeError:
+            return False
 
     schema_file = resources.files(__package__) / "schemas" / "grid_config.schema.json"
     for msg in _violations(doc, json.loads(schema_file.read_text(encoding="utf-8"))):
@@ -351,18 +356,17 @@ def _validate_grid_config(doc, config_path: Path) -> None:
             fail(f"method {method['method_id']!r} names unknown matchers {sorted(unknown)}")
     for key, entries in (("output_dir", [doc]), ("path", doc["score_files"]), ("weights_file", doc["methods"])):
         for name in (entry[key] for entry in entries if key in entry):
-            try:
-                usable = b"\0" not in os.fsencode(name)
-            except UnicodeEncodeError:
-                usable = False
-            if not usable:
+            if not usable(name):
                 fail(f"{key!r} {name!r} is not a usable file name")
     labelled = [(f"{key} entry {entry!r}", entry) for key in ("settings", "score_files") for entry in doc[key]]
     labelled += [(f"method {entry['method_id']!r}", entry) for entry in doc["methods"]]
     for label, entry in labelled:
         for key in ("camera_id", "dataset_id", "method_id"):
-            if any(sep in entry.get(key, "") for sep in (os.sep, os.altsep) if sep):
-                fail(f"{label}: {key!r} must not contain a path separator, got {entry[key]!r}")
+            value = entry.get(key, "")
+            if any(sep in value for sep in (os.sep, os.altsep) if sep):
+                fail(f"{label}: {key!r} must not contain a path separator, got {value!r}")
+            if not usable(value):
+                fail(f"{label}: {key!r} {value!r} is not a usable file name")
     config_dir = config_path.parent.resolve()
     output_dir = doc["output_dir"]
     if Path(output_dir).is_absolute() or not (config_dir / output_dir).resolve().is_relative_to(config_dir):

@@ -11,71 +11,49 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ContractError, ParseError, UnknownEntityError
 from .provenance import not_utf8
-from .tables import ComparisonPair, PairColumns, ScoreTable
+from .tables import PairColumns, ScoreTable
 
 ROLES = ("reference", "probe")
 METRICS = ("euclidean_posterior", "cosine")
 
-
-@dataclass(frozen=True)
-class Embedding:
-    entity_id: str
-    role: str
-    vector: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ContractError(f"role must be one of {ROLES}, got {self.role!r}")
-        if len(self.vector) < 1:
-            raise ContractError(f"embedding {self.entity_id!r} has empty vector")
-        if not all(math.isfinite(v) for v in self.vector):
-            raise ContractError(f"embedding {self.entity_id!r} has non-finite entries")
+# bytes of gathered reference and probe vectors that batch_score holds at once
+_BLOCK_BYTES = 1 << 24
 
 
-@dataclass(frozen=True)
 class EmbeddingSet:
-    """Identity-keyed embeddings, all sharing one dimension."""
+    """Identity-keyed embeddings, all sharing one dimension.
 
-    dimension: int
-    entries: Mapping[str, Embedding]
+    ``matrix`` is a read-only (n, d) float64 array whose row ``i`` is the
+    vector of ``ids[i]``; ``entries`` maps each id to its row.
+    """
 
-    def __post_init__(self):
-        for emb in self.entries.values():
-            if len(emb.vector) != self.dimension:
-                raise ContractError(
-                    f"embedding {emb.entity_id!r} has dimension {len(emb.vector)}, "
-                    f"expected {self.dimension}"
-                )
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-
-    @classmethod
-    def from_embeddings(cls, embeddings: Iterable[Embedding]) -> "EmbeddingSet":
-        entries: dict[str, Embedding] = {}
-        dim = None
-        for emb in embeddings:
-            if emb.entity_id in entries:
-                raise ContractError(f"duplicate entity_id {emb.entity_id!r}")
-            if dim is None:
-                dim = len(emb.vector)
-            entries[emb.entity_id] = emb
-        if dim is None:
+    def __init__(self, ids, vectors):
+        self.ids = tuple(ids)
+        vectors = list(vectors)
+        entries: dict[str, int] = {}
+        for entity_id in self.ids:
+            if entity_id in entries:
+                raise ContractError(f"duplicate entity_id {entity_id!r}")
+            entries[entity_id] = len(entries)
+        if not entries:
             raise ContractError("embedding set is empty")
-        return cls(dim, entries)
-
-    def lookup(self, entity_id: str) -> Embedding:
-        try:
-            return self.entries[entity_id]
-        except KeyError:
-            raise UnknownEntityError(f"unknown entity id {entity_id!r}") from None
+        dim = len(vectors[0])
+        for entity_id, vector in zip(self.ids, vectors):
+            if len(vector) != dim:
+                raise ContractError(
+                    f"embedding {entity_id!r} has dimension {len(vector)}, expected {dim}"
+                )
+        self.matrix = np.array(vectors, dtype=np.float64).reshape(len(self.ids), dim)
+        self.matrix.setflags(write=False)
+        self.entries = MappingProxyType(entries)
 
 
 def _lines(path: Path):
@@ -90,7 +68,7 @@ def _lines(path: Path):
 def load_embeddings(path) -> EmbeddingSet:
     """Read a JSON-lines embedding file."""
     path = Path(path)
-    embeddings = []
+    ids, vectors = [], []
     for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             continue
@@ -109,87 +87,133 @@ def load_embeddings(path) -> EmbeddingSet:
             isinstance(v, (int, float)) for v in vector
         ):
             raise ParseError(f"{path}:{lineno}: vector must be a list of numbers")
+        entity_id, role = str(obj["entity_id"]), str(obj["role"])
         try:
-            embeddings.append(
-                Embedding(str(obj["entity_id"]), str(obj["role"]), tuple(map(float, vector)))
-            )
-        except ContractError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+            vector = list(map(float, vector))
+        except OverflowError:
+            raise ParseError(f"{path}:{lineno}: vector holds an integer too large for a float") from None
+        if role not in ROLES:
+            raise ParseError(f"{path}:{lineno}: role must be one of {ROLES}, got {role!r}")
+        if not vector:
+            raise ParseError(f"{path}:{lineno}: embedding {entity_id!r} has empty vector")
+        if not all(map(math.isfinite, vector)):
+            raise ParseError(f"{path}:{lineno}: embedding {entity_id!r} has non-finite entries")
+        ids.append(entity_id)
+        vectors.append(vector)
     try:
-        return EmbeddingSet.from_embeddings(embeddings)
+        return EmbeddingSet(ids, vectors)
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _check_dims(x: Embedding, y: Embedding) -> None:
-    if len(x.vector) != len(y.vector):
-        raise ContractError(
-            f"dimension mismatch: {x.entity_id!r} has {len(x.vector)}, "
-            f"{y.entity_id!r} has {len(y.vector)}"
-        )
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``.
+
+    A stacked (1, d) @ (d, 1) product makes one BLAS ``ddot`` call per row,
+    the call ``np.dot`` and ``np.linalg.norm`` make for one vector, so each
+    row gets the same bits as those.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    return 1.0 / (float(np.linalg.norm(a - b)) + 1.0)
+def _score_rows(refs: np.ndarray, probes: np.ndarray, cosine: bool, ref_ids, probe_ids) -> np.ndarray:
+    """Score each row of ``refs`` against the same row of ``probes``.
+
+    Cosine is ``dot / (|ref| |probe|)`` clamped into [-1, 1], each norm the
+    square root of a squared norm; the posterior is ``1 / (d + 1)``. The
+    first row whose cosine has a zero norm (reference, then probe), or whose
+    arithmetic leaves the float range, raises :class:`ContractError` naming
+    the embedding, from ``ref_ids`` / ``probe_ids``, or the pair.
+    """
+    with np.errstate(all="ignore"):
+        if cosine:
+            ref_sq, probe_sq, dots = _row_dots(refs, refs), _row_dots(probes, probes), _row_dots(refs, probes)
+            norm_products = np.sqrt(ref_sq) * np.sqrt(probe_sq)
+            scores = np.clip(dots / norm_products, -1.0, 1.0)
+            checks = [
+                (ref_sq == 0.0, "cosine undefined for zero-norm embedding {ref!r}"),
+                (probe_sq == 0.0, "cosine undefined for zero-norm embedding {probe!r}"),
+                (~np.isfinite(ref_sq), "squared norm of embedding {ref!r} is not finite"),
+                (~np.isfinite(probe_sq), "squared norm of embedding {probe!r} is not finite"),
+                (~np.isfinite(dots), "dot product of pair {pair} is not finite"),
+                (~np.isfinite(norm_products), "norm product of pair {pair} is not finite"),
+            ]
+        else:
+            diffs = refs - probes
+            squared = _row_dots(diffs, diffs)
+            scores = 1.0 / (np.sqrt(squared) + 1.0)
+            checks = [(~np.isfinite(squared), "squared distance of pair {pair} is not finite")]
+    failed = np.column_stack([mask for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=1))
+    if len(bad):
+        row = int(bad[0])
+        ref, probe = ref_ids[row], probe_ids[row]
+        message = checks[int(np.argmax(failed[row]))][1]
+        raise ContractError(message.format(ref=ref, probe=probe, pair=(probe, ref)))
+    return scores
 
 
-def _cosine(a: np.ndarray, b: np.ndarray, na: float, nb: float, x: Embedding, y: Embedding) -> float:
-    if na == 0.0 or nb == 0.0:
-        bad = x.entity_id if na == 0.0 else y.entity_id
-        raise ContractError(f"cosine undefined for zero-norm embedding {bad!r}")
-    # guard against tiny float excursions beyond [-1, 1]
-    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+def _score_pair(x, y, cosine: bool) -> float:
+    a = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    b = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    if a.shape != b.shape:
+        raise ContractError(f"dimension mismatch: 'x' has {a.shape[1]}, 'y' has {b.shape[1]}")
+    return float(_score_rows(a, b, cosine, ["x"], ["y"])[0])
 
 
-def score_euclidean(x: Embedding, y: Embedding) -> float:
-    """Euclidean-distance posterior 1 / (d + 1), always in (0, 1]."""
-    _check_dims(x, y)
-    return _euclidean(np.asarray(x.vector, dtype=np.float64), np.asarray(y.vector, dtype=np.float64))
+def score_euclidean(x, y) -> float:
+    """Euclidean-distance posterior 1 / (d + 1) of vectors ``x`` and ``y``, in (0, 1]."""
+    return _score_pair(x, y, False)
 
 
-def score_cosine(x: Embedding, y: Embedding) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm vectors are rejected."""
-    _check_dims(x, y)
-    a = np.asarray(x.vector, dtype=np.float64)
-    b = np.asarray(y.vector, dtype=np.float64)
-    return _cosine(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)), x, y)
+def score_cosine(x, y) -> float:
+    """Cosine similarity of vectors ``x`` and ``y``, in [-1, 1]; a zero-norm vector is rejected."""
+    return _score_pair(x, y, True)
 
 
 def batch_score(
     refs: EmbeddingSet,
     probes: EmbeddingSet,
-    pairs: PairColumns | list[ComparisonPair] | tuple[ComparisonPair, ...],
+    pairs: PairColumns,
     metric: str,
     matcher_id: str | None = None,
 ) -> ScoreTable:
     """Score every pair, preserving input order.
 
     ``metric`` is ``euclidean_posterior`` or ``cosine``; the returned table
-    is declared [0, 1] resp. [-1, 1]. Unresolved ids raise
-    :class:`UnknownEntityError` naming the id. Each pair's score is the
-    same arithmetic as :func:`score_euclidean` / :func:`score_cosine`; only
-    the conversion of each embedding to an array (and its norm) is done
-    once per embedding rather than once per pair.
+    is declared [0, 1] resp. [-1, 1]. Each score is the arithmetic of
+    :func:`score_euclidean` / :func:`score_cosine`, run over blocks of rows.
+    A bad pair raises the error of the first bad row, checked in this order:
+    unknown probe id, unknown reference id (:class:`UnknownEntityError`),
+    dimension mismatch, then the checks of the score arithmetic
+    (:class:`ContractError`).
     """
     if metric not in METRICS:
         raise ContractError(f"metric must be one of {METRICS}, got {metric!r}")
     cosine = metric == "cosine"
     declared = (-1.0, 1.0) if cosine else (0.0, 1.0)
-    columns = PairColumns.of(pairs)
-    prepared: dict[int, tuple[np.ndarray, float]] = {}  # by object: a probe and a reference may share an id
-
-    def array(emb: Embedding) -> tuple[np.ndarray, float]:
-        if id(emb) not in prepared:
-            vec = np.asarray(emb.vector, dtype=np.float64)
-            prepared[id(emb)] = (vec, float(np.linalg.norm(vec)) if cosine else 0.0)
-        return prepared[id(emb)]
-
-    scores = []
-    for probe_id, ref_id in zip(columns.probe_ids.tolist(), columns.reference_ids.tolist()):
-        probe = probes.lookup(probe_id)
-        ref = refs.lookup(ref_id)
-        if len(ref.vector) != len(probe.vector):
-            _check_dims(ref, probe)
-        (a, na), (b, nb) = array(ref), array(probe)
-        scores.append(_cosine(a, b, na, nb, ref, probe) if cosine else _euclidean(a, b))
-    return ScoreTable(matcher_id or metric, declared, columns, scores)
+    probe_ids, ref_ids = pairs.probe_ids.tolist(), pairs.reference_ids.tolist()
+    probe_rows = np.fromiter(map(probes.entries.get, probe_ids, repeat(-1)), np.intp, len(probe_ids))
+    ref_rows = np.fromiter(map(refs.entries.get, ref_ids, repeat(-1)), np.intp, len(ref_ids))
+    unknown = np.flatnonzero((probe_rows < 0) | (ref_rows < 0))
+    n = int(unknown[0]) if len(unknown) else len(pairs)  # rows before the first unknown id
+    dim, probe_dim = refs.matrix.shape[1], probes.matrix.shape[1]
+    if n and dim != probe_dim:
+        raise ContractError(
+            f"dimension mismatch: {ref_ids[0]!r} has {dim}, {probe_ids[0]!r} has {probe_dim}"
+        )
+    scores = np.empty(n, dtype=np.float64)
+    step = max(1, _BLOCK_BYTES // (2 * 8 * dim))
+    for start in range(0, n, step):
+        block = slice(start, min(start + step, n))
+        scores[block] = _score_rows(
+            refs.matrix[ref_rows[block]],
+            probes.matrix[probe_rows[block]],
+            cosine,
+            pairs.reference_ids[block],
+            pairs.probe_ids[block],
+        )
+    if n < len(pairs):
+        missing = probe_ids[n] if probe_rows[n] < 0 else ref_ids[n]
+        raise UnknownEntityError(f"unknown entity id {missing!r}")
+    return ScoreTable(matcher_id or metric, declared, pairs, scores)

@@ -79,48 +79,6 @@ def _check_mated(mated: bool, probe_subject: str, reference_subject: str) -> Non
         )
 
 
-@dataclass(frozen=True)
-class ComparisonPair:
-    """A probe/reference pairing with ground truth and setting metadata."""
-
-    probe_id: str
-    reference_id: str
-    probe_subject: str
-    reference_subject: str
-    mated: bool
-    setting: SettingDescriptor
-
-    def __post_init__(self):
-        _check_mated(self.mated, self.probe_subject, self.reference_subject)
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.probe_id, self.reference_id)
-
-    def with_score(self, score: float) -> "ComparisonRecord":
-        return ComparisonRecord(
-            probe_id=self.probe_id,
-            reference_id=self.reference_id,
-            probe_subject=self.probe_subject,
-            reference_subject=self.reference_subject,
-            mated=self.mated,
-            setting=self.setting,
-            score=score,
-        )
-
-
-@dataclass(frozen=True)
-class ComparisonRecord(ComparisonPair):
-    """A comparison pair plus one matcher's score."""
-
-    score: float = math.nan
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not math.isfinite(self.score):
-            raise ContractError(f"score must be finite, got {self.score}")
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -178,10 +136,9 @@ class PairColumns:
     array and ``setting_codes`` an int array indexing ``settings``, a tuple of
     distinct :class:`SettingDescriptor`. Arrays are read-only, so every table
     over the same pairs (each matcher's scores, a fused column) shares one
-    instance and its cached key index. Indexing and iteration yield
-    :class:`ComparisonPair` objects, for code written against single pairs.
-    ``check_mated=False`` skips the check that every ``mated`` flag agrees
-    with subject equality, for a caller that has already made it.
+    instance and its cached key index. ``check_mated=False`` skips the check
+    that every ``mated`` flag agrees with subject equality, for a caller that
+    has already made it.
     """
 
     def __init__(
@@ -216,43 +173,10 @@ class PairColumns:
         if bad is not None:
             _check_mated(bool(self.mated[bad]), self.probe_subjects[bad], self.reference_subjects[bad])
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairColumns":
-        """Columns of a sequence of :class:`ComparisonPair` (or records)."""
-        pairs = tuple(pairs)
-        index: dict[SettingDescriptor, int] = {}
-        codes = [index.setdefault(p.setting, len(index)) for p in pairs]
-        return cls(
-            [p.probe_id for p in pairs],
-            [p.reference_id for p in pairs],
-            [p.probe_subject for p in pairs],
-            [p.reference_subject for p in pairs],
-            [p.mated for p in pairs],
-            codes,
-            tuple(index),
-        )
-
-    @classmethod
-    def of(cls, pairs) -> "PairColumns":
-        return pairs if isinstance(pairs, PairColumns) else cls.from_pairs(pairs)
-
     __setstate__ = _frozen_state
 
     def __len__(self) -> int:
         return len(self.mated)
-
-    def __getitem__(self, i: int) -> ComparisonPair:
-        return ComparisonPair(
-            self.probe_ids[i],
-            self.reference_ids[i],
-            self.probe_subjects[i],
-            self.reference_subjects[i],
-            bool(self.mated[i]),
-            self.settings[self.setting_codes[i]],
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
     def key(self, i: int) -> tuple[str, str]:
         return (self.probe_ids[i], self.reference_ids[i])
@@ -282,22 +206,10 @@ class PairColumns:
 class ScoreTable:
     """All comparison scores of one matcher, with its declared score range.
 
-    A float64 ``scores`` column over a :class:`PairColumns`. Build it from
-    columns, ``ScoreTable(matcher_id, declared_range, columns, scores)``, or
-    from a sequence of :class:`ComparisonRecord`; ``records``, the row view,
-    is built on first use.
+    A float64 ``scores`` column over a :class:`PairColumns`.
     """
 
-    def __init__(self, matcher_id: str, declared_range, rows, scores=None):
-        if isinstance(rows, PairColumns):
-            if scores is None:
-                raise ContractError("a table built from columns needs a scores column")
-            columns = rows
-        else:
-            records = tuple(rows)
-            columns = PairColumns.from_pairs(records)
-            scores = [r.score for r in records]
-            self.__dict__["records"] = records
+    def __init__(self, matcher_id: str, declared_range, columns: PairColumns, scores):
         lo, hi = declared_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ContractError(f"invalid declared_range [{lo}, {hi}]")
@@ -325,10 +237,6 @@ class ScoreTable:
     def mated_mask(self) -> np.ndarray:
         return self.columns.mated
 
-    @cached_property
-    def records(self) -> tuple[ComparisonRecord, ...]:
-        return tuple(p.with_score(s) for p, s in zip(self.columns, self.scores.tolist()))
-
     def n_mated(self) -> int:
         return int(self.mated_mask.sum())
 
@@ -340,19 +248,16 @@ class AlignedScores:
     """Scores of N matchers joined on (probe_id, reference_id).
 
     ``matrix[i, j]`` is matcher ``matcher_ids[j]``'s score for row ``i`` of
-    ``columns``; every entry lies in [0, 1]. ``pairs`` may be given as a
-    :class:`PairColumns` or a sequence of :class:`ComparisonPair`; the
-    ``pairs`` attribute is the row view, built on first use.
+    ``columns``; every entry lies in [0, 1].
     """
 
-    def __init__(self, matcher_ids, pairs, matrix):
+    def __init__(self, matcher_ids, columns: PairColumns, matrix):
         matcher_ids = tuple(matcher_ids)
         n_ids = len(matcher_ids)
         if n_ids < 1:
             raise ContractError("need at least one matcher")
         if len(set(matcher_ids)) != n_ids:
             raise ContractError(f"matcher ids not distinct: {matcher_ids}")
-        columns = PairColumns.of(pairs)
         if len(columns) < 1:
             raise ContractError("aligned scores need at least one row")
         mat = np.asarray(matrix, dtype=np.float64)
@@ -374,10 +279,6 @@ class AlignedScores:
 
     def __len__(self) -> int:
         return len(self.columns)
-
-    @cached_property
-    def pairs(self) -> tuple[ComparisonPair, ...]:
-        return tuple(self.columns)
 
     @property
     def mated_mask(self) -> np.ndarray:
@@ -724,10 +625,7 @@ PAIRS_CSV_HEADER = (
 
 
 def load_pairs(path) -> PairColumns:
-    """Parse a comparison-pair CSV (score CSV columns minus matcher/score).
-
-    The result is a sequence of :class:`ComparisonPair` stored as columns.
-    """
+    """Parse a comparison-pair CSV (score CSV columns minus matcher/score)."""
     path = Path(path)
     check = _FirstBadRow(path, PAIRS_CSV_HEADER)
     probes, refs, psubs, rsubs, flags, cams, dists, dsets = check.columns

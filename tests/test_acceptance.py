@@ -43,7 +43,7 @@ from scorefuse.synth import (
 )
 from scorefuse.tables import AlignedScores, ScoreTable, SettingDescriptor
 
-from helpers import aligned, table
+from helpers import aligned, columns, rows_of, table
 
 
 def _announce(num: int, name: str):
@@ -107,7 +107,8 @@ def test_c03_rank_invariance():
         t2 = ScoreTable(
             "t",
             (float(transformed.min()) - 1.0, float(transformed.max()) + 1.0),
-            tuple(r.with_score(float(v)) for r, v in zip(t.records, transformed)),
+            t.columns,
+            transformed,
         )
         curves2 = build_curves(t2)
         after = (
@@ -223,17 +224,7 @@ def test_c09_protocol_grid(tmp_path):
     # injected validation/test overlap raises the leakage error
     base = make_complementary_matchers(1.0, 200, seed=1)
     setting = settings[0]
-    pairs = tuple(
-        type(p)(
-            probe_id=p.probe_id,
-            reference_id=p.reference_id,
-            probe_subject=p.probe_subject,
-            reference_subject=p.reference_subject,
-            mated=p.mated,
-            setting=setting,
-        )
-        for p in base.pairs
-    )
+    pairs = columns((*row[:5], setting) for row in rows_of(base.columns))
     stamped = AlignedScores(base.matcher_ids, pairs, base.matrix)
     item = PlanItem(setting, setting, "intra")
     method = MethodSpec("avg", "avg", base.matcher_ids)

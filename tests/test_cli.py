@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scorefuse.cli import main
+from scorefuse.cli import _load_tables, main
 from scorefuse.tables import load_score_table, write_score_table
 
 from helpers import table
@@ -57,7 +57,7 @@ def test_score_command_writes_csv(tmp_path, embedding_files, capsys):
     )
     assert code == 0
     t = load_score_table(out, (0.0, 1.0))
-    assert len(t) == 2 and t.records[0].score == 1.0
+    assert len(t) == 2 and t.scores[0] == 1.0
     assert (tmp_path / "scores.csv.meta.json").exists()
     meta = json.loads((tmp_path / "scores.csv.meta.json").read_text())
     assert meta["seed"] == 0 and meta["tool_version"]
@@ -86,6 +86,38 @@ def test_score_command_empty_pairs(tmp_path, embedding_files, capsys):
     assert "no comparisons" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "metric, ref, probe, code, words",
+    [
+        ("cosine", [1e200, 0.0], [1e200, 0.0], 4, "squared norm of embedding 'r1' is not finite"),
+        ("cosine", [1e300, 1e300], [1.0, 2.0], 4, "squared norm of embedding 'r1' is not finite"),
+        ("euclidean_posterior", [1e300, 1e300], [-1e300, -1e300], 4,
+         "squared distance of pair ('p1', 'r1') is not finite"),
+        ("cosine", [1.0, 10**400], [1.0, 0.0], 3, "refs.jsonl:1: vector holds an integer too large for a float"),
+    ],
+)
+def test_score_command_refuses_vectors_out_of_float_range(tmp_path, embedding_files, capsys, metric, ref, probe,
+                                                         code, words):
+    refs, probes, pairs = embedding_files
+    write_embeddings(refs, [{"entity_id": "r1", "role": "reference", "vector": ref}])
+    write_embeddings(probes, [{"entity_id": "p1", "role": "probe", "vector": probe}])
+    write_pairs(pairs, ["p1,r1,s1,s1,1,cam0,1.0,unit"])
+    out = tmp_path / "x.csv"
+    assert run(["score", "--references", refs, "--probes", probes, "--pairs", pairs,
+                "--metric", metric, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_fuse_inputs_over_the_same_pairs_share_their_columns(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_table(a, [0.9, 0.7], [0.2, 0.1], "a")
+    _write_table(b, [0.8, 0.6], [0.3, 0.4], "b")
+    tables = _load_tables([a, b], (0.0, 1.0), normalize=True)
+    assert tables[1].columns is tables[0].columns
+
+
 def _write_table(path, mated, non, matcher_id, tag=""):
     write_score_table(table(mated, non, matcher_id=matcher_id, tag=tag), path)
 
@@ -97,7 +129,7 @@ def test_fuse_avg_of_identical_tables(tmp_path):
     code = run(["fuse", "--method", "avg", "--inputs", a, b, "--out-dir", tmp_path])
     assert code == 0
     fused = load_score_table(tmp_path / "fused_avg.csv", (0.0, 1.0))
-    assert [r.score for r in fused.records] == [0.9, 0.7, 0.2, 0.1]
+    assert fused.scores.tolist() == [0.9, 0.7, 0.2, 0.1]
     assert fused.matcher_id == "avg"
 
 
@@ -112,7 +144,7 @@ def test_fuse_normalizes_wide_range_inputs(tmp_path):
     assert code == 0
     fused = load_score_table(tmp_path / "fused_avg.csv", (0.0, 1.0))
     # each input is mapped s -> (s + 1) / 2 before averaging
-    assert fused.records[0].score == pytest.approx(((0.75) + (0.85)) / 2, abs=1e-12)
+    assert fused.scores[0] == pytest.approx(((0.75) + (0.85)) / 2, abs=1e-12)
 
     # without --normalize the wide range is rejected
     code = run(["fuse", "--method", "avg", "--inputs", a, b,
@@ -165,7 +197,7 @@ def test_fuse_weighted_with_weights_file(tmp_path, capsys):
     assert code == 0
     fused = load_score_table(tmp_path / "fused_weighted.csv", (0.0, 1.0))
     expected = [(3 * 0.9 + 0.5) / 4, (3 * 0.7 + 0.3) / 4, (3 * 0.2 + 0.4) / 4, (3 * 0.1 + 0.2) / 4]
-    assert all(abs(r.score - e) < 1e-12 for r, e in zip(fused.records, expected))
+    assert all(abs(s - e) < 1e-12 for s, e in zip(fused.scores.tolist(), expected))
     doc = json.loads((tmp_path / "fuser_weighted.json").read_text())
     assert doc["kind"] == "weights" and doc["provenance"] == "manual"
 

@@ -29,8 +29,6 @@ from scorefuse.tables import (
     PAIRS_CSV_HEADER,
     SCORE_CSV_HEADER,
     AlignedScores,
-    ComparisonPair,
-    ComparisonRecord,
     ScoreTable,
     SettingDescriptor,
     align_tables,
@@ -40,7 +38,7 @@ from scorefuse.tables import (
     score_table_csv_text,
 )
 
-from helpers import table
+from helpers import columns, rows_of, table
 
 SCORE_HEADER = ",".join(SCORE_CSV_HEADER)
 PAIRS_HEADER = ",".join(PAIRS_CSV_HEADER)
@@ -65,7 +63,9 @@ def write_rows(path, header, rows):
 def reference_load(path, declared_range=None):
     """Row-by-row reading of a score CSV (or, without a range, a pairs CSV).
 
-    Returns the list of parsed rows, or raises what the first bad row raises.
+    Returns the list of parsed rows, each (probe_id, reference_id,
+    probe_subject, reference_subject, mated, setting) plus the score of a
+    score CSV, or raises what the first bad row raises.
     """
     import csv
 
@@ -113,13 +113,13 @@ def reference_load(path, declared_range=None):
                 )
             seen[key] = lineno
             try:
-                pair = ComparisonPair(
-                    probe, ref, psub, rsub, mated_s == "1",
-                    SettingDescriptor(cam, values["distance_m"], dset),
-                )
+                setting = SettingDescriptor(cam, values["distance_m"], dset)
             except ContractError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            out.append(pair.with_score(values["score"]) if declared_range else pair)
+            mated = mated_s == "1"
+            if mated != (psub == rsub):
+                raise ParseError(f"{path}:{lineno}: mated={mated} inconsistent with subjects {psub!r} vs {rsub!r}")
+            out.append((probe, ref, psub, rsub, mated, setting) + ((values["score"],) if declared_range else ()))
     return out
 
 
@@ -301,9 +301,9 @@ def _load(scored, path):
     """The loader's outcome, with the table or pairs as a list of rows."""
     if scored:
         got = outcome(load_score_table, path, (0.0, 1.0))
-        return ("ok", list(got[1].records)) if got[0] == "ok" else got
+        return ("ok", rows_of(got[1].columns, got[1].scores)) if got[0] == "ok" else got
     got = outcome(load_pairs, path)
-    return ("ok", list(got[1])) if got[0] == "ok" else got
+    return ("ok", rows_of(got[1])) if got[0] == "ok" else got
 
 
 @pytest.mark.parametrize("scored", [True, False])
@@ -355,7 +355,7 @@ def _group_outcome(tables, loaded: list):
         aligned = align_tables(loaded)
     except ScoreFuseError as exc:
         return (type(exc), str(exc), len(loaded))
-    return ("ok", [(t.matcher_id, t.declared_range, t.records) for t in loaded], aligned.sha256)
+    return ("ok", [(t.matcher_id, t.declared_range, rows_of(t.columns, t.scores)) for t in loaded], aligned.sha256)
 
 
 def test_group_loader_matches_loading_each_file(tmp_path):
@@ -412,7 +412,7 @@ def test_long_field_reads_the_same_on_both_paths(tmp_path):
         path.write_bytes((eol.join([SCORE_HEADER] + [",".join(r) for r in rows]) + eol).encode("utf-8"))
         got[eol] = _load(True, path)
     assert got["\n"] == got["\r\n"]
-    assert got["\n"][0] == "ok" and got["\n"][1][2].probe_id == rows[2][1]
+    assert got["\n"][0] == "ok" and got["\n"][1][2][0] == rows[2][1]
 
 
 def test_csv_reader_error_names_the_file_and_line(tmp_path, monkeypatch):
@@ -436,15 +436,19 @@ def test_csv_reader_error_names_the_file_and_line(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- joins
 
 
+def _table(matcher_id: str, scored_rows) -> ScoreTable:
+    """A [0, 1] table of pair rows, each followed by its score."""
+    return ScoreTable(matcher_id, (0.0, 1.0), columns(scored_rows), [row[6] for row in scored_rows])
+
+
 def _conflicting(t: ScoreTable, row: int, **changes) -> ScoreTable:
-    """``t`` renamed to matcher "b", with one record changed and the rows reversed."""
-    records = list(t.records)
-    rec = records[row]
-    fields = {f: getattr(rec, f) for f in ("probe_id", "reference_id", "probe_subject",
-                                          "reference_subject", "mated", "setting", "score")}
+    """``t`` renamed to matcher "b", with one row changed and the rows reversed."""
+    scored_rows = rows_of(t.columns, t.scores)
+    fields = dict(zip(("probe_id", "reference_id", "probe_subject", "reference_subject", "mated",
+                       "setting", "score"), scored_rows[row]))
     fields.update(changes)
-    records[row] = ComparisonRecord(**fields)
-    return ScoreTable("b", (0.0, 1.0), tuple(reversed(records)))
+    scored_rows[row] = tuple(fields.values())
+    return _table("b", scored_rows[::-1])
 
 
 @pytest.mark.parametrize(
@@ -460,13 +464,13 @@ def test_align_conflict_names_the_pair(changes, what):
     b = _conflicting(a, 2, **changes)
     with pytest.raises(ConsistencyError) as exc:
         align_tables([a, b])
-    assert str(exc.value) == f"conflicting {what} for pair {a.records[2].key}"
+    assert str(exc.value) == f"conflicting {what} for pair {a.columns.key(2)}"
 
 
 def test_align_reports_first_row_then_first_check():
     a = table([0.9, 0.8, 0.7], [0.1, 0.2, 0.3], matcher_id="a")
     b = _conflicting(a, 4, setting=SettingDescriptor("cam9", 1.0, "unit"))
-    b = _conflicting(ScoreTable("x", (0.0, 1.0), tuple(reversed(b.records))), 1,
+    b = _conflicting(_table("x", rows_of(b.columns, b.scores)[::-1]), 1,
                      probe_subject="q", reference_subject="q")
     with pytest.raises(ConsistencyError, match=r"subjects for pair \('p00001'"):
         align_tables([a, b])
@@ -474,9 +478,9 @@ def test_align_reports_first_row_then_first_check():
 
 def test_align_joins_on_keys_in_any_row_order():
     a = table([0.9, 0.8], [0.1, 0.2, 0.3], matcher_id="a")
-    b = ScoreTable("b", (0.0, 1.0), tuple(r.with_score(r.score / 2) for r in reversed(a.records)))
+    b = _table("b", [(*row[:6], row[6] / 2) for row in rows_of(a.columns, a.scores)[::-1]])
     al = align_tables([a, b])
-    assert [p.key for p in al.pairs] == [r.key for r in a.records]
+    assert [al.columns.key(i) for i in range(len(al))] == [a.columns.key(i) for i in range(len(a))]
     np.testing.assert_array_equal(al.matrix[:, 1], a.scores / 2)
 
 
@@ -490,9 +494,9 @@ def test_align_joins_on_keys_in_any_row_order():
 )
 def test_align_missing_key_in_either_table(keep_a, keep_b, short):
     a = table([0.9, 0.8], [0.1, 0.2, 0.3], matcher_id="a")
-    records = a.records
-    a = ScoreTable("a", (0.0, 1.0), records[keep_a])
-    b = ScoreTable("b", (0.0, 1.0), tuple(reversed(records[keep_b])))
+    scored_rows = rows_of(a.columns, a.scores)
+    a = _table("a", scored_rows[keep_a])
+    b = _table("b", scored_rows[keep_b][::-1])
     with pytest.raises(AlignmentError, match=f"'{short}' is missing 1 pair"):
         align_tables([a, b])
 
@@ -500,16 +504,16 @@ def test_align_missing_key_in_either_table(keep_a, keep_b, short):
 def test_aligned_digest_matches_row_by_row_formula():
     settings = [SettingDescriptor("c1", 1.0, "d"), SettingDescriptor("c2", 2.6, "d")]
     pairs = [
-        ComparisonPair(f"p{i}", f"r{i}", f"s{i}", f"s{i}" if i % 3 else f"t{i}", bool(i % 3), settings[i % 2])
+        (f"p{i}", f"r{i}", f"s{i}", f"s{i}" if i % 3 else f"t{i}", bool(i % 3), settings[i % 2])
         for i in range(7)
     ]
     matrix = np.linspace(0.0, 1.0, 14).reshape(7, 2)
-    al = AlignedScores(("x", "y"), tuple(pairs), matrix)
+    al = AlignedScores(("x", "y"), columns(pairs), matrix)
     h = hashlib.sha256()
     for mid in al.matcher_ids:
         h.update(mid.encode("utf-8") + b"\x00")
-    for p in pairs:
-        h.update(f"{p.probe_id}|{p.reference_id}|{int(p.mated)}|{p.setting.key()}".encode() + b"\x00")
+    for probe, ref, _, _, mated, setting in pairs:
+        h.update(f"{probe}|{ref}|{int(mated)}|{setting.key()}".encode() + b"\x00")
     h.update(np.ascontiguousarray(matrix).tobytes())
     assert al.sha256 == h.hexdigest()
 

@@ -34,6 +34,7 @@ CODE_RULES = (
     "'method_id' values must be unique",
     "is not a usable file name",
     "'output_dir' must be a relative path",
+    "must not contain a path separator",
 )
 
 

@@ -272,7 +272,7 @@ def test_apply_fusion_method_ids_and_row_order():
     fuser = train_perceptron(both, PerceptronHyper(max_epochs=50))
     fused = apply_fusion(fuser, both)
     assert fused.method_id == "perceptron"
-    assert [r.probe_id for r in fused.table.records] == [p.probe_id for p in both.pairs]
+    assert fused.table.columns.probe_ids.tolist() == both.columns.probe_ids.tolist()
     assert np.all((fused.table.scores > 0.0) & (fused.table.scores < 1.0))
 
 

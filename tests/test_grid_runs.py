@@ -426,6 +426,18 @@ CONFIG_MUTATIONS = {
         _set("methods", 0, "method_id", "../../../escaped"),
         ["method '../../../escaped'", "'method_id'", "path separator"],
     ),
+    "settings-camera-nul": (
+        _set("settings", 0, "camera_id", "a\0b"),
+        ["settings entry", "'camera_id' 'a\\x00b'", "not a usable file name"],
+    ),
+    "score-files-dataset-nul": (
+        _set("score_files", 0, "dataset_id", "a\0b"),
+        ["score_files entry", "'dataset_id' 'a\\x00b'", "not a usable file name"],
+    ),
+    "method-id-nul": (
+        _set("methods", 0, "method_id", "a\0b"),
+        ["method 'a\\x00b'", "'method_id' 'a\\x00b'", "not a usable file name"],
+    ),
 }
 CODE_RULES = {
     "output-dir-escapes",
@@ -435,6 +447,9 @@ CODE_RULES = {
     "settings-camera-separator",
     "score-files-dataset-separator",
     "method-id-separator",
+    "settings-camera-nul",
+    "score-files-dataset-nul",
+    "method-id-nul",
 }
 
 

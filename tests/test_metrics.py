@@ -255,7 +255,8 @@ def test_rank_metrics_invariant_under_increasing_transform():
         t2 = ScoreTable(
             "t",
             (0.0, float(transformed.max()) + 1.0),
-            tuple(r.with_score(float(v)) for r, v in zip(t.records, transformed)),
+            t.columns,
+            transformed,
         )
         curves2 = build_curves(t2)
         transformed_metrics = (

@@ -19,7 +19,7 @@ from scorefuse.protocol import (
 from scorefuse.synth import make_complementary_matchers
 from scorefuse.tables import AlignedScores, SettingDescriptor
 
-from helpers import aligned
+from helpers import aligned, columns, rows_of
 
 S = SettingDescriptor
 
@@ -116,16 +116,9 @@ def _val_and_test(setting_train, setting_test, seed=0):
     base = make_complementary_matchers(1.0, 300, seed=seed)
     # restamp pairs with the right settings and distinct id spaces per split
     def restamp(al, setting, tag):
-        pairs = tuple(
-            type(p)(
-                probe_id=tag + p.probe_id,
-                reference_id=tag + p.reference_id,
-                probe_subject=tag + p.probe_subject,
-                reference_subject=tag + p.reference_subject,
-                mated=p.mated,
-                setting=setting,
-            )
-            for p in al.pairs
+        pairs = columns(
+            (tag + probe, tag + ref, tag + probe_subject, tag + ref_subject, mated, setting)
+            for probe, ref, probe_subject, ref_subject, mated, _ in rows_of(al.columns)
         )
         return AlignedScores(al.matcher_ids, pairs, al.matrix)
 

@@ -50,12 +50,12 @@ def test_generate_scores_is_deterministic():
     model = GaussianScoreModel(0.3, 0.1, 0.6, 0.1, n_mated=50, n_nonmated=70, seed=99)
     t1 = generate_scores(model)
     t2 = generate_scores(model)
-    assert [r.score for r in t1.records] == [r.score for r in t2.records]
-    assert [r.probe_id for r in t1.records] == [r.probe_id for r in t2.records]
+    assert t1.scores.tolist() == t2.scores.tolist()
+    assert t1.columns.probe_ids.tolist() == t2.columns.probe_ids.tolist()
     other = generate_scores(
         GaussianScoreModel(0.3, 0.1, 0.6, 0.1, n_mated=50, n_nonmated=70, seed=100)
     )
-    assert [r.score for r in t1.records] != [r.score for r in other.records]
+    assert t1.scores.tolist() != other.scores.tolist()
 
 
 def test_generate_scores_counts_flags_and_tags():
@@ -63,8 +63,8 @@ def test_generate_scores_counts_flags_and_tags():
     t = generate_scores(model, matcher_id="mx", id_tag="k:")
     assert t.matcher_id == "mx"
     assert t.n_mated() == 5 and t.n_nonmated() == 7
-    assert all(r.probe_id.startswith("k:") for r in t.records)
-    keys = {r.key for r in t.records}
+    assert all(p.startswith("k:") for p in t.columns.probe_ids)
+    keys = set(zip(t.columns.probe_ids, t.columns.reference_ids))
     assert len(keys) == 12
 
 
@@ -189,7 +189,7 @@ def test_generated_table_round_trips_through_csv(tmp_path):
     from scorefuse.tables import load_score_table
 
     back = load_score_table(path, t.declared_range)
-    assert [r.score for r in back.records] == [r.score for r in t.records]
+    assert back.scores.tolist() == t.scores.tolist()
 
 
 @pytest.mark.parametrize("field", ["mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"])

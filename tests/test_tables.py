@@ -13,8 +13,6 @@ from scorefuse.errors import (
     RangeViolationError,
 )
 from scorefuse.tables import (
-    ComparisonPair,
-    ComparisonRecord,
     ScoreTable,
     SettingDescriptor,
     align_tables,
@@ -25,7 +23,7 @@ from scorefuse.tables import (
     write_score_table,
 )
 
-from helpers import SETTING, aligned, pair, table
+from helpers import SETTING, aligned, columns, pair, rows_of, table
 
 CSV_3ROWS = """matcher_id,probe_id,reference_id,probe_subject,reference_subject,mated,camera_id,distance_m,dataset_id,score
 m,p1,r1,s1,s1,1,cam0,1.0,unit,0.9
@@ -39,10 +37,10 @@ def test_load_three_rows_preserves_order(tmp_path):
     f.write_text(CSV_3ROWS, encoding="utf-8")
     t = load_score_table(f, (0.0, 1.0))
     assert t.matcher_id == "m"
-    assert [r.probe_id for r in t.records] == ["p1", "p2", "p3"]
-    assert [r.score for r in t.records] == [0.9, 0.2, 0.5]
-    assert t.records[2].setting.distance_m == 2.6
-    assert t.records[1].mated is False
+    assert t.columns.probe_ids.tolist() == ["p1", "p2", "p3"]
+    assert t.scores.tolist() == [0.9, 0.2, 0.5]
+    assert t.columns.settings[t.columns.setting_codes[2]].distance_m == 2.6
+    assert t.columns.mated.tolist()[1] is False
 
 
 def test_load_round_trip_is_byte_identical(tmp_path):
@@ -100,23 +98,22 @@ def test_load_rejects_bad_header_and_column_count(tmp_path):
 def test_record_invariants():
     with pytest.raises(ContractError):
         SettingDescriptor("c", 0.0, "d")
+    with pytest.raises(RangeViolationError):
+        ScoreTable("m", (0.0, 1.0), columns([pair(0, True)]), [math.inf])
     with pytest.raises(ContractError):
-        pair(0, True).with_score(math.inf)
-    with pytest.raises(ContractError):
-        ComparisonPair("p", "r", "s1", "s2", True, SETTING)
+        columns([("p", "r", "s1", "s2", True, SETTING)])
 
 
 def test_normalize_cosine_endpoints():
     t = table([-1.0], [0.0], declared=(-1.0, 1.0))
     out = normalize_scores(t, "affine_to_unit")
     assert out.declared_range == (0.0, 1.0)
-    assert out.records[0].score == 0.0
-    assert out.records[1].score == 0.5
+    assert out.scores.tolist() == [0.0, 0.5]
 
 
 def test_normalize_identity_cases():
     t = table([0.7], [0.2])
-    assert normalize_scores(t, "affine_to_unit").records[0].score == pytest.approx(0.7, abs=1e-15)
+    assert normalize_scores(t, "affine_to_unit").scores[0] == pytest.approx(0.7, abs=1e-15)
     assert normalize_scores(t, "identity") is t
     wide = table([0.5], [0.2], declared=(0.0, 2.0))
     with pytest.raises(ContractError):
@@ -128,8 +125,8 @@ def test_normalize_preserves_order():
     scores = np.sort(rng.uniform(-1.0, 1.0, size=200))
     t = table(scores[:100], scores[100:], declared=(-1.0, 1.0))
     out = normalize_scores(t, "affine_to_unit")
-    normalized = [r.score for r in out.records]
-    ranks_in = np.argsort([r.score for r in t.records], kind="stable")
+    normalized = out.scores.tolist()
+    ranks_in = np.argsort(t.scores, kind="stable")
     ranks_out = np.argsort(normalized, kind="stable")
     assert list(ranks_in) == list(ranks_out)
     assert all(b > a for a, b in zip(normalized, normalized[1:]) if b != a)
@@ -155,24 +152,16 @@ def test_align_single_table_is_identity():
 
 def test_align_missing_key_is_an_error():
     t1 = table([0.9, 0.8], [0.1] * 8, matcher_id="a")
-    t2 = ScoreTable("b", (0.0, 1.0), t1.records[:-1])
+    t2 = ScoreTable("b", (0.0, 1.0), columns(rows_of(t1.columns)[:-1]), t1.scores[:-1])
     with pytest.raises(AlignmentError, match="'b'.*missing 1 pair"):
         align_tables([t1, t2])
 
 
 def test_align_conflicting_mated_flag_is_an_error():
     t1 = table([0.9], [0.1], matcher_id="a")
-    rec = t1.records[0]  # same key, flipped ground truth
-    conflicting = ComparisonRecord(
-        probe_id=rec.probe_id,
-        reference_id=rec.reference_id,
-        probe_subject="other1",
-        reference_subject="other2",
-        mated=False,
-        setting=rec.setting,
-        score=0.9,
-    )
-    t2 = ScoreTable("b", (0.0, 1.0), (conflicting, t1.records[1]))
+    first, second = rows_of(t1.columns)  # the first with the same key, flipped ground truth
+    conflicting = (*first[:2], "other1", "other2", False, first[5])
+    t2 = ScoreTable("b", (0.0, 1.0), columns([conflicting, second]), [0.9, t1.scores[1]])
     with pytest.raises(ConsistencyError, match="mated"):
         align_tables([t1, t2])
 
@@ -242,7 +231,7 @@ def test_load_pairs(tmp_path):
     )
     pairs = load_pairs(f)
     assert len(pairs) == 2
-    assert pairs[0].mated and not pairs[1].mated
+    assert pairs.mated.tolist() == [True, False]
     bad = tmp_path / "badpairs.csv"
     bad.write_text(f.read_text().replace("p2,r2", "p1,r1"), encoding="utf-8")
     with pytest.raises(DuplicatePairError):
