@@ -10,7 +10,6 @@ from .embeddings import (
     score_euclidean,
 )
 from .fusion import (
-    FusedTable,
     FusionWeights,
     PerceptronFuser,
     PerceptronHyper,

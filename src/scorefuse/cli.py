@@ -26,22 +26,8 @@ from pathlib import Path
 
 from .demo import build_demo
 from .embeddings import METRICS, batch_score, load_embeddings
-from .errors import (
-    IO_EXIT_CODE,
-    ContractError,
-    LeakageError,
-    ParseError,
-    ScoreFuseError,
-)
-from .fusion import (
-    FusionWeights,
-    PerceptronHyper,
-    apply_fusion,
-    estimate_pcc_weights,
-    fuser_to_dict,
-    load_fuser,
-    train_perceptron,
-)
+from .errors import IO_EXIT_CODE, ContractError, ParseError, ScoreFuseError
+from .fusion import FusionWeights, PerceptronHyper, fuser_to_dict, load_fuser
 from .metrics import (
     build_curves,
     correlation_matrix,
@@ -56,6 +42,7 @@ from .protocol import (
     MethodSpec,
     aggregate_results,
     fit_method,
+    fuse_method,
     plan_experiments,
     result_to_dict,
     run_experiment,
@@ -104,8 +91,8 @@ def _digests(paths) -> dict[str, str]:
 
 
 def cmd_score(args) -> int:
-    refs = load_embeddings(args.references)
-    probes = load_embeddings(args.probes)
+    refs = load_embeddings(args.references, "reference")
+    probes = load_embeddings(args.probes, "probe")
     pairs = load_pairs(args.pairs)
     if not pairs:
         raise ContractError(f"{args.pairs}: no comparisons to score")
@@ -135,46 +122,22 @@ def cmd_fuse(args) -> int:
             raise ContractError(
                 f"validation matchers {val.matcher_ids} do not match inputs {test.matcher_ids}"
             )
-        overlap = val.keys() & test.keys()
-        if overlap:
-            shown = ", ".join(map(str, sorted(overlap)[:5]))
-            raise LeakageError(
-                f"{len(overlap)} pair(s) shared between validation and fused inputs: {shown}"
-            )
         inputs.update(_digests(args.validation))
 
     method = args.method
-    fitted = None
-    if method in ("avg", "bayes"):
-        fused = apply_fusion(method, test)
-    elif method == "weighted":
+    weights = None
+    if method == "weighted":
         if not args.weights_file:
             raise ContractError("weighted fusion requires --weights-file")
         weights = load_fuser(args.weights_file)
         if not isinstance(weights, FusionWeights):
             raise ContractError(f"{args.weights_file} does not contain weights")
-        fused = apply_fusion(weights, test)
-        fitted = weights
         inputs.update(_digests([args.weights_file]))
-    elif method == "pcc_avg":
-        if val is None:
-            raise ContractError("pcc_avg: validation scores required (--validation)")
-        fitted = estimate_pcc_weights(val)
-        fused = apply_fusion(fitted, test)
-    else:  # perceptron
-        if val is None:
-            raise ContractError("perceptron: validation scores required (--validation)")
-        hyper = PerceptronHyper(
-            learning_rate=args.learning_rate,
-            max_epochs=args.max_epochs,
-            tolerance=args.tolerance,
-            seed=args.seed,
-        )
-        fitted = train_perceptron(val, hyper)
-        fused = apply_fusion(fitted, test)
+    hyper = PerceptronHyper(args.learning_rate, args.max_epochs, args.tolerance, args.seed)
+    fused, fitted = fuse_method(MethodSpec(method, method, test.matcher_ids, weights, hyper), val, test)
 
     out_csv = out_dir / f"fused_{method}.csv"
-    write_csv_artifact(out_csv, score_table_csv_text(fused.table), seed=args.seed, inputs=inputs)
+    write_csv_artifact(out_csv, score_table_csv_text(fused), seed=args.seed, inputs=inputs)
     if fitted is not None:
         write_json_artifact(
             out_dir / f"fuser_{method}.json",
@@ -573,7 +536,6 @@ def cmd_grid(args) -> int:
             results[idx] = run_experiment(
                 item,
                 method,
-                None,
                 val,
                 test,
                 seed=seed,

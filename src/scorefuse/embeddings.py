@@ -65,8 +65,8 @@ def _lines(path: Path):
             raise not_utf8(path, exc) from None
 
 
-def load_embeddings(path) -> EmbeddingSet:
-    """Read a JSON-lines embedding file."""
+def load_embeddings(path, role: str) -> EmbeddingSet:
+    """Read a JSON-lines embedding file whose every line has the given ``role``."""
     path = Path(path)
     ids, vectors = [], []
     for lineno, line in enumerate(_lines(path), start=1):
@@ -83,17 +83,18 @@ def load_embeddings(path) -> EmbeddingSet:
                 f"{path}:{lineno}: expected object with entity_id, role, vector"
             )
         vector = obj["vector"]
-        if not isinstance(vector, list) or not all(
-            isinstance(v, (int, float)) for v in vector
-        ):
+        # JSON true and false are Python ints too, so test exact types
+        if not isinstance(vector, list) or not {int, float}.issuperset(map(type, vector)):
             raise ParseError(f"{path}:{lineno}: vector must be a list of numbers")
-        entity_id, role = str(obj["entity_id"]), str(obj["role"])
+        entity_id, line_role = str(obj["entity_id"]), str(obj["role"])
         try:
             vector = list(map(float, vector))
         except OverflowError:
             raise ParseError(f"{path}:{lineno}: vector holds an integer too large for a float") from None
-        if role not in ROLES:
-            raise ParseError(f"{path}:{lineno}: role must be one of {ROLES}, got {role!r}")
+        if line_role not in ROLES:
+            raise ParseError(f"{path}:{lineno}: role must be one of {ROLES}, got {line_role!r}")
+        if line_role != role:
+            raise ParseError(f"{path}:{lineno}: role must be {role!r} in a file of {role}s, got {line_role!r}")
         if not vector:
             raise ParseError(f"{path}:{lineno}: embedding {entity_id!r} has empty vector")
         if not all(map(math.isfinite, vector)):

@@ -9,11 +9,11 @@ like any single matcher's.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class FusionWeights:
             raise ContractError(f"provenance must be one of {WEIGHT_PROVENANCES}")
         if any(w < 0 or not math.isfinite(w) for w in self.weights):
             raise ContractError(f"weights must be finite and >= 0, got {self.weights}")
-        if not math.fsum(self.weights) > 0:
+        if not any(w > 0 for w in self.weights):
             raise ContractError("weight sum must be positive")
 
 
@@ -80,65 +80,126 @@ class PerceptronFuser:
             raise ContractError("perceptron parameters must be finite")
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        z = matrix @ np.asarray(self.coefficients, dtype=np.float64) + self.bias
+        """sigma of each row's ``w . s + b``, its exact terms summed as in the weighted mean."""
+        products = _two_product(matrix, np.asarray(self.coefficients, dtype=np.float64))
+        z, _ = _row_sums(np.hstack([*products, np.full((len(matrix), 1), self.bias)]))
         return _sigmoid(z)
 
 
-@dataclass(frozen=True, eq=False)
-class FusedTable:
-    """A fused score column packaged as a [0, 1] score table."""
-
-    method_id: str
-    table: ScoreTable
-
-    def __post_init__(self):
-        if self.table.declared_range != (0.0, 1.0):
-            raise ContractError("fused tables must be declared [0, 1]")
+def _scores_row(scores, fuser: str) -> np.ndarray:
+    row = np.array([list(scores)], dtype=np.float64)
+    if not row.size:
+        raise ContractError(f"{fuser} needs at least one score")
+    return row
 
 
 def fuse_average(scores) -> float:
-    """Arithmetic mean, accumulated exactly and rounded once.
+    """Arithmetic mean, correctly rounded: the ``avg`` kernel on one row.
 
-    Exact rational accumulation makes the result permutation-invariant and
-    correctly rounded (e.g. the mean of {0.2, 0.4, 0.6} is exactly 0.4).
+    E.g. the mean of {0.2, 0.4, 0.6} is exactly 0.4, in any order.
     """
-    scores = list(scores)
-    if not scores:
-        raise ContractError("fuse_average needs at least one score")
-    return float(sum(map(Fraction, scores), Fraction(0)) / len(scores))
+    return float(_weighted_mean(_scores_row(scores, "fuse_average"))[0])
 
 
 def fuse_bayesian(scores, clamp_epsilon: float = DEFAULT_CLAMP_EPSILON) -> float:
-    """Product-odds combination prod(s) / (prod(s) + prod(1-s)).
+    """Product-odds combination prod(s) / (prod(s) + prod(1-s)): the
+    ``bayes`` kernel on one row.
 
     Scores are clamped to [eps, 1-eps] first, which removes the 0/0
     singularity at unanimous extreme scores. The quotient is evaluated as a
     sigmoid of summed log-odds, which is the same quantity but cannot
-    underflow however many scores are fused; terms are summed in sorted
-    order so reordering the inputs cannot change the rounding.
+    underflow however many scores are fused.
     """
-    scores = list(scores)
-    if not scores:
-        raise ContractError("fuse_bayesian needs at least one score")
+    row = _scores_row(scores, "fuse_bayesian")
     if not (0.0 < clamp_epsilon < 0.5):
         raise ContractError(f"clamp_epsilon must be in (0, 0.5), got {clamp_epsilon}")
-    clamped = sorted(min(1.0 - clamp_epsilon, max(clamp_epsilon, s)) for s in scores)
-    log_odds = math.fsum(math.log(s) - math.log(1.0 - s) for s in clamped)
-    value = float(_sigmoid(np.float64(log_odds)))
-    # sigma rounds to 0.0 / 1.0 beyond ~37 units of log-odds; keep (0, 1) open
-    return min(max(value, _TINY), _BELOW_ONE)
+    return float(_bayes(row, clamp_epsilon)[0])
 
 
 def fuse_weighted(scores, weights: FusionWeights) -> float:
-    """Weighted mean sum(w*s) / sum(w), exactly accumulated, rounded once."""
-    scores = list(scores)
-    if len(scores) != len(weights.weights):
-        raise ContractError(
-            f"got {len(scores)} scores for {len(weights.weights)} weights"
-        )
-    num = sum((Fraction(w) * Fraction(s) for w, s in zip(weights.weights, scores)), Fraction(0))
-    den = sum(map(Fraction, weights.weights), Fraction(0))
-    return float(num / den)
+    """Weighted mean sum(w*s) / sum(w), correctly rounded: the weighted kernel on one row."""
+    row = _scores_row(scores, "fuse_weighted")
+    if row.shape[1] != len(weights.weights):
+        raise ContractError(f"got {row.shape[1]} scores for {len(weights.weights)} weights")
+    return float(_weighted_mean(row, weights.weights)[0])
+
+
+# Row kernels. Each works on an (n, k) matrix elementwise and row by row, so
+# no reordering of a row's entries and no memory layout can change a bit; the
+# scalar fusers above are one-row calls into them.
+
+_BLOCK_ROWS = 8192  # rows apply_fusion hands a kernel at once
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's constant, halves a double's mantissa
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: ``fl(a + b)`` and its exact rounding error."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _two_product(a, b):
+    """Dekker's TwoProduct: ``fl(a * b)`` and its exact rounding error
+    (for factors below 2**996 and products clear of underflow)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(x):
+    """Veltkamp's split of ``x`` into a high and a low half, ``hi + lo == x``."""
+    t = _SPLITTER * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _row_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum as a double-double ``hi + lo`` (``hi = fl(hi + lo)``).
+
+    The row is sorted, then added column by column with TwoSum while the
+    rounding errors are summed alongside: Sum2 of Ogita, Rump & Oishi
+    (2005), as accurate as summing in twice the precision.
+    """
+    cols = np.sort(terms, axis=1).T
+    hi, lo = cols[0], np.zeros(len(terms))
+    for col in cols[1:]:
+        hi, err = _two_sum(hi, col)
+        lo = lo + err
+    return _two_sum(hi, lo)
+
+
+def _dd_divide(num, den) -> np.ndarray:
+    """Double-double quotient ``num / den`` rounded to double: a first
+    quotient, plus its correction from the remainder, whose leading part
+    TwoProduct makes exact."""
+    (a, b), (c, d) = num, den
+    q = a / c
+    p, e = _two_product(q, c)
+    return q + ((((a - p) - e) + b) - q * d) / c
+
+
+def _weighted_mean(mat: np.ndarray, weights=None) -> np.ndarray:
+    """Each row's ``sum(w * s) / sum(w)``, unit weights if ``weights`` is None.
+
+    Products split exactly into two terms and both sums are double-doubles,
+    so the mean is correctly rounded unless it lies within about 2**-100
+    (relative) of a rounding boundary; a tie still rounds correctly when the
+    weights sum to a double.
+    """
+    if weights is None:  # unit weights: the products are the scores themselves
+        return _dd_divide(_row_sums(mat), (float(mat.shape[1]), 0.0))
+    w = np.asarray(weights, dtype=np.float64)
+    w = np.ldexp(w, -np.frexp(w.max())[1])  # max into [0.5, 1): splits stay finite, the mean is unchanged
+    return _dd_divide(_row_sums(np.hstack(_two_product(mat, w))), _row_sums(w[None, :]))
+
+
+def _bayes(mat: np.ndarray, clamp_epsilon: float) -> np.ndarray:
+    """Each row's sigmoid of its summed log-odds, clamped into (0, 1)."""
+    clamped = np.clip(mat, clamp_epsilon, 1.0 - clamp_epsilon)
+    log_odds, _ = _row_sums(np.log(clamped) - np.log(1.0 - clamped))
+    # sigma rounds to 0.0 / 1.0 beyond ~37 units of log-odds; keep (0, 1) open
+    return np.clip(_sigmoid(log_odds), _TINY, _BELOW_ONE)
 
 
 def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
@@ -163,7 +224,7 @@ def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
             continue
         raw.append(pcc(col, labels))
     clamped = [max(0.0, r) for r in raw]
-    if math.fsum(clamped) > 0.0:
+    if any(w > 0.0 for w in clamped):
         return FusionWeights(
             validation.matcher_ids, tuple(clamped), "pcc", tuple(raw), tuple(notes)
         )
@@ -282,50 +343,32 @@ def train_perceptron(
     return PerceptronFuser(validation.matcher_ids, tuple(float(c) for c in w), float(theta[-1]), log)
 
 
-def _method_id(method) -> str:
-    if isinstance(method, str):
-        return method
-    if isinstance(method, FusionWeights):
-        return "pcc_avg" if method.provenance == "pcc" else "weighted"
-    if isinstance(method, PerceptronFuser):
-        return "perceptron"
-    raise ContractError(f"unknown fusion method {method!r}")
-
-
-def apply_fusion(method, test: AlignedScores) -> FusedTable:
+def apply_fusion(method, test: AlignedScores) -> ScoreTable:
     """Fuse every row of ``test`` with the given method.
 
     ``method`` is ``"avg"``, ``"bayes"``, a :class:`FusionWeights`, or a
     :class:`PerceptronFuser`; parametric methods must carry exactly the
-    test matcher ids, in order. The fused table is a new score column over
-    ``test``'s pair columns, so row order is preserved.
+    test matcher ids, in order. The result is a [0, 1] score table named
+    after the method (``avg``, ``bayes``, ``pcc_avg``, ``weighted`` or
+    ``perceptron``) over ``test``'s pair columns, so row order is preserved.
     """
-    mat = test.matrix
-    if isinstance(method, str):
-        if method == "avg":
-            fused = mat.mean(axis=1)
-        elif method == "bayes":
-            clamped = np.clip(mat, DEFAULT_CLAMP_EPSILON, 1.0 - DEFAULT_CLAMP_EPSILON)
-            log_odds = (np.log(clamped) - np.log(1.0 - clamped)).sum(axis=1)
-            fused = np.clip(_sigmoid(log_odds), _TINY, _BELOW_ONE)
-        else:
-            raise ContractError(f"unknown fusion method {method!r}")
+    if isinstance(method, FusionWeights):
+        method_id = "pcc_avg" if method.provenance == "pcc" else "weighted"
+        kernel = functools.partial(_weighted_mean, weights=method.weights)
+    elif isinstance(method, PerceptronFuser):
+        method_id, kernel = "perceptron", method.predict
+    elif method == "avg":
+        method_id, kernel = "avg", _weighted_mean
+    elif method == "bayes":
+        method_id, kernel = "bayes", functools.partial(_bayes, clamp_epsilon=DEFAULT_CLAMP_EPSILON)
     else:
-        if method.matcher_ids != test.matcher_ids:
-            raise ContractError(
-                f"method matchers {method.matcher_ids} do not match "
-                f"test matchers {test.matcher_ids}"
-            )
-        if isinstance(method, FusionWeights):
-            w = np.asarray(method.weights, dtype=np.float64)
-            fused = (mat @ w) / w.sum()
-        elif isinstance(method, PerceptronFuser):
-            fused = method.predict(mat)
-        else:
-            raise ContractError(f"unknown fusion method {method!r}")
-    fused = np.clip(fused, 0.0, 1.0)
-    method_id = _method_id(method)
-    return FusedTable(method_id, ScoreTable(method_id, (0.0, 1.0), test.columns, fused))
+        raise ContractError(f"unknown fusion method {method!r}")
+    if not isinstance(method, str) and method.matcher_ids != test.matcher_ids:
+        raise ContractError(f"method matchers {method.matcher_ids} do not match test matchers {test.matcher_ids}")
+    # blocks of rows keep the kernels' temporaries in cache; no row sees another
+    blocks = range(0, len(test), _BLOCK_ROWS)
+    fused = np.concatenate([kernel(test.matrix[i : i + _BLOCK_ROWS]) for i in blocks])
+    return ScoreTable(method_id, (0.0, 1.0), test.columns, np.clip(fused, 0.0, 1.0))
 
 
 def fuser_to_dict(fuser: FusionWeights | PerceptronFuser) -> dict:

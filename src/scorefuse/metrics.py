@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, UndefinedEffectError
-from .provenance import atomic_write_text
 from .tables import AlignedScores, ScoreTable
 
 
@@ -109,8 +108,7 @@ class CorrelationMatrix:
 
 
 def class_scores(table) -> tuple[np.ndarray, np.ndarray]:
-    """(mated, non-mated) score arrays from a ScoreTable or FusedTable."""
-    table = getattr(table, "table", table)  # a FusedTable wraps its ScoreTable
+    """(mated, non-mated) score arrays from a ScoreTable."""
     if not isinstance(table, ScoreTable):
         raise ContractError(f"expected a score table, got {type(table).__name__}")
     mask = table.mated_mask
@@ -293,11 +291,3 @@ def roc_csv_text(roc: RocCurve) -> str:
     for x, y in roc.points:
         writer.writerow((repr(x), repr(y)))
     return buf.getvalue()
-
-
-def write_curves_csv(curves: ThresholdCurves, path) -> None:
-    atomic_write_text(path, curves_csv_text(curves))
-
-
-def write_roc_csv(roc: RocCurve, path) -> None:
-    atomic_write_text(path, roc_csv_text(roc))

@@ -26,7 +26,7 @@ from .fusion import (
     train_perceptron,
 )
 from .metrics import MetricsReport, evaluate_table
-from .tables import AlignedScores, SettingDescriptor
+from .tables import AlignedScores, ScoreTable, SettingDescriptor
 
 PLAN_KINDS = ("intra", "cross_distance", "cross_camera", "cross_both", "cross_dataset")
 METHOD_KINDS = ("single", "avg", "bayes", "pcc_avg", "weighted", "perceptron")
@@ -164,10 +164,40 @@ def fit_method(method: MethodSpec, val_scores: AlignedScores) -> FusionWeights |
     return train_perceptron(val_sub, method.hyper)
 
 
+def fuse_method(
+    method: MethodSpec,
+    val_scores: AlignedScores | None,
+    test_scores: AlignedScores,
+    fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
+) -> tuple[ScoreTable, FusionWeights | PerceptronFuser | None]:
+    """Fuse the test scores of ``method``'s matchers by its rule.
+
+    ``pcc_avg`` and ``perceptron`` are first fitted by ``fit(method,
+    val_scores)``; a comparison pair shared between the validation and test
+    scores raises :class:`LeakageError`. Returns the fused table and the
+    fuser it ran (fitted, or the method's weights), or None for a fixed rule.
+    """
+    if val_scores is not None:
+        overlap = val_scores.keys() & test_scores.keys()
+        if overlap:
+            shown = ", ".join(map(str, sorted(overlap)[:5]))
+            raise LeakageError(
+                f"{len(overlap)} comparison pair(s) appear in both validation and "
+                f"test partitions: {shown}"
+            )
+    # a single matcher goes through the average, the identity for one column
+    fuser = {"single": "avg", "avg": "avg", "bayes": "bayes", "weighted": method.weights}.get(method.kind)
+    if fuser is None:
+        if val_scores is None:
+            raise ContractError(f"method {method.method_id!r}: validation scores required")
+        fuser = fit(method, val_scores)
+    fused = apply_fusion(fuser, test_scores.select(method.matcher_ids))
+    return fused, None if isinstance(fuser, str) else fuser
+
+
 def run_experiment(
     item: PlanItem,
     method: MethodSpec,
-    train_scores: AlignedScores | None,
     val_scores: AlignedScores | None,
     test_scores: AlignedScores,
     *,
@@ -180,46 +210,18 @@ def run_experiment(
 
     Parametric methods are fitted on ``val_scores`` only, which must come
     from the train setting (checked unless ``enforce_validation_setting``
-    is off), by calling ``fit(method, val_scores)``; a grid passes a
-    function that fits each (train setting, method) once. Any comparison
-    pair shared between the validation and test partitions raises
-    :class:`LeakageError`. No method uses ``train_scores``; the parameter
-    keeps the (train, validation, test) call signature.
+    is off), through :func:`fuse_method`; a grid passes a ``fit`` that
+    fits each (train setting, method) once.
     """
-    needs_val = method.kind in ("pcc_avg", "perceptron")
-    if needs_val and val_scores is None:
-        raise ContractError(f"method {method.method_id!r} needs validation scores")
-
     missing = [m for m in method.matcher_ids if m not in test_scores.matcher_ids]
     if missing:
         raise ContractError(
             f"test scores lack matchers {missing} required by {method.method_id!r}"
         )
     _check_settings(test_scores, item.test_setting, "test")
-    if val_scores is not None:
-        if enforce_validation_setting:
-            _check_settings(val_scores, item.train_setting, "validation")
-        overlap = val_scores.keys() & test_scores.keys()
-        if overlap:
-            shown = ", ".join(map(str, sorted(overlap)[:5]))
-            raise LeakageError(
-                f"{len(overlap)} comparison pair(s) appear in both validation and "
-                f"test partitions: {shown}"
-            )
-
-    test_sub = test_scores.select(method.matcher_ids)
-    fitted = None
-    if method.kind == "single":
-        fused = apply_fusion("avg", test_sub)  # N=1 average is the identity
-    elif method.kind in ("avg", "bayes"):
-        fused = apply_fusion(method.kind, test_sub)
-    elif method.kind == "weighted":
-        fused = apply_fusion(method.weights, test_sub)
-        fitted = fuser_to_dict(method.weights)
-    else:  # pcc_avg, perceptron
-        fuser = fit(method, val_scores)
-        fused = apply_fusion(fuser, test_sub)
-        fitted = fuser_to_dict(fuser)
+    if val_scores is not None and enforce_validation_setting:
+        _check_settings(val_scores, item.train_setting, "validation")
+    fused, fuser = fuse_method(method, val_scores, test_scores, fit)
 
     prov = {"test_scores_sha256": test_scores.sha256}
     if val_scores is not None:
@@ -227,6 +229,7 @@ def run_experiment(
     if provenance:
         prov.update(provenance)
     report = evaluate_table(fused)
+    fitted = None if fuser is None else fuser_to_dict(fuser)
     return ExperimentResult(item, method.method_id, report, seed, prov, fitted)
 
 

@@ -248,7 +248,8 @@ class AlignedScores:
     """Scores of N matchers joined on (probe_id, reference_id).
 
     ``matrix[i, j]`` is matcher ``matcher_ids[j]``'s score for row ``i`` of
-    ``columns``; every entry lies in [0, 1].
+    ``columns``; every entry lies in [0, 1]. The matrix is stored C-contiguous,
+    so every fit and fusion sees one memory layout.
     """
 
     def __init__(self, matcher_ids, columns: PairColumns, matrix):
@@ -260,7 +261,7 @@ class AlignedScores:
             raise ContractError(f"matcher ids not distinct: {matcher_ids}")
         if len(columns) < 1:
             raise ContractError("aligned scores need at least one row")
-        mat = np.asarray(matrix, dtype=np.float64)
+        mat = np.ascontiguousarray(matrix, dtype=np.float64)
         if mat.shape != (len(columns), n_ids):
             raise ContractError(
                 f"matrix shape {mat.shape} does not match "
@@ -323,7 +324,7 @@ class AlignedScores:
             _per_row([s.key() for s in c.settings], c.setting_codes),
         )
         h.update("".join(f"{p}|{r}|{m}|{k}\x00" for p, r, m, k in rows).encode("utf-8"))
-        h.update(np.ascontiguousarray(self.matrix).tobytes())
+        h.update(self.matrix.tobytes())
         return h.hexdigest()
 
 

@@ -229,7 +229,7 @@ def test_c09_protocol_grid(tmp_path):
     item = PlanItem(setting, setting, "intra")
     method = MethodSpec("avg", "avg", base.matcher_ids)
     with pytest.raises(LeakageError):
-        run_experiment(item, method, None, stamped, stamped, seed=0)
+        run_experiment(item, method, stamped, stamped, seed=0)
 
     # rerun with the same seed is byte-identical
     demo_dir = tmp_path / "demo"

@@ -64,6 +64,30 @@ def test_score_command_writes_csv(tmp_path, embedding_files, capsys):
     assert len(meta["input_digests"]) == 3
 
 
+@pytest.mark.parametrize(
+    "which, row, words",
+    [
+        ("probes", {"entity_id": "p1", "role": "reference", "vector": [1.0, 0.0]},
+         "probes.jsonl:1: role must be 'probe' in a file of probes, got 'reference'"),
+        ("refs", {"entity_id": "r1", "role": "probe", "vector": [1.0, 0.0]},
+         "refs.jsonl:1: role must be 'reference' in a file of references, got 'probe'"),
+        ("refs", {"entity_id": "r1", "role": "reference", "vector": [True, False]},
+         "refs.jsonl:1: vector must be a list of numbers"),
+    ],
+)
+def test_score_command_refuses_wrong_role_and_boolean_entries(tmp_path, embedding_files, capsys, which, row,
+                                                              words):
+    refs, probes, pairs = embedding_files
+    write_embeddings({"refs": refs, "probes": probes}[which], [row])
+    write_pairs(pairs, ["p1,r1,s1,s1,1,cam0,1.0,unit"])
+    out = tmp_path / "x.csv"
+    assert run(["score", "--references", refs, "--probes", probes, "--pairs", pairs,
+                "--metric", "cosine", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_score_command_unresolved_id(tmp_path, embedding_files, capsys):
     refs, probes, pairs = embedding_files
     write_pairs(pairs, ["p9,r1,s1,s1,1,cam0,1.0,unit"])

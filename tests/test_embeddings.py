@@ -183,7 +183,7 @@ def test_load_embeddings_jsonl(tmp_path):
         {"entity_id": "e2", "role": "reference", "vector": [3.0, 4.0]},
     ]
     f.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    es = load_embeddings(f)
+    es = load_embeddings(f, "reference")
     assert es.ids == ("e1", "e2")
     assert es.matrix.shape == (2, 2)
     assert es.matrix[es.entries["e2"]].tolist() == [3.0, 4.0]
@@ -192,13 +192,13 @@ def test_load_embeddings_jsonl(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"entity_id": "e1"\n', encoding="utf-8")
     with pytest.raises(ParseError, match=r"bad\.jsonl:1"):
-        load_embeddings(bad)
+        load_embeddings(bad, "reference")
 
     mixed = tmp_path / "mixed.jsonl"
     rows.append({"entity_id": "e3", "role": "reference", "vector": [1.0]})
     mixed.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="dimension"):
-        load_embeddings(mixed)
+        load_embeddings(mixed, "reference")
 
 
 def test_embedding_validation(tmp_path):
@@ -209,8 +209,10 @@ def test_embedding_validation(tmp_path):
         ({"role": "probe", "vector": []}, "embedding 'e' has empty vector"),
         ({"role": "probe", "vector": [math.nan]}, "embedding 'e' has non-finite entries"),
         ({"role": "probe", "vector": [1.0, 10**400]}, "vector holds an integer too large for a float"),
+        ({"role": "probe", "vector": [True, 0.0]}, "vector must be a list of numbers"),
+        ({"role": "reference", "vector": [1.0]}, "role must be 'probe' in a file of probes, got 'reference'"),
     ]:
         f.write_text(json.dumps(good) + "\n" + json.dumps({"entity_id": "e", **entry}) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
-            load_embeddings(f)
+            load_embeddings(f, "probe")
         assert str(exc.value) == f"{f}:2: {message}"

@@ -225,8 +225,8 @@ def test_perceptron_scaled_parameters_keep_ranking():
         3.0 * fuser.bias,
         fuser.training_log,
     )
-    a = apply_fusion(fuser, val).table.scores
-    b = apply_fusion(scaled, val).table.scores
+    a = apply_fusion(fuser, val).scores
+    b = apply_fusion(scaled, val).scores
     assert list(np.argsort(a, kind="stable")) == list(np.argsort(b, kind="stable"))
     assert isinstance(fuser.training_log, TrainingLog)
 
@@ -240,16 +240,16 @@ def test_apply_fusion_identities():
     labels = [True, False, True, False]
     one = aligned({"m": [0.9, 0.1, 0.8, 0.2]}, labels)
     out = apply_fusion("avg", one)
-    np.testing.assert_array_equal(out.table.scores, one.matrix[:, 0])
+    np.testing.assert_array_equal(out.scores, one.matrix[:, 0])
 
     two_same = aligned({"a": [0.5] * 4, "b": [0.5] * 4}, labels)
-    np.testing.assert_array_equal(apply_fusion("bayes", two_same).table.scores, [0.5] * 4)
+    np.testing.assert_array_equal(apply_fusion("bayes", two_same).scores, [0.5] * 4)
 
     both = aligned({"a": [0.9, 0.1, 0.8, 0.2], "b": [0.7, 0.3, 0.6, 0.4]}, labels)
     uniform = FusionWeights(("a", "b"), (1.0, 1.0), "manual")
     np.testing.assert_allclose(
-        apply_fusion(uniform, both).table.scores,
-        apply_fusion("avg", both).table.scores,
+        apply_fusion(uniform, both).scores,
+        apply_fusion("avg", both).scores,
         atol=1e-12,
     )
 
@@ -263,17 +263,17 @@ def test_apply_fusion_identities():
 def test_apply_fusion_method_ids_and_row_order():
     labels = [True, False]
     both = aligned({"a": [0.9, 0.1], "b": [0.7, 0.3]}, labels)
-    assert apply_fusion("avg", both).method_id == "avg"
-    assert apply_fusion("bayes", both).method_id == "bayes"
+    assert apply_fusion("avg", both).matcher_id == "avg"
+    assert apply_fusion("bayes", both).matcher_id == "bayes"
     manual = FusionWeights(("a", "b"), (1.0, 2.0), "manual")
-    assert apply_fusion(manual, both).method_id == "weighted"
+    assert apply_fusion(manual, both).matcher_id == "weighted"
     pcc_w = estimate_pcc_weights(both)
-    assert apply_fusion(pcc_w, both).method_id == "pcc_avg"
+    assert apply_fusion(pcc_w, both).matcher_id == "pcc_avg"
     fuser = train_perceptron(both, PerceptronHyper(max_epochs=50))
     fused = apply_fusion(fuser, both)
-    assert fused.method_id == "perceptron"
-    assert fused.table.columns.probe_ids.tolist() == both.columns.probe_ids.tolist()
-    assert np.all((fused.table.scores > 0.0) & (fused.table.scores < 1.0))
+    assert fused.matcher_id == "perceptron"
+    assert fused.columns.probe_ids.tolist() == both.columns.probe_ids.tolist()
+    assert np.all((fused.scores > 0.0) & (fused.scores < 1.0))
 
 
 def test_weights_validation():

@@ -18,14 +18,6 @@ from scorefuse.cli import main
 from scorefuse.demo import build_demo
 from scorefuse.errors import ContractError
 from scorefuse.fusion import FusionWeights, fuser_to_dict, save_fuser
-from scorefuse.metrics import (
-    build_curves,
-    curves_csv_text,
-    roc_csv_text,
-    roc_from_curves,
-    write_curves_csv,
-    write_roc_csv,
-)
 from scorefuse.protocol import GROUP_BYS, METHOD_KINDS, PLAN_KINDS
 from scorefuse.provenance import atomic_write_text
 from scorefuse.tables import PAIRS_CSV_HEADER, score_table_csv_text, write_score_table
@@ -110,13 +102,9 @@ def test_artifacts_follow_a_umask_set_after_import(tmp_path):
 def _writers():
     """name -> (write to a path, the text it must write, or None to skip that check)."""
     scores = table([0.9, 0.7], [0.2, 0.1])
-    curves = build_curves(scores)
-    roc = roc_from_curves(curves)
     weights = FusionWeights(("a", "b"), (3.0, 1.0), "manual")
     return {
         "score-table": (lambda p: write_score_table(scores, p), score_table_csv_text(scores)),
-        "curves": (lambda p: write_curves_csv(curves, p), curves_csv_text(curves)),
-        "roc": (lambda p: write_roc_csv(roc, p), roc_csv_text(roc)),
         "fuser": (
             lambda p: save_fuser(weights, p),
             json.dumps(fuser_to_dict(weights), indent=2, sort_keys=True) + "\n",

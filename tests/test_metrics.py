@@ -8,15 +8,15 @@ from scorefuse.metrics import (
     build_curves,
     cohens_d,
     correlation_matrix,
+    curves_csv_text,
     curves_from_scores,
     eer,
     evaluate_table,
     format_report,
     pcc,
     rate_at_operating_point,
+    roc_csv_text,
     roc_from_curves,
-    write_curves_csv,
-    write_roc_csv,
 )
 from scorefuse.rng import SplitMix64
 from scorefuse.synth import brute_force_auc, brute_force_eer
@@ -282,20 +282,16 @@ def test_evaluate_table_and_formatting():
     assert "100.0" in text1
 
 
-def test_curve_csv_exports(tmp_path):
+def test_curve_csv_exports():
     curves = curves_from_scores(np.array([0.9]), np.array([0.1]))
-    p = tmp_path / "curves.csv"
-    write_curves_csv(curves, p)
-    assert p.read_text(encoding="utf-8") == (
+    assert curves_csv_text(curves) == (
         "threshold,fmr,fnmr\n"
         "-0.9,1.0,0.0\n"
         "0.1,1.0,0.0\n"
         "0.9,0.0,0.0\n"
         "1.9,0.0,1.0\n"
     )
-    r = tmp_path / "roc.csv"
-    write_roc_csv(roc_from_curves(curves), r)
-    assert r.read_text(encoding="utf-8") == (
+    assert roc_csv_text(roc_from_curves(curves)) == (
         "fmr,one_minus_fnmr\n"
         "0.0,0.0\n"
         "0.0,1.0\n"

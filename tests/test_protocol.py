@@ -132,7 +132,7 @@ def test_run_experiment_single_equals_direct_report():
     item = PlanItem(setting, setting, "intra")
     val, test = _val_and_test(setting, setting)
     method = MethodSpec("m1", "single", ("matcher_1",))
-    result = run_experiment(item, method, None, val, test, seed=5)
+    result = run_experiment(item, method, val, test, seed=5)
     from scorefuse.fusion import apply_fusion
 
     direct = evaluate_table(apply_fusion("avg", test.select(["matcher_1"])))
@@ -148,7 +148,7 @@ def test_run_experiment_leakage_guard():
     # inject an overlapping pair id space: reuse the test table as validation
     method = MethodSpec("avg", "avg", ("matcher_1", "matcher_2"))
     with pytest.raises(LeakageError, match="pair"):
-        run_experiment(item, method, None, test, test, seed=0)
+        run_experiment(item, method, test, test, seed=0)
 
 
 def test_run_experiment_checks_settings_and_matchers():
@@ -157,21 +157,21 @@ def test_run_experiment_checks_settings_and_matchers():
     val, test = _val_and_test(train_s, test_s)
     missing = MethodSpec("x", "avg", ("matcher_1", "nope"))
     with pytest.raises(ContractError, match="nope"):
-        run_experiment(item, missing, None, val, test, seed=0)
+        run_experiment(item, missing, val, test, seed=0)
 
     wrong_item = PlanItem(test_s, test_s, "intra")  # val came from train_s
     method = MethodSpec("avg", "avg", ("matcher_1", "matcher_2"))
     with pytest.raises(ContractError, match="validation"):
-        run_experiment(wrong_item, method, None, val, test, seed=0)
+        run_experiment(wrong_item, method, val, test, seed=0)
     # the same inputs pass once the setting check is relaxed
     res = run_experiment(
-        wrong_item, method, None, val, test, seed=0, enforce_validation_setting=False
+        wrong_item, method, val, test, seed=0, enforce_validation_setting=False
     )
     assert res.method_id == "avg"
 
     swapped = PlanItem(train_s, train_s, "intra")  # test came from test_s
     with pytest.raises(ContractError, match="test"):
-        run_experiment(swapped, method, None, val, test, seed=0)
+        run_experiment(swapped, method, val, test, seed=0)
 
 
 def test_run_experiment_parametric_needs_validation():
@@ -180,7 +180,7 @@ def test_run_experiment_parametric_needs_validation():
     _, test = _val_and_test(setting, setting)
     method = MethodSpec("pcc", "pcc_avg", ("matcher_1", "matcher_2"))
     with pytest.raises(ContractError, match="validation"):
-        run_experiment(item, method, None, None, test, seed=0)
+        run_experiment(item, method, None, test, seed=0)
 
 
 def test_run_experiment_perceptron_close_to_avg_on_symmetric_matchers():
@@ -188,7 +188,7 @@ def test_run_experiment_perceptron_close_to_avg_on_symmetric_matchers():
     item = PlanItem(setting, setting, "intra")
     val, test = _val_and_test(setting, setting, seed=33)
     avg_res = run_experiment(
-        item, MethodSpec("avg", "avg", ("matcher_1", "matcher_2")), None, val, test, seed=1
+        item, MethodSpec("avg", "avg", ("matcher_1", "matcher_2")), val, test, seed=1
     )
     per_res = run_experiment(
         item,
@@ -198,7 +198,6 @@ def test_run_experiment_perceptron_close_to_avg_on_symmetric_matchers():
             ("matcher_1", "matcher_2"),
             hyper=PerceptronHyper(max_epochs=3000),
         ),
-        None,
         val,
         test,
         seed=1,
@@ -216,8 +215,8 @@ def test_run_experiment_is_deterministic():
     item = PlanItem(setting, setting, "intra")
     val, test = _val_and_test(setting, setting, seed=8)
     method = MethodSpec("pcc", "pcc_avg", ("matcher_1", "matcher_2"))
-    r1 = run_experiment(item, method, None, val, test, seed=2)
-    r2 = run_experiment(item, method, None, val, test, seed=2)
+    r1 = run_experiment(item, method, val, test, seed=2)
+    r2 = run_experiment(item, method, val, test, seed=2)
     assert result_to_dict(r1) == result_to_dict(r2)
 
 
