@@ -2,6 +2,35 @@
 
 __version__ = "0.1.0"
 
+
+def _import_numpy_single_threaded() -> None:
+    """Load numpy with one OpenBLAS thread, then restore the environment.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when numpy loads it, and
+    otherwise starts one worker per CPU. Those idle workers cost CPU time in
+    every process, and above 10^4 elements OpenBLAS splits a 1-D dot product
+    across them, so the last bits of ``metrics.pcc`` would depend on the CPU
+    count. No BLAS call here gains from threads. A program that loaded numpy
+    before scorefuse keeps its own setting.
+    """
+    import os
+    import sys
+
+    if "numpy" in sys.modules:
+        return
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+_import_numpy_single_threaded()
+
 from .embeddings import (
     EmbeddingSet,
     batch_score,

@@ -59,10 +59,12 @@ from .tables import (
     ScoreTable,
     SettingDescriptor,
     align_tables,
+    csv_text,
     load_pairs,
     load_score_table,
     load_score_tables,
     normalize_scores,
+    plain_fields,
     score_table_csv_text,
 )
 
@@ -178,13 +180,11 @@ def cmd_correlate(args) -> int:
     tables = _load_tables(args.inputs, args.input_range, args.normalize)
     aligned = align_tables(tables)
     matrix = correlation_matrix(aligned)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("matcher_id", *matrix.matcher_ids))
-    for mid, row in zip(matrix.matcher_ids, matrix.values):
-        writer.writerow((mid, *[repr(v) for v in row]))
-    write_csv_artifact(args.out, buf.getvalue(), seed=args.seed, inputs=_digests(args.inputs))
-    print(buf.getvalue(), end="")
+    ids = matrix.matcher_ids
+    rows = ((mid, *map(repr, row)) for mid, row in zip(ids, matrix.values))
+    text = csv_text(("matcher_id", *ids), rows, plain_fields(ids))
+    write_csv_artifact(args.out, text, seed=args.seed, inputs=_digests(args.inputs))
+    print(text, end="")
     return 0
 
 

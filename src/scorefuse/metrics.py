@@ -15,15 +15,13 @@ operating points therefore depend on score ranks only.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, UndefinedEffectError
-from .tables import AlignedScores, ScoreTable
+from .tables import AlignedScores, ScoreTable, csv_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,18 +274,9 @@ def format_report(report: MetricsReport, precision: int = 2) -> str:
 
 
 def curves_csv_text(curves: ThresholdCurves) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("threshold", "fmr", "fnmr"))
-    for t, a, b in zip(curves.thresholds, curves.fmr, curves.fnmr):
-        writer.writerow((repr(float(t)), repr(float(a)), repr(float(b))))
-    return buf.getvalue()
+    columns = (curves.thresholds.tolist(), curves.fmr.tolist(), curves.fnmr.tolist())
+    return csv_text(("threshold", "fmr", "fnmr"), zip(*(map(repr, c) for c in columns)), plain=True)
 
 
 def roc_csv_text(roc: RocCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("fmr", "one_minus_fnmr"))
-    for x, y in roc.points:
-        writer.writerow((repr(x), repr(y)))
-    return buf.getvalue()
+    return csv_text(("fmr", "one_minus_fnmr"), (map(repr, p) for p in roc.points), plain=True)

@@ -23,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -639,28 +639,49 @@ def load_pairs(path) -> PairColumns:
 # ---------------------------------------------------------------- CSV output
 
 
+def plain_fields(fields) -> bool:
+    """True if no field holds ``,``, ``"``, CR or LF, so none needs quoting."""
+    text = "".join(fields)
+    return not ("," in text or '"' in text or "\r" in text or "\n" in text)
+
+
+def csv_text(header, rows, plain: bool) -> str:
+    """The CSV text ``csv.writer`` with LF line ends writes for ``header`` and ``rows``.
+
+    When the caller knows that every field is plain (:func:`plain_fields`),
+    the rows are joined with commas directly, which gives the same bytes in
+    a fraction of the time.
+    """
+    if plain:
+        return "\n".join(chain([",".join(header)], map(",".join, rows), [""]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def score_table_csv_text(table: ScoreTable) -> str:
     """The canonical CSV form (repr floats, LF newlines)."""
     c = table.columns
     cams, dists, dsets = c.setting_fields()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_CSV_HEADER)
-    writer.writerows(
-        zip(
-            repeat(table.matcher_id),
-            c.probe_ids.tolist(),
-            c.reference_ids.tolist(),
-            c.probe_subjects.tolist(),
-            c.reference_subjects.tolist(),
-            _per_row(["0", "1"], c.mated.astype(np.intp)),
-            cams,
-            map(repr, dists),
-            dsets,
-            map(repr, table.scores.tolist()),
-        )
+    texts = [
+        c.probe_ids.tolist(),
+        c.reference_ids.tolist(),
+        c.probe_subjects.tolist(),
+        c.reference_subjects.tolist(),
+    ]
+    rows = zip(
+        repeat(table.matcher_id),
+        *texts,
+        _per_row(["0", "1"], c.mated.astype(np.intp)),
+        cams,
+        map(repr, dists),
+        dsets,
+        map(repr, table.scores.tolist()),
     )
-    return buf.getvalue()
+    plain = all(map(plain_fields, [[table.matcher_id], *texts, cams, dsets]))
+    return csv_text(SCORE_CSV_HEADER, rows, plain)
 
 
 def write_score_table(table: ScoreTable, path) -> None:

@@ -6,7 +6,9 @@ class and message, for the earliest bad line. ``reference_load`` below is
 that row-by-row reading, kept as the oracle.
 """
 
+import csv
 import hashlib
+import io
 import math
 import pickle
 import random
@@ -38,7 +40,7 @@ from scorefuse.tables import (
     score_table_csv_text,
 )
 
-from helpers import columns, rows_of, table
+from helpers import columns, pair, rows_of, table
 
 SCORE_HEADER = ",".join(SCORE_CSV_HEADER)
 PAIRS_HEADER = ",".join(PAIRS_CSV_HEADER)
@@ -549,3 +551,35 @@ def test_round_trip_of_file_with_commas_in_ids(tmp_path):
     t = load_score_table(out, (0.0, 1.0))
     assert t.columns.probe_ids[0] == "a,b:p000000"
     assert score_table_csv_text(t) == text
+
+
+def csv_writer_text(t: ScoreTable) -> str:
+    """The canonical CSV form of ``t`` as ``csv.writer`` writes it, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SCORE_CSV_HEADER)
+    for probe, ref, psub, rsub, mated, s, score in rows_of(t.columns, t.scores):
+        writer.writerow(
+            (t.matcher_id, probe, ref, psub, rsub, int(mated), s.camera_id, repr(s.distance_m), s.dataset_id, repr(score))
+        )
+    return buf.getvalue()
+
+
+PAIR_FIELDS = ("probe_id", "reference_id", "probe_subject", "reference_subject")
+
+
+@pytest.mark.parametrize("special", ["", ",", '"', "\r", "\n", '"a,\r\nb"'])
+@pytest.mark.parametrize("field", ["matcher_id", *PAIR_FIELDS, "camera_id", "dataset_id"])
+def test_score_csv_text_equals_csv_writer(field, special):
+    value = f"x{special}y"
+    odd = {"camera_id": "cam1", "dataset_id": "unit"}
+    if field in odd:
+        odd[field] = value
+    settings = [SettingDescriptor("cam0", 1.0, "unit"), SettingDescriptor(odd["camera_id"], 2.6, odd["dataset_id"])]
+    rows = [pair(i, i % 2 == 0, setting=settings[i % 2]) for i in range(6)]
+    if field in PAIR_FIELDS:  # row 3 is non-mated, so its subjects may differ
+        k = PAIR_FIELDS.index(field)
+        rows[3] = rows[3][:k] + (value,) + rows[3][k + 1:]
+    matcher_id = value if field == "matcher_id" else "m"
+    t = ScoreTable(matcher_id, (0.0, 1.0), columns(rows), np.linspace(0.0, 1.0, 6) / 3)
+    assert score_table_csv_text(t) == csv_writer_text(t)
