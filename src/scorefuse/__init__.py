@@ -54,7 +54,6 @@ from .fusion import (
 from .metrics import (
     CorrelationMatrix,
     MetricsReport,
-    RocCurve,
     ThresholdCurves,
     auc,
     build_curves,
@@ -64,7 +63,6 @@ from .metrics import (
     evaluate_table,
     pcc,
     rate_at_operating_point,
-    roc_from_curves,
 )
 from .protocol import (
     ExperimentPlan,
@@ -89,12 +87,10 @@ from .tables import (
     AlignedScores,
     ScoreTable,
     SettingDescriptor,
-    SplitSpec,
     align_tables,
     load_pairs,
     load_score_table,
     normalize_scores,
-    split_subjects,
     write_score_table,
 )
 

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import itertools
 import json
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +31,6 @@ from .metrics import (
     evaluate_table,
     format_report,
     roc_csv_text,
-    roc_from_curves,
 )
 from .protocol import (
     ExperimentResult,
@@ -164,9 +159,7 @@ def cmd_eval(args) -> int:
         out_dir / "report.json", {"metrics": report.as_dict()}, seed=args.seed, inputs=inputs
     )
     write_csv_artifact(out_dir / "curves.csv", curves_csv_text(curves), seed=args.seed, inputs=inputs)
-    write_csv_artifact(
-        out_dir / "roc.csv", roc_csv_text(roc_from_curves(curves)), seed=args.seed, inputs=inputs
-    )
+    write_csv_artifact(out_dir / "roc.csv", roc_csv_text(curves), seed=args.seed, inputs=inputs)
     print(format_report(report, args.precision))
     return 0
 
@@ -408,11 +401,10 @@ class _GridData:
     """Score-file index, aligned-table cache and fit cache for one grid run.
 
     The validation and test groups the plan needs are loaded and aligned up
-    front (:meth:`prepare`), so worker threads only ever read that cache;
-    load or alignment failures are remembered and re-raised for every cell
-    that needs the poisoned (setting, split). No method uses the train
-    split, so its files are only hashed, for the input digests. Each
-    parametric method is fitted once per train setting, under a lock; a
+    front (:meth:`prepare`); load or alignment failures are remembered and
+    re-raised for every cell that needs the poisoned (setting, split). No
+    method uses the train split, so its files are only hashed, for the input
+    digests. Each parametric method is fitted once per train setting; a
     failed fit is remembered the same way and re-raised in every cell that
     fits it.
     """
@@ -428,7 +420,6 @@ class _GridData:
             self.files[key] = config_dir / entry["path"]
         self._aligned: dict[tuple[SettingDescriptor, str], AlignedScores | ScoreFuseError] = {}
         self._fits: dict[tuple[SettingDescriptor, str], object] = {}
-        self._fit_lock = threading.Lock()
         self.digests: dict[str, str] = {}
 
     @staticmethod
@@ -474,13 +465,12 @@ class _GridData:
     def fitted(self, setting: SettingDescriptor, method: MethodSpec, val_scores: AlignedScores):
         """``fit_method(method, val_scores)`` for the train ``setting``, fitted once."""
         key = (setting, method.method_id)
-        with self._fit_lock:
-            if key not in self._fits:
-                try:
-                    self._fits[key] = fit_method(method, val_scores)
-                except ScoreFuseError as exc:
-                    self._fits[key] = exc
-            cached = self._fits[key]
+        if key not in self._fits:
+            try:
+                self._fits[key] = fit_method(method, val_scores)
+            except ScoreFuseError as exc:
+                self._fits[key] = exc
+        cached = self._fits[key]
         if isinstance(cached, ScoreFuseError):
             raise cached
         return cached
@@ -524,23 +514,22 @@ def cmd_grid(args) -> int:
     with pool or contextlib.nullcontext():
         data.prepare(plan, (map if pool is None else pool.map)(_load_group, groups, paths))
 
-    cells = [(item, method) for item in plan.items for method in methods]
-    results: list[ExperimentResult | None] = [None] * len(cells)
+    ok_results: list[ExperimentResult] = []
     failures: list[dict] = []
-
-    def run_cell(idx: int) -> None:
-        item, method = cells[idx]
+    for item, method in itertools.product(plan.items, methods):
         try:
             val = data.aligned(item.train_setting, "validation")
             test = data.aligned(item.test_setting, "test")
-            results[idx] = run_experiment(
-                item,
-                method,
-                val,
-                test,
-                seed=seed,
-                enforce_validation_setting=enforce_val,
-                fit=functools.partial(data.fitted, item.train_setting),
+            ok_results.append(
+                run_experiment(
+                    item,
+                    method,
+                    val,
+                    test,
+                    seed=seed,
+                    enforce_validation_setting=enforce_val,
+                    fit=functools.partial(data.fitted, item.train_setting),
+                )
             )
         except ScoreFuseError as exc:
             if not args.keep_going:
@@ -549,7 +538,6 @@ def cmd_grid(args) -> int:
                 ) from exc
             failures.append(
                 {
-                    "index": idx,
                     "cell": item.key(),
                     "method_id": method.method_id,
                     "error": type(exc).__name__,
@@ -558,15 +546,6 @@ def cmd_grid(args) -> int:
                 }
             )
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run_cell, range(len(cells))))
-    else:
-        for idx in range(len(cells)):
-            run_cell(idx)
-
-    failures.sort(key=lambda f: f["index"])
-    ok_results = [r for r in results if r is not None]
     for res in ok_results:
         name = f"result__{res.item.key()}__{res.method_id}.json"
         write_json_artifact(
@@ -592,12 +571,9 @@ def cmd_grid(args) -> int:
     )
     if ok_results:
         primary = summaries[group_by[0]]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(primary[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        for row in primary:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-        write_csv_artifact(out_dir / "summary.csv", buf.getvalue(), seed=seed, inputs=all_inputs)
+        rows = ([repr(v) if isinstance(v, float) else str(v) for v in row.values()] for row in primary)
+        text = csv_text(list(primary[0]), rows, plain=False)
+        write_csv_artifact(out_dir / "summary.csv", text, seed=seed, inputs=all_inputs)
 
     print(f"{len(ok_results)} cell(s) completed, {len(failures)} failed; results in {out_dir}")
     if failures:
@@ -727,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_int_at_least(1),
         default=1,
-        help="processes loading score files and threads running cells (default 1)",
+        help="processes loading score files (default 1)",
     )
     p.add_argument("--keep-going", action="store_true", help="record cell failures and continue")
     p.set_defaults(fn=cmd_grid)

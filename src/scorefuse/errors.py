@@ -31,10 +31,6 @@ class ContractError(ScoreFuseError):
     exit_code = 4
 
 
-class PartitionError(ContractError):
-    """A subject split would leave one partition empty."""
-
-
 class UnknownEntityError(ContractError):
     """A referenced entity id does not resolve in the embedding set."""
 

@@ -52,22 +52,6 @@ class ThresholdCurves:
 
 
 @dataclass(frozen=True)
-class RocCurve:
-    """(FMR, 1 - FNMR) points, sorted by ascending FMR."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ContractError("ROC needs at least one point")
-        xs = [p[0] for p in self.points]
-        if any(not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0) for x, y in self.points):
-            raise ContractError("ROC coordinates must lie in [0, 1]")
-        if xs != sorted(xs) or xs[0] != 0.0 or xs[-1] != 1.0:
-            raise ContractError("ROC points must run from FMR 0 to FMR 1, ascending")
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """The five headline numbers plus class counts, percentages in [0, 100]."""
 
@@ -130,14 +114,6 @@ def build_curves(table) -> ThresholdCurves:
     """Exact (ungridded) threshold curves for a labeled table."""
     mated, nonmated = class_scores(table)
     return curves_from_scores(mated, nonmated)
-
-
-def roc_from_curves(curves: ThresholdCurves) -> RocCurve:
-    pts = [
-        (float(a), float(1.0 - b))
-        for a, b in zip(curves.fmr[::-1], curves.fnmr[::-1])
-    ]
-    return RocCurve(tuple(pts))
 
 
 def auc(curves: ThresholdCurves) -> float:
@@ -278,5 +254,7 @@ def curves_csv_text(curves: ThresholdCurves) -> str:
     return csv_text(("threshold", "fmr", "fnmr"), zip(*(map(repr, c) for c in columns)), plain=True)
 
 
-def roc_csv_text(roc: RocCurve) -> str:
-    return csv_text(("fmr", "one_minus_fnmr"), (map(repr, p) for p in roc.points), plain=True)
+def roc_csv_text(curves: ThresholdCurves) -> str:
+    """The ROC as (FMR, 1 - FNMR) rows, by ascending FMR: the sweep reversed."""
+    columns = (curves.fmr[::-1].tolist(), (1.0 - curves.fnmr[::-1]).tolist())
+    return csv_text(("fmr", "one_minus_fnmr"), zip(*(map(repr, c) for c in columns)), plain=True)

@@ -79,12 +79,6 @@ class SplitMix64:
         inv = _STD_NORMAL.inv_cdf
         return np.fromiter((inv(x) for x in u.tolist()), dtype=np.float64, count=n)
 
-    def shuffle(self, items: list) -> None:
-        """Fisher-Yates shuffle in place; index = word mod (i + 1)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_word() % (i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via ``math.erf`` (error far below 1e-10)."""

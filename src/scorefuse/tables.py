@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import threading
 from dataclasses import dataclass
@@ -34,11 +33,9 @@ from .errors import (
     ContractError,
     DuplicatePairError,
     ParseError,
-    PartitionError,
     RangeViolationError,
 )
 from .provenance import atomic_write_text, not_utf8, read_text
-from .rng import SplitMix64, substream_seed
 
 SCORE_CSV_HEADER = (
     "matcher_id",
@@ -285,13 +282,6 @@ class AlignedScores:
     def mated_mask(self) -> np.ndarray:
         return self.columns.mated
 
-    def column(self, matcher_id: str) -> np.ndarray:
-        try:
-            j = self.matcher_ids.index(matcher_id)
-        except ValueError:
-            raise ContractError(f"unknown matcher {matcher_id!r}") from None
-        return self.matrix[:, j]
-
     def select(self, matcher_ids: list[str] | tuple[str, ...]) -> "AlignedScores":
         """Sub-view with the given matchers, in the given order."""
         cols = [self.matcher_ids.index(m) if m in self.matcher_ids else -1 for m in matcher_ids]
@@ -326,21 +316,6 @@ class AlignedScores:
         h.update("".join(f"{p}|{r}|{m}|{k}\x00" for p, r, m, k in rows).encode("utf-8"))
         h.update(self.matrix.tobytes())
         return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Disjoint subject partitions for train / validation / test."""
-
-    train_subjects: frozenset[str]
-    validation_subjects: frozenset[str]
-    test_subjects: frozenset[str]
-    seed: int
-
-    def __post_init__(self):
-        a, b, c = self.train_subjects, self.validation_subjects, self.test_subjects
-        if a & b or a & c or b & c:
-            raise ContractError("split partitions must be pairwise disjoint")
 
 
 # ---------------------------------------------------------------- CSV input
@@ -645,20 +620,24 @@ def plain_fields(fields) -> bool:
     return not ("," in text or '"' in text or "\r" in text or "\n" in text)
 
 
-def csv_text(header, rows, plain: bool) -> str:
-    """The CSV text ``csv.writer`` with LF line ends writes for ``header`` and ``rows``.
+def _quoted(field: str) -> str:
+    """``field`` as one CSV field: in quotes, with ``"`` doubled, if it is not plain."""
+    return field if plain_fields((field,)) else '"' + field.replace('"', '""') + '"'
 
-    When the caller knows that every field is plain (:func:`plain_fields`),
-    the rows are joined with commas directly, which gives the same bytes in
-    a fraction of the time.
+
+def csv_text(header, rows, plain: bool) -> str:
+    """``header`` and ``rows`` as CSV text with LF line ends.
+
+    A field that holds ``,``, ``"``, CR or LF is quoted, which is what
+    ``csv.writer`` writes from Python 3.13 on; older versions leave a lone CR
+    unquoted, and ``csv.reader`` then splits the row there. When the caller
+    knows that every field is plain (:func:`plain_fields`), the quoting
+    check is skipped.
     """
-    if plain:
-        return "\n".join(chain([",".join(header)], map(",".join, rows), [""]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    if not plain:
+        header = map(_quoted, header)
+        rows = (map(_quoted, row) for row in rows)
+    return "\n".join(chain([",".join(header)], map(",".join, rows), [""]))
 
 
 def score_table_csv_text(table: ScoreTable) -> str:
@@ -789,47 +768,3 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
         what = ("mated flags", "settings", "subjects")[k]
         raise ConsistencyError(f"conflicting {what} for pair {base.key(row)}")
     return AlignedScores(tuple(ids), base, matrix)
-
-
-# ---------------------------------------------------------------- subject splits
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def split_subjects(
-    subjects: set[str],
-    test_fraction: float,
-    validation_fraction_of_remainder: float,
-    seed: int,
-) -> SplitSpec:
-    """Deterministically partition subjects into train/validation/test.
-
-    Subjects are sorted lexicographically, shuffled with a seeded SplitMix64
-    Fisher-Yates pass, then cut: the first round-half-up(test_fraction * n)
-    become test, the next round-half-up share of the remainder validation,
-    the rest train. Same inputs and seed always give the same split.
-    """
-    if not (0.0 < test_fraction < 1.0 and 0.0 < validation_fraction_of_remainder < 1.0):
-        raise ContractError("fractions must lie strictly between 0 and 1")
-    n = len(subjects)
-    if n < 3:
-        raise ContractError(f"need at least 3 subjects, got {n}")
-    ordered = sorted(subjects)
-    SplitMix64(substream_seed(seed, "subject-split")).shuffle(ordered)
-
-    n_test = _round_half_up(test_fraction * n)
-    if n_test == 0 or n_test >= n:
-        raise PartitionError(f"test_fraction {test_fraction} empties a partition for n={n}")
-    remainder = n - n_test
-    n_val = _round_half_up(validation_fraction_of_remainder * remainder)
-    if n_val == 0 or n_val >= remainder:
-        raise PartitionError(
-            f"validation fraction {validation_fraction_of_remainder} empties a partition "
-            f"for remainder={remainder}"
-        )
-    test = frozenset(ordered[:n_test])
-    validation = frozenset(ordered[n_test : n_test + n_val])
-    train = frozenset(ordered[n_test + n_val :])
-    return SplitSpec(train, validation, test, seed)

@@ -38,6 +38,7 @@ from scorefuse.tables import (
     load_score_table,
     load_score_tables,
     score_table_csv_text,
+    write_score_table,
 )
 
 from helpers import columns, pair, rows_of, table
@@ -554,15 +555,24 @@ def test_round_trip_of_file_with_commas_in_ids(tmp_path):
 
 
 def csv_writer_text(t: ScoreTable) -> str:
-    """The canonical CSV form of ``t`` as ``csv.writer`` writes it, row by row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_CSV_HEADER)
+    """The canonical CSV form of ``t`` as ``csv.writer`` writes it, row by row.
+
+    Each row is written with a CRLF line terminator, which the row's LF then
+    replaces: ``csv.writer`` quotes a field that holds a character of its
+    line terminator, so a lone CR is quoted on every Python version, as
+    ``csv.writer`` with LF line ends quotes it only from 3.13 on.
+    """
+    rows = [SCORE_CSV_HEADER]
     for probe, ref, psub, rsub, mated, s, score in rows_of(t.columns, t.scores):
-        writer.writerow(
+        rows.append(
             (t.matcher_id, probe, ref, psub, rsub, int(mated), s.camera_id, repr(s.distance_m), s.dataset_id, repr(score))
         )
-    return buf.getvalue()
+    text = ""
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        text += buf.getvalue().removesuffix("\r\n") + "\n"
+    return text
 
 
 PAIR_FIELDS = ("probe_id", "reference_id", "probe_subject", "reference_subject")
@@ -583,3 +593,21 @@ def test_score_csv_text_equals_csv_writer(field, special):
     matcher_id = value if field == "matcher_id" else "m"
     t = ScoreTable(matcher_id, (0.0, 1.0), columns(rows), np.linspace(0.0, 1.0, 6) / 3)
     assert score_table_csv_text(t) == csv_writer_text(t)
+
+
+@pytest.mark.parametrize("special", [",", '"', "\r", "\n", "\r\n"])
+def test_written_score_csv_loads_back(tmp_path, special):
+    def odd(text: str) -> str:
+        return f"{text}{special}x"
+
+    settings = [SettingDescriptor(odd("cam"), 1.0, odd("set")), SettingDescriptor("cam1", 2.6, odd("set"))]
+    rows = [
+        tuple(map(odd, row[:4])) + (row[4], settings[i % 2])
+        for i, row in enumerate(pair(i, i % 3 == 0) for i in range(6))
+    ]
+    t = ScoreTable(odd("m"), (0.0, 1.0), columns(rows), np.linspace(0.0, 1.0, 6) / 3)
+    path = tmp_path / "odd.csv"
+    write_score_table(t, path)
+    loaded = load_score_table(path, (0.0, 1.0))
+    assert loaded.matcher_id == t.matcher_id
+    assert rows_of(loaded.columns, loaded.scores) == rows_of(t.columns, t.scores)

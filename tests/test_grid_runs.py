@@ -1,17 +1,21 @@
 """Grid runs and command-line contracts: usage errors, file modes and atomic
 writes, the unused train split, fitting each parametric fuser once per train
-setting, the grid config contract, and input that is not UTF-8."""
+setting, cells on the main thread, cross-dataset cells, the quoting of
+summary.csv, the grid config contract, and input that is not UTF-8."""
 
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import scorefuse
+import scorefuse.cli
 import scorefuse.protocol
 import scorefuse.provenance
 from scorefuse.cli import main
@@ -20,7 +24,8 @@ from scorefuse.errors import ContractError
 from scorefuse.fusion import FusionWeights, fuser_to_dict, save_fuser
 from scorefuse.protocol import GROUP_BYS, METHOD_KINDS, PLAN_KINDS
 from scorefuse.provenance import atomic_write_text
-from scorefuse.tables import PAIRS_CSV_HEADER, score_table_csv_text, write_score_table
+from scorefuse.synth import GaussianScoreModel, generate_scores
+from scorefuse.tables import PAIRS_CSV_HEADER, SettingDescriptor, score_table_csv_text, write_score_table
 
 from helpers import table
 
@@ -215,6 +220,76 @@ def test_failed_fit_fails_each_cell_that_needs_it(tmp_path, monkeypatch, capsys)
     assert len(failures) == 4 and {f["method_id"] for f in failures} == {"pcc_avg"}
     assert all(f["error"] == "ContractError" and f["message"] == "no weights today" for f in failures)
     assert summary["summary"]["method"][0]["n_results"] == 4  # avg
+
+
+def test_cells_run_on_the_main_thread(tmp_path, monkeypatch):
+    config = small_demo(tmp_path, kinds=("intra", "cross_distance"), methods=("avg", "pcc_avg"))
+    on_main = []
+    original = scorefuse.cli.run_experiment
+
+    def recorded(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scorefuse.cli, "run_experiment", recorded)
+    assert main(["grid", "--config", str(config), "--jobs", "2"]) == 0
+    assert on_main == [True] * 8
+
+
+@pytest.mark.parametrize("method_id", ['a,"b', "a\rb", "a\nb"])
+def test_summary_csv_quotes_a_method_id_that_needs_it(tmp_path, method_id):
+    config_path = small_demo(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["methods"][0]["method_id"] = method_id
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["grid", "--config", str(config_path)]) == 0
+    with open(config_path.parent / "results" / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["method", method_id]
+
+
+def _two_dataset_grid(root: Path) -> Path:
+    """Two datasets of one setting each, 2 matchers, 300 rows per file."""
+    settings = [SettingDescriptor("cam1", 1.0, "d1"), SettingDescriptor("cam2", 2.0, "d2")]
+    score_files = []
+    for k, setting in enumerate(settings):
+        for split in ("validation", "test"):
+            for matcher in ("m1", "m2"):
+                model = GaussianScoreModel(0.35, 0.1, 0.6, 0.12, 100, 200, seed=k, clamp=True)
+                tag = f"{setting.dataset_id}-{split}:"
+                name = f"{matcher}__{setting.dataset_id}__{split}.csv"
+                write_score_table(generate_scores(model, matcher_id=matcher, setting=setting, id_tag=tag), root / name)
+                score_files.append({"matcher_id": matcher, **vars(setting), "split": split, "path": name})
+    config = {
+        "schema": "scorefuse-grid-config/1",
+        "seed": 5,
+        "output_dir": "results",
+        "kinds": ["intra", "cross_dataset"],
+        "matchers": ["m1", "m2"],
+        "settings": [vars(s) for s in settings],
+        "score_files": score_files,
+        "methods": [
+            {"method_id": "avg", "kind": "avg", "matchers": ["m1", "m2"]},
+            {"method_id": "pcc_avg", "kind": "pcc_avg", "matchers": ["m1", "m2"]},
+        ],
+    }
+    path = root / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def test_cross_dataset_grid_runs_the_same_at_every_jobs(tmp_path):
+    config = _two_dataset_grid(tmp_path)
+    runs = []
+    for jobs in ("1", "2"):
+        assert main(["grid", "--config", str(config), "--jobs", jobs]) == 0
+        results = tmp_path / "results"
+        runs.append({p.name: p.read_bytes() for p in results.iterdir()})
+        shutil.rmtree(results)
+    assert runs[1] == runs[0]
+    cells = sorted(name for name in runs[0] if name.startswith("result__"))
+    assert len(cells) == 8
+    assert sum(name.startswith("result__cross_dataset__") for name in cells) == 4
 
 
 def test_leakage_takes_precedence_over_a_failed_fit(tmp_path, monkeypatch, capsys):

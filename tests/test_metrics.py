@@ -16,7 +16,6 @@ from scorefuse.metrics import (
     pcc,
     rate_at_operating_point,
     roc_csv_text,
-    roc_from_curves,
 )
 from scorefuse.rng import SplitMix64
 from scorefuse.synth import brute_force_auc, brute_force_eer
@@ -291,7 +290,7 @@ def test_curve_csv_exports():
         "0.9,0.0,0.0\n"
         "1.9,0.0,1.0\n"
     )
-    assert roc_csv_text(roc_from_curves(curves)) == (
+    assert roc_csv_text(curves) == (
         "fmr,one_minus_fnmr\n"
         "0.0,0.0\n"
         "0.0,1.0\n"

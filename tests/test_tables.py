@@ -9,7 +9,6 @@ from scorefuse.errors import (
     ContractError,
     DuplicatePairError,
     ParseError,
-    PartitionError,
     RangeViolationError,
 )
 from scorefuse.tables import (
@@ -19,7 +18,6 @@ from scorefuse.tables import (
     load_pairs,
     load_score_table,
     normalize_scores,
-    split_subjects,
     write_score_table,
 )
 
@@ -176,49 +174,9 @@ def test_aligned_select_and_column():
     al = aligned({"a": [0.1, 0.9], "b": [0.2, 0.8]}, [False, True])
     sub = al.select(["b"])
     assert sub.matcher_ids == ("b",)
-    np.testing.assert_array_equal(sub.matrix[:, 0], al.column("b"))
+    np.testing.assert_array_equal(sub.matrix[:, 0], al.matrix[:, al.matcher_ids.index("b")])
     with pytest.raises(ContractError):
         al.select(["missing"])
-
-
-def test_split_sizes_for_130_subjects():
-    subjects = {f"subj{i:03d}" for i in range(130)}
-    spec = split_subjects(subjects, 0.1923, 0.10, seed=11)
-    assert len(spec.test_subjects) == 25
-    assert len(spec.validation_subjects) == 11
-    assert len(spec.train_subjects) == 94
-
-
-def test_split_is_deterministic_and_seed_sensitive():
-    subjects = {f"s{i}" for i in range(50)}
-    a = split_subjects(subjects, 0.2, 0.1, seed=7)
-    b = split_subjects(subjects, 0.2, 0.1, seed=7)
-    c = split_subjects(subjects, 0.2, 0.1, seed=8)
-    assert a == b
-    assert a != c
-
-
-def test_split_three_subjects():
-    spec = split_subjects({"a", "b", "c"}, 0.34, 0.5, seed=0)
-    assert len(spec.test_subjects) == 1
-    assert len(spec.validation_subjects) == 1
-    assert len(spec.train_subjects) == 1
-
-
-def test_split_partitions_cover_and_are_disjoint_for_many_seeds():
-    subjects = {f"u{i}" for i in range(17)}
-    for seed in range(25):
-        spec = split_subjects(subjects, 0.25, 0.2, seed=seed)
-        parts = [spec.train_subjects, spec.validation_subjects, spec.test_subjects]
-        assert set().union(*parts) == subjects
-        assert sum(len(p) for p in parts) == len(subjects)
-
-
-def test_split_rejects_degenerate_fractions():
-    with pytest.raises(ContractError):
-        split_subjects({"a", "b", "c"}, 0.0, 0.5, seed=0)
-    with pytest.raises(PartitionError):
-        split_subjects({f"s{i}" for i in range(4)}, 0.01, 0.5, seed=0)
 
 
 def test_load_pairs(tmp_path):
