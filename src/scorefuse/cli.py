@@ -35,6 +35,7 @@ from .metrics import (
 from .protocol import (
     ExperimentResult,
     MethodSpec,
+    PlanItem,
     aggregate_results,
     fit_method,
     fuse_method,
@@ -71,7 +72,7 @@ def _load_tables(paths, input_range, normalize: bool) -> list[ScoreTable]:
     tables = []
     for path, table in zip(paths, load_score_tables(paths, (lo, hi))):
         if normalize:
-            table = normalize_scores(table, "affine_to_unit")
+            table = normalize_scores(table)
         elif table.declared_range != (0.0, 1.0):
             raise ContractError(
                 f"{path}: declared range [{lo}, {hi}] is not [0, 1]; pass --normalize"
@@ -95,7 +96,7 @@ def cmd_score(args) -> int:
         raise ContractError(f"{args.pairs}: no comparisons to score")
     table = batch_score(refs, probes, pairs, args.metric, matcher_id=args.matcher_id)
     if args.normalize:
-        table = normalize_scores(table, "affine_to_unit")
+        table = normalize_scores(table)
     inputs = _digests([args.references, args.probes, args.pairs])
     write_csv_artifact(args.out, score_table_csv_text(table), seed=args.seed, inputs=inputs)
     print(f"wrote {len(table)} scores to {args.out}")
@@ -184,6 +185,18 @@ def cmd_correlate(args) -> int:
 # ---------------------------------------------------------------- synth
 
 
+_MODEL_SCHEMA = {  # a synth --model-file document, read by _violations
+    "type": "object",
+    "required": ["mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated", "n_mated", "n_nonmated"],
+    "properties": {
+        **dict.fromkeys(("mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"), {"type": "number"}),
+        **dict.fromkeys(("n_mated", "n_nonmated", "seed"), {"type": "integer"}),
+        "clamp": {"type": "boolean"},
+    },
+    "additionalProperties": False,
+}
+
+
 def cmd_synth(args) -> int:
     if args.demo:
         config = build_demo(args.demo, args.seed)
@@ -191,19 +204,18 @@ def cmd_synth(args) -> int:
         return 0
     if args.model_file:
         doc = read_json(args.model_file)
-        try:
-            model = GaussianScoreModel(
-                mu_nonmated=float(doc["mu_nonmated"]),
-                sigma_nonmated=float(doc["sigma_nonmated"]),
-                mu_mated=float(doc["mu_mated"]),
-                sigma_mated=float(doc["sigma_mated"]),
-                n_mated=int(doc["n_mated"]),
-                n_nonmated=int(doc["n_nonmated"]),
-                seed=int(doc.get("seed", args.seed)),
-                clamp=bool(doc.get("clamp", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{args.model_file}: malformed model ({exc})") from None
+        for msg in _violations(doc, _MODEL_SCHEMA, ("model",)):
+            raise ParseError(f"{args.model_file}: {msg}")
+        model = GaussianScoreModel(
+            mu_nonmated=float(doc["mu_nonmated"]),
+            sigma_nonmated=float(doc["sigma_nonmated"]),
+            mu_mated=float(doc["mu_mated"]),
+            sigma_mated=float(doc["sigma_mated"]),
+            n_mated=int(doc["n_mated"]),
+            n_nonmated=int(doc["n_nonmated"]),
+            seed=int(doc.get("seed", args.seed)),
+            clamp=doc.get("clamp", False),
+        )
         inputs = _digests([args.model_file])
     else:
         model = GaussianScoreModel(
@@ -242,9 +254,10 @@ _TYPES = {  # JSON Schema type: (test, how a message names it)
 def _violations(value, schema: dict, path: tuple[str, ...] = ()):
     """Each way ``value`` breaks ``schema``, as a message naming the key.
 
-    Reads the keywords that schemas/grid_config.schema.json uses and no
-    other: type, const, enum, required, properties, additionalProperties
-    (false), items, minItems, uniqueItems, minimum and exclusiveMinimum. Its
+    Reads the keywords that schemas/grid_config.schema.json and
+    ``_MODEL_SCHEMA`` use and no other: type, const, enum, required,
+    properties, additionalProperties (false), items, minItems, uniqueItems,
+    minimum and exclusiveMinimum. Its
     const and enum values are strings, which ``==`` compares as JSON does.
     Beyond JSON Schema, a number must be finite as a float.
     """
@@ -345,18 +358,54 @@ def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
     return MethodSpec(entry["method_id"], entry["kind"], tuple(entry["matchers"]), weights, hyper)
 
 
+_Group = tuple[SettingDescriptor, str]  # (setting, split)
+
+
+def _item_groups(item: PlanItem) -> tuple[_Group, _Group, _Group]:
+    """A plan item's validation, test and train groups."""
+    return (item.train_setting, "validation"), (item.test_setting, "test"), (item.train_setting, "train")
+
+
+def _plan_groups(doc: dict, config_dir: Path, plan) -> dict[_Group, dict[str, Path | None]]:
+    """Each (setting, split) group the plan uses, mapped to ``{matcher: path
+    or None}`` in config order, None where the config declares no file.
+
+    The groups are each plan item's validation, test and train groups, in
+    order of first use. No method reads the train split; a train group is
+    listed, so that its files are hashed, only when every matcher declares a
+    file for it.
+    """
+    files: dict[tuple[str, SettingDescriptor, str], Path] = {}
+    for entry in doc["score_files"]:
+        setting = SettingDescriptor(entry["camera_id"], entry["distance_m"], entry["dataset_id"])
+        key = (entry["matcher_id"], setting, entry["split"])
+        if key in files:
+            raise ParseError(f"duplicate score_files entry for {key}")
+        files[key] = config_dir / entry["path"]
+    groups: dict[_Group, dict[str, Path | None]] = {}
+    for item in plan.items:
+        for group in _item_groups(item):
+            paths = {matcher: files.get((matcher, *group)) for matcher in doc["matchers"]}
+            if group[1] != "train" or None not in paths.values():
+                groups.setdefault(group, paths)
+    return groups
+
+
 def _load_group(
-    group: tuple[SettingDescriptor, str], paths: dict[str, Path | None]
-) -> tuple[AlignedScores | ScoreFuseError, dict[str, str]]:
+    group: _Group, paths: dict[str, Path | None]
+) -> tuple[AlignedScores | ScoreFuseError | None, dict[str, str]]:
     """Load and align the score files of one (setting, split) group.
 
-    ``paths`` maps each matcher, in config order, to its file, or to None
-    where the config declares none. Each file is hashed once it has loaded,
-    and the aligned table's digest is computed here, so a worker process
-    returns it with the table. Returns the aligned table, or the error that
-    stopped the group, with the digests made up to that point; an
-    ``OSError`` propagates.
+    ``paths`` is the group's entry of :func:`_plan_groups`. Each file is
+    hashed once it has loaded, and the aligned table's digest is computed
+    here, so a worker process returns it with the table. Returns the aligned
+    table, or the error that stopped the group, with the digests made up to
+    that point. A train group's files are only hashed, and its table is
+    None. An ``OSError`` propagates.
     """
+    setting, split = group
+    if split == "train":
+        return None, {str(path): sha256_file(path) for path in paths.values()}
     digests: dict[str, str] = {}
     try:
         declared = list(itertools.takewhile(lambda path: path is not None, paths.values()))
@@ -365,7 +414,6 @@ def _load_group(
             tables.append(table)
             digests[str(path)] = sha256_file(path)
         if len(declared) < len(paths):
-            setting, split = group
             raise ContractError(
                 f"no score file declared for matcher {list(paths)[len(declared)]!r}, "
                 f"setting {setting.key()}, split {split!r}"
@@ -397,99 +445,11 @@ def _fork_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-class _GridData:
-    """Score-file index, aligned-table cache and fit cache for one grid run.
-
-    The validation and test groups the plan needs are loaded and aligned up
-    front (:meth:`prepare`); load or alignment failures are remembered and
-    re-raised for every cell that needs the poisoned (setting, split). No
-    method uses the train split, so its files are only hashed, for the input
-    digests. Each parametric method is fitted once per train setting; a
-    failed fit is remembered the same way and re-raised in every cell that
-    fits it.
-    """
-
-    def __init__(self, doc: dict, config_dir: Path):
-        self.matchers = list(doc["matchers"])
-        self.files: dict[tuple[str, SettingDescriptor, str], Path] = {}
-        for entry in doc["score_files"]:
-            setting = SettingDescriptor(entry["camera_id"], entry["distance_m"], entry["dataset_id"])
-            key = (entry["matcher_id"], setting, entry["split"])
-            if key in self.files:
-                raise ParseError(f"duplicate score_files entry for {key}")
-            self.files[key] = config_dir / entry["path"]
-        self._aligned: dict[tuple[SettingDescriptor, str], AlignedScores | ScoreFuseError] = {}
-        self._fits: dict[tuple[SettingDescriptor, str], object] = {}
-        self.digests: dict[str, str] = {}
-
-    @staticmethod
-    def reads(item) -> tuple[tuple[SettingDescriptor, str], ...]:
-        """The (setting, split) groups a plan item's cells read."""
-        return ((item.train_setting, "validation"), (item.test_setting, "test"))
-
-    def groups(self, plan) -> list[tuple[SettingDescriptor, str]]:
-        """The groups the plan's cells read, in order of first use."""
-        return list(dict.fromkeys(group for item in plan.items for group in self.reads(item)))
-
-    def group_paths(self, setting: SettingDescriptor, split: str) -> dict[str, Path | None]:
-        return {m: self.files.get((m, setting, split)) for m in self.matchers}
-
-    def prepare(self, plan, loaded) -> None:
-        """Cache each group's outcome and hash the train split's files.
-
-        ``loaded`` yields :func:`_load_group` of each of ``groups(plan)``, in
-        order. It is read as the plan is walked, so an ``OSError`` surfaces at
-        the same point of the walk however the groups are loaded.
-        """
-        loaded = iter(loaded)
-        for item in plan.items:
-            for key in self.reads(item):
-                if key not in self._aligned:
-                    self._aligned[key], digests = next(loaded)
-                    self.digests.update(digests)
-            if self.has_split(item.train_setting, "train"):
-                self.hash_split(item.train_setting, "train")
-
-    def hash_split(self, setting: SettingDescriptor, split: str) -> None:
-        for matcher in self.matchers:
-            path = str(self.files[(matcher, setting, split)])
-            if path not in self.digests:
-                self.digests[path] = sha256_file(path)
-
-    def aligned(self, setting: SettingDescriptor, split: str) -> AlignedScores:
-        cached = self._aligned[(setting, split)]
-        if isinstance(cached, ScoreFuseError):
-            raise cached
-        return cached
-
-    def fitted(self, setting: SettingDescriptor, method: MethodSpec, val_scores: AlignedScores):
-        """``fit_method(method, val_scores)`` for the train ``setting``, fitted once."""
-        key = (setting, method.method_id)
-        if key not in self._fits:
-            try:
-                self._fits[key] = fit_method(method, val_scores)
-            except ScoreFuseError as exc:
-                self._fits[key] = exc
-        cached = self._fits[key]
-        if isinstance(cached, ScoreFuseError):
-            raise cached
-        return cached
-
-    def has_split(self, setting: SettingDescriptor, split: str) -> bool:
-        return all((m, setting, split) in self.files for m in self.matchers)
-
-    def cell_digests(self, item) -> dict[str, str]:
-        """Digests of the score files feeding one plan item."""
-        wanted = [(item.train_setting, "validation"), (item.test_setting, "test")]
-        if self.has_split(item.train_setting, "train"):
-            wanted.append((item.train_setting, "train"))
-        out = {}
-        for setting, split in wanted:
-            for matcher in self.matchers:
-                path = self.files.get((matcher, setting, split))
-                if path is not None and str(path) in self.digests:
-                    out[str(path)] = self.digests[str(path)]
-        return out
+def _unwrap(outcome):
+    """``outcome``, raised instead if it is an error stored in a result's place."""
+    if isinstance(outcome, ScoreFuseError):
+        raise outcome
+    return outcome
 
 
 def cmd_grid(args) -> int:
@@ -505,30 +465,43 @@ def cmd_grid(args) -> int:
     settings = [SettingDescriptor(e["camera_id"], e["distance_m"], e["dataset_id"]) for e in doc["settings"]]
     plan = plan_experiments(settings, doc["kinds"])
     methods = [_method_from_config(entry, config_dir) for entry in doc["methods"]]
-    data = _GridData(doc, config_dir)
+    groups = _plan_groups(doc, config_dir, plan)
     config_digest = {str(config_path): sha256_file(config_path)}
 
-    groups = data.groups(plan)
-    paths = [data.group_paths(*group) for group in groups]
+    # results are taken in plan order, so an OSError surfaces at the same
+    # group at every --jobs
     pool = _fork_pool(min(args.jobs, len(groups)))
     with pool or contextlib.nullcontext():
-        data.prepare(plan, (map if pool is None else pool.map)(_load_group, groups, paths))
+        mapper = map if pool is None else pool.map
+        loaded = dict(zip(groups, mapper(_load_group, groups, groups.values())))
+
+    fits: dict[tuple[SettingDescriptor, str], object] = {}
+
+    def fit(setting: SettingDescriptor, method: MethodSpec, val_scores: AlignedScores):
+        """``fit_method`` for the train ``setting``, fitted once; a failed fit
+        is raised again in every cell that fits it."""
+        key = (setting, method.method_id)
+        if key not in fits:
+            try:
+                fits[key] = fit_method(method, val_scores)
+            except ScoreFuseError as exc:
+                fits[key] = exc
+        return _unwrap(fits[key])
 
     ok_results: list[ExperimentResult] = []
     failures: list[dict] = []
     for item, method in itertools.product(plan.items, methods):
+        val_group, test_group, _ = _item_groups(item)
         try:
-            val = data.aligned(item.train_setting, "validation")
-            test = data.aligned(item.test_setting, "test")
             ok_results.append(
                 run_experiment(
                     item,
                     method,
-                    val,
-                    test,
+                    _unwrap(loaded[val_group][0]),
+                    _unwrap(loaded[test_group][0]),
                     seed=seed,
                     enforce_validation_setting=enforce_val,
-                    fit=functools.partial(data.fitted, item.train_setting),
+                    fit=functools.partial(fit, item.train_setting),
                 )
             )
         except ScoreFuseError as exc:
@@ -548,14 +521,14 @@ def cmd_grid(args) -> int:
 
     for res in ok_results:
         name = f"result__{res.item.key()}__{res.method_id}.json"
-        write_json_artifact(
-            out_dir / name,
-            result_to_dict(res),
-            seed=seed,
-            inputs={**config_digest, **data.cell_digests(res.item)},
-        )
+        inputs = dict(config_digest)
+        for group in _item_groups(res.item):
+            inputs.update(loaded.get(group, (None, {}))[1])
+        write_json_artifact(out_dir / name, result_to_dict(res), seed=seed, inputs=inputs)
 
-    all_inputs = {**config_digest, **data.digests}
+    all_inputs = dict(config_digest)
+    for _, digests in loaded.values():
+        all_inputs.update(digests)
     failure_rows = [
         {k: f[k] for k in ("cell", "method_id", "error", "message")} for f in failures
     ]

@@ -202,7 +202,6 @@ def run_experiment(
     test_scores: AlignedScores,
     *,
     seed: int,
-    provenance: Mapping[str, str] | None = None,
     enforce_validation_setting: bool = True,
     fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
 ) -> ExperimentResult:
@@ -226,8 +225,6 @@ def run_experiment(
     prov = {"test_scores_sha256": test_scores.sha256}
     if val_scores is not None:
         prov["validation_scores_sha256"] = val_scores.sha256
-    if provenance:
-        prov.update(provenance)
     report = evaluate_table(fused)
     fitted = None if fuser is None else fuser_to_dict(fuser)
     return ExperimentResult(item, method.method_id, report, seed, prov, fitted)

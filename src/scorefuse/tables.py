@@ -528,43 +528,28 @@ def load_score_tables(paths, declared_range: tuple[float, float]):
     only when the previous one has loaded.
 
     Files that list the same comparisons, as the matchers of one setting and
-    split do, share one :class:`PairColumns`. A later file whose eight pair
-    fields, as read, equal the first file's row for row, and whose matcher id
-    and scores pass their checks, keeps only its matcher id and score column
-    over the first table's columns. Any other file is checked in full, so a
-    bad file raises what :func:`load_score_table` raises for it.
+    split do, share one :class:`PairColumns`: a later file whose eight pair
+    fields, as read, equal the first file's row for row gets a table over the
+    first table's columns. Every file runs the same checks, so a bad file
+    raises what :func:`load_score_table` raises for it.
     """
-    first = fields = None
+    shared = None
     for path in map(Path, paths):
         check = _FirstBadRow(path, SCORE_CSV_HEADER)
-        if first is None:
-            first, fields = _score_table(path, declared_range, check), check.columns[1:9]
-            yield first
-            continue
-        table = _shared_table(check, fields, first.columns, declared_range)
-        yield _score_table(path, declared_range, check) if table is None else table
+        table = _score_table(path, declared_range, check, shared)
+        shared = shared or (check.columns[1:9], table.columns)
+        yield table
 
 
-def _shared_table(check: _FirstBadRow, fields, columns: PairColumns, declared_range) -> ScoreTable | None:
-    """The table of ``check``'s file over ``columns``, or None unless its pair
-    fields equal ``fields`` and its matcher id and scores pass their checks."""
-    mids, score_texts = check.columns[0], check.columns[9]
-    if check.error is not None or not mids or mids.count(mids[0]) != len(mids):
-        return None
-    if check.columns[1:9] != fields:
-        return None
-    try:
-        scores = np.fromiter(map(float, score_texts), np.float64, len(score_texts))
-    except ValueError:
-        return None
-    lo, hi = declared_range
-    if not np.all((lo <= scores) & (scores <= hi)):  # also false for NaN
-        return None
-    return ScoreTable(mids[0], declared_range, columns, scores)
+def _score_table(path: Path, declared_range, check: _FirstBadRow, shared=None) -> ScoreTable:
+    """The checks of :func:`load_score_table` over ``check``'s columns, then its table.
 
-
-def _score_table(path: Path, declared_range, check: _FirstBadRow) -> ScoreTable:
-    """The checks of :func:`load_score_table` over ``check``'s columns, then its table."""
+    ``shared`` is an earlier file's pair fields, as read, and the columns
+    loaded from them. Once the matcher id, mated flag, float and range checks
+    have passed, a file with those pair fields gets a table over those
+    columns: the remaining checks look only at the pair fields, which the
+    earlier file passed.
+    """
     lo, hi = declared_range
     mids, probes, refs, psubs, rsubs, flags, cams, dists, dsets, score_texts = check.columns
     matcher_id = mids[0] if mids else path.stem
@@ -582,6 +567,8 @@ def _score_table(path: Path, declared_range, check: _FirstBadRow) -> ScoreTable:
         RangeViolationError,
         lambda i: f"score {score_texts[i]} outside declared range [{lo}, {hi}]",
     )
+    if shared is not None and check.error is None and check.columns[1:9] == shared[0]:
+        return ScoreTable(matcher_id, (lo, hi), shared[1], scores)
     key_index = check.key_index(probes, refs)
     n = check.limit
     columns = check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
@@ -670,22 +657,10 @@ def write_score_table(table: ScoreTable, path) -> None:
 # ---------------------------------------------------------------- transforms
 
 
-def normalize_scores(table: ScoreTable, method: str = "affine_to_unit") -> ScoreTable:
-    """Map a table's scores into [0, 1].
-
-    ``affine_to_unit`` applies s -> (s - lo) / (hi - lo) using the declared
-    range (order-preserving, so rank metrics are unaffected); ``identity``
-    asserts the table is already declared [0, 1] and returns it unchanged.
-    """
+def normalize_scores(table: ScoreTable) -> ScoreTable:
+    """Map a table's scores into [0, 1] by s -> (s - lo) / (hi - lo), using
+    the declared range (order-preserving, so rank metrics are unaffected)."""
     lo, hi = table.declared_range
-    if method == "identity":
-        if (lo, hi) != (0.0, 1.0):
-            raise ContractError(
-                f"identity normalization requires declared range [0, 1], got [{lo}, {hi}]"
-            )
-        return table
-    if method != "affine_to_unit":
-        raise ContractError(f"unknown normalization method {method!r}")
     if not hi > lo:
         raise ContractError(f"affine_to_unit needs hi > lo, got [{lo}, {hi}]")
     return ScoreTable(table.matcher_id, (0.0, 1.0), table.columns, (table.scores - lo) / (hi - lo))

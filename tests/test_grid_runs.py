@@ -329,6 +329,19 @@ def _undeclared(demo: Path) -> None:
     (demo / "config.json").write_text(json.dumps(config), encoding="utf-8")
 
 
+def _declare_train(demo: Path, every_matcher: bool) -> None:
+    """Add train entries, beside the validation ones, for every matcher or
+    all but the last; their files do not exist."""
+    config = json.loads((demo / "config.json").read_text(encoding="utf-8"))
+    matchers = config["matchers"] if every_matcher else config["matchers"][:-1]
+    config["score_files"] += [
+        {**e, "split": "train", "path": e["path"].replace("__validation.csv", "__train.csv")}
+        for e in config["score_files"]
+        if e["split"] == "validation" and e["matcher_id"] in matchers
+    ]
+    (demo / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "case, edit, code, message",
     [
@@ -337,6 +350,8 @@ def _undeclared(demo: Path) -> None:
         ("bad-file", _bad_score, 3, f"{EDITED}:6: non-numeric score 'high'"),
         ("undeclared", _undeclared, 4, "no score file declared for matcher 'm2', setting demo-cam1-2.6"),
         ("missing-file", lambda demo: (demo / EDITED).unlink(), 7, "i/o error: [Errno 2] No such file"),
+        ("missing-train-file", lambda demo: _declare_train(demo, True), 7, "i/o error: [Errno 2] No such file"),
+        ("partial-train", lambda demo: _declare_train(demo, False), 0, None),  # no train group: nothing hashed
     ],
 )
 def test_grid_outputs_do_not_depend_on_jobs(tmp_path, capsys, case, edit, code, message):
@@ -355,12 +370,14 @@ def test_grid_outputs_do_not_depend_on_jobs(tmp_path, capsys, case, edit, code, 
     assert runs[1] == runs[0] and runs[2] == runs[0]
     exit_code, out, files = runs[0]
     assert exit_code == code, out.err
-    if case == "missing-file":
-        assert message in out.err and EDITED in out.err and files == {}
+    if code == 7:
+        assert message in out.err and files == {}
+        assert (EDITED if case == "missing-file" else "__train.csv") in out.err
         return
     summary = json.loads(files["summary.json"])
     assert len(files) > 3
     assert all(message in f["message"] for f in summary["failures"]) if message else not summary["failures"]
+    assert not [p for p in summary["input_digests"] if "__train" in p]
     if case in ("bad-file", "undeclared"):  # the group's files after the failing one are not hashed
         assert summary["failures"] and not [p for p in summary["input_digests"] if "m3__demo-cam1-2.6__val" in p]
 
@@ -678,3 +695,32 @@ def test_synth_non_finite_model_flag_is_a_usage_error(tmp_path, flag, value):
     assert code == 2
     assert flag in err and "Traceback" not in err
     assert not out.exists()
+
+
+_MODEL = {"mu_nonmated": 0.3, "sigma_nonmated": 0.1, "mu_mated": 0.6, "sigma_mated": 0.1, "n_mated": 5, "n_nonmated": 5}
+_DROP = object()  # the key is left out
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        ({"n_mated": 2.7}, "n_mated"),
+        ({"n_mated": True}, "n_mated"),
+        ({"n_nonmated": "5"}, "n_nonmated"),
+        ({"seed": 1.9}, "seed"),
+        ({"clamp": "false"}, "clamp"),
+        ({"clamp": 0}, "clamp"),
+        ({"mu_mated": "0.6"}, "mu_mated"),
+        ({"sigma_mated": None}, "sigma_mated"),
+        ({"n_mated": _DROP}, "n_mated"),
+        ({"sed": 1}, "sed"),
+    ],
+    ids=lambda v: json.dumps(v, default=lambda _: "missing") if isinstance(v, dict) else v,
+)
+def test_synth_mistyped_model_file_is_a_parse_error(tmp_path, edit, key):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({k: v for k, v in {**_MODEL, **edit}.items() if v is not _DROP}), encoding="utf-8")
+    code, err = cli("synth", "--model-file", model, "--out", tmp_path / "out" / "s.csv")
+    assert code == 3, err
+    assert f"{model}: " in err and repr(key) in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -104,25 +104,21 @@ def test_record_invariants():
 
 def test_normalize_cosine_endpoints():
     t = table([-1.0], [0.0], declared=(-1.0, 1.0))
-    out = normalize_scores(t, "affine_to_unit")
+    out = normalize_scores(t)
     assert out.declared_range == (0.0, 1.0)
     assert out.scores.tolist() == [0.0, 0.5]
 
 
 def test_normalize_identity_cases():
     t = table([0.7], [0.2])
-    assert normalize_scores(t, "affine_to_unit").scores[0] == pytest.approx(0.7, abs=1e-15)
-    assert normalize_scores(t, "identity") is t
-    wide = table([0.5], [0.2], declared=(0.0, 2.0))
-    with pytest.raises(ContractError):
-        normalize_scores(wide, "identity")
+    assert normalize_scores(t).scores[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_normalize_preserves_order():
     rng = np.random.default_rng(3)
     scores = np.sort(rng.uniform(-1.0, 1.0, size=200))
     t = table(scores[:100], scores[100:], declared=(-1.0, 1.0))
-    out = normalize_scores(t, "affine_to_unit")
+    out = normalize_scores(t)
     normalized = out.scores.tolist()
     ranks_in = np.argsort(t.scores, kind="stable")
     ranks_out = np.argsort(normalized, kind="stable")
