@@ -17,13 +17,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
 from .demo import build_demo
 from .embeddings import METRICS, batch_score, load_embeddings
 from .errors import IO_EXIT_CODE, ContractError, ParseError, ScoreFuseError
-from .fusion import FusionWeights, PerceptronHyper, fuser_to_dict, load_fuser
+from .fusion import PerceptronHyper, fuser_to_dict, load_weights
 from .metrics import (
     build_curves,
     correlation_matrix,
@@ -33,6 +34,7 @@ from .metrics import (
     roc_csv_text,
 )
 from .protocol import (
+    METHOD_KINDS,
     ExperimentResult,
     MethodSpec,
     PlanItem,
@@ -64,7 +66,7 @@ from .tables import (
     score_table_csv_text,
 )
 
-FUSE_METHODS = ("avg", "bayes", "pcc_avg", "weighted", "perceptron")
+FUSE_METHODS = tuple(kind for kind in METHOD_KINDS if kind != "single")
 
 
 def _load_tables(paths, input_range, normalize: bool) -> list[ScoreTable]:
@@ -127,9 +129,7 @@ def cmd_fuse(args) -> int:
     if method == "weighted":
         if not args.weights_file:
             raise ContractError("weighted fusion requires --weights-file")
-        weights = load_fuser(args.weights_file)
-        if not isinstance(weights, FusionWeights):
-            raise ContractError(f"{args.weights_file} does not contain weights")
+        weights = load_weights(args.weights_file)
         inputs.update(_digests([args.weights_file]))
     hyper = PerceptronHyper(args.learning_rate, args.max_epochs, args.tolerance, args.seed)
     fused, fitted = fuse_method(MethodSpec(method, method, test.matcher_ids, weights, hyper), val, test)
@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
     inputs = _digests([args.scores])
     out_dir = Path(args.out_dir)
     write_json_artifact(
-        out_dir / "report.json", {"metrics": report.as_dict()}, seed=args.seed, inputs=inputs
+        out_dir / "report.json", {"metrics": asdict(report)}, seed=args.seed, inputs=inputs
     )
     write_csv_artifact(out_dir / "curves.csv", curves_csv_text(curves), seed=args.seed, inputs=inputs)
     write_csv_artifact(out_dir / "roc.csv", roc_csv_text(curves), seed=args.seed, inputs=inputs)
@@ -299,10 +299,13 @@ def _violations(value, schema: dict, path: tuple[str, ...] = ()):
 def _validate_grid_config(doc, config_path: Path) -> None:
     """Check the config against schemas/grid_config.schema.json, then the
     rules that schema does not state: each method's matchers are among the
-    config's and its id is unique, every file name is one the system can
-    open, ``output_dir`` is a relative path inside the config file's
-    directory, and every camera, dataset and method id, which become parts
-    of result file names, is such a name and holds no path separator."""
+    config's and its id is unique, a method has the keys its kind reads and
+    no other (``single``: one matcher, ``weighted``: a ``weights_file``,
+    ``hyper`` only for ``perceptron``), no two settings share a key, every
+    file name is one the system can open, ``output_dir`` is a relative path
+    inside the config file's directory, and every camera, dataset and method
+    id, which become parts of result file names, is such a name and holds no
+    path separator."""
 
     def fail(msg: str):
         raise ParseError(f"{config_path}: {msg}")
@@ -320,9 +323,23 @@ def _validate_grid_config(doc, config_path: Path) -> None:
     if len(set(method_ids)) < len(method_ids):
         fail(f"'method_id' values must be unique, got {method_ids}")
     for method in doc["methods"]:
+        name, kind = f"method {method['method_id']!r}", method["kind"]
         unknown = set(method["matchers"]) - set(doc["matchers"])
         if unknown:
-            fail(f"method {method['method_id']!r} names unknown matchers {sorted(unknown)}")
+            fail(f"{name} names unknown matchers {sorted(unknown)}")
+        if kind == "single" and len(method["matchers"]) != 1:
+            fail(f"{name}: kind 'single' needs exactly one matcher, got {method['matchers']}")
+        if kind == "weighted" and not method.get("weights_file"):
+            fail(f"{name}: kind 'weighted' needs a 'weights_file'")
+        for key, reader in (("weights_file", "weighted"), ("hyper", "perceptron")):
+            if key in method and kind != reader:
+                fail(f"{name}: {key!r} is only read by kind {reader!r}, got kind {kind!r}")
+    first_with_key: dict[str, dict] = {}
+    for entry in doc["settings"]:
+        key = _setting(entry).key()
+        first = first_with_key.setdefault(key, entry)
+        if first is not entry:
+            fail(f"settings entries {first!r} and {entry!r} share the key {key!r} of their result file names")
     for key, entries in (("output_dir", [doc]), ("path", doc["score_files"]), ("weights_file", doc["methods"])):
         for name in (entry[key] for entry in entries if key in entry):
             if not usable(name):
@@ -342,13 +359,13 @@ def _validate_grid_config(doc, config_path: Path) -> None:
         fail(f"'output_dir' must be a relative path inside the config file's directory, got {output_dir!r}")
 
 
+def _setting(entry: dict) -> SettingDescriptor:
+    """The setting of a config ``settings`` or ``score_files`` entry."""
+    return SettingDescriptor(*(entry[f.name] for f in fields(SettingDescriptor)))
+
+
 def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
-    weights = None
-    if entry.get("weights_file"):
-        loaded = load_fuser(config_dir / entry["weights_file"])
-        if not isinstance(loaded, FusionWeights):
-            raise ParseError(f"{entry['weights_file']} does not contain weights")
-        weights = loaded
+    weights = load_weights(config_dir / entry["weights_file"]) if entry["kind"] == "weighted" else None
     hyper = None
     if entry.get("hyper"):
         try:
@@ -377,8 +394,7 @@ def _plan_groups(doc: dict, config_dir: Path, plan) -> dict[_Group, dict[str, Pa
     """
     files: dict[tuple[str, SettingDescriptor, str], Path] = {}
     for entry in doc["score_files"]:
-        setting = SettingDescriptor(entry["camera_id"], entry["distance_m"], entry["dataset_id"])
-        key = (entry["matcher_id"], setting, entry["split"])
+        key = (entry["matcher_id"], _setting(entry), entry["split"])
         if key in files:
             raise ParseError(f"duplicate score_files entry for {key}")
         files[key] = config_dir / entry["path"]
@@ -462,8 +478,7 @@ def cmd_grid(args) -> int:
     enforce_val = doc.get("enforce_validation_setting", True)
     group_by = doc.get("group_by", ["method"])
 
-    settings = [SettingDescriptor(e["camera_id"], e["distance_m"], e["dataset_id"]) for e in doc["settings"]]
-    plan = plan_experiments(settings, doc["kinds"])
+    plan = plan_experiments([_setting(entry) for entry in doc["settings"]], doc["kinds"])
     methods = [_method_from_config(entry, config_dir) for entry in doc["methods"]]
     groups = _plan_groups(doc, config_dir, plan)
     config_digest = {str(config_path): sha256_file(config_path)}

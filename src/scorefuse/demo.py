@@ -13,6 +13,7 @@ yields a nine-row summary (baseline + 4 single + 4 fused).
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +75,7 @@ def build_demo(root, seed: int) -> Path:
                     _demo_table(matcher, setting, split, seed), scores_dir / name
                 )
                 score_files.append(
-                    {
-                        "matcher_id": matcher,
-                        "camera_id": setting.camera_id,
-                        "distance_m": setting.distance_m,
-                        "dataset_id": setting.dataset_id,
-                        "split": split,
-                        "path": f"scores/{name}",
-                    }
+                    {"matcher_id": matcher, **asdict(setting), "split": split, "path": f"scores/{name}"}
                 )
     methods = [{"method_id": "baseline", "kind": "single", "matchers": ["baseline"]}]
     methods += [
@@ -105,14 +99,7 @@ def build_demo(root, seed: int) -> Path:
         "kinds": ["intra"],
         "enforce_validation_setting": True,
         "matchers": list(MATCHERS),
-        "settings": [
-            {
-                "camera_id": s.camera_id,
-                "distance_m": s.distance_m,
-                "dataset_id": s.dataset_id,
-            }
-            for s in settings
-        ],
+        "settings": [asdict(s) for s in settings],
         "score_files": score_files,
         "methods": methods,
         "group_by": ["method", "method_kind"],

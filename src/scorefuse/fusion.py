@@ -10,16 +10,15 @@ like any single matcher's.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParseError, TrainingError
 from .metrics import pcc
-from .provenance import atomic_write_text, read_json
+from .provenance import atomic_write_text, canonical_json, read_json
 from .tables import AlignedScores, ScoreTable
 
 WEIGHT_PROVENANCES = ("uniform", "pcc", "manual")
@@ -372,30 +371,12 @@ def apply_fusion(method, test: AlignedScores) -> ScoreTable:
 
 
 def fuser_to_dict(fuser: FusionWeights | PerceptronFuser) -> dict:
-    """JSON-ready form of a fitted fuser, for reuse across runs."""
+    """JSON-ready form of a fitted fuser, for reuse across runs: its kind,
+    then exactly the fields of its dataclass."""
     if isinstance(fuser, FusionWeights):
-        return {
-            "kind": "weights",
-            "matcher_ids": list(fuser.matcher_ids),
-            "weights": list(fuser.weights),
-            "provenance": fuser.provenance,
-            "raw_pcc": None if fuser.raw_pcc is None else list(fuser.raw_pcc),
-            "notes": list(fuser.notes),
-        }
+        return {"kind": "weights", **asdict(fuser)}
     if isinstance(fuser, PerceptronFuser):
-        return {
-            "kind": "perceptron",
-            "matcher_ids": list(fuser.matcher_ids),
-            "coefficients": list(fuser.coefficients),
-            "bias": fuser.bias,
-            "training_log": {
-                "initial_loss": fuser.training_log.initial_loss,
-                "final_loss": fuser.training_log.final_loss,
-                "epochs_run": fuser.training_log.epochs_run,
-                "seed": fuser.training_log.seed,
-                "stop_reason": fuser.training_log.stop_reason,
-            },
-        }
+        return {"kind": "perceptron", **asdict(fuser)}
     raise ContractError(f"cannot serialize {fuser!r}")
 
 
@@ -438,8 +419,16 @@ def _stop_reason(value) -> str | None:
 
 
 def save_fuser(fuser: FusionWeights | PerceptronFuser, path) -> None:
-    atomic_write_text(path, json.dumps(fuser_to_dict(fuser), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, canonical_json(fuser_to_dict(fuser)))
 
 
 def load_fuser(path) -> FusionWeights | PerceptronFuser:
     return fuser_from_dict(read_json(path))
+
+
+def load_weights(path) -> FusionWeights:
+    """The weights in a fuser document; any other fuser is a :class:`ParseError`."""
+    fuser = load_fuser(path)
+    if not isinstance(fuser, FusionWeights):
+        raise ParseError(f"{path} does not contain weights")
+    return fuser

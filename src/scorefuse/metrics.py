@@ -71,17 +71,6 @@ class MetricsReport:
         if self.n_mated < 1 or self.n_nonmated < 1:
             raise ContractError("class counts must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "auc_pct": self.auc_pct,
-            "eer_pct": self.eer_pct,
-            "cohens_d": self.cohens_d,
-            "fmr_at_fnmr1_pct": self.fmr_at_fnmr1_pct,
-            "fnmr_at_fmr1_pct": self.fnmr_at_fmr1_pct,
-            "n_mated": self.n_mated,
-            "n_nonmated": self.n_nonmated,
-        }
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:

@@ -10,7 +10,7 @@ and refuses to run if validation and test share comparison pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,7 +30,6 @@ from .tables import AlignedScores, ScoreTable, SettingDescriptor
 
 PLAN_KINDS = ("intra", "cross_distance", "cross_camera", "cross_both", "cross_dataset")
 METHOD_KINDS = ("single", "avg", "bayes", "pcc_avg", "weighted", "perceptron")
-PARAMETRIC_KINDS = ("pcc_avg", "weighted", "perceptron")
 
 
 def classify_pair(train: SettingDescriptor, test: SettingDescriptor) -> str:
@@ -174,8 +173,9 @@ def fuse_method(
 
     ``pcc_avg`` and ``perceptron`` are first fitted by ``fit(method,
     val_scores)``; a comparison pair shared between the validation and test
-    scores raises :class:`LeakageError`. Returns the fused table and the
-    fuser it ran (fitted, or the method's weights), or None for a fixed rule.
+    scores raises :class:`LeakageError`. Returns the fused table, named after
+    the method's kind, and the fuser it ran (fitted, or the method's
+    weights), or None for a fixed rule.
     """
     if val_scores is not None:
         overlap = val_scores.keys() & test_scores.keys()
@@ -192,6 +192,7 @@ def fuse_method(
             raise ContractError(f"method {method.method_id!r}: validation scores required")
         fuser = fit(method, val_scores)
     fused = apply_fusion(fuser, test_scores.select(method.matcher_ids))
+    fused.matcher_id = method.kind
     return fused, None if isinstance(fuser, str) else fuser
 
 
@@ -230,25 +231,19 @@ def run_experiment(
     return ExperimentResult(item, method.method_id, report, seed, prov, fitted)
 
 
-METRIC_FIELDS = (
-    "auc_pct",
-    "eer_pct",
-    "cohens_d",
-    "fmr_at_fnmr1_pct",
-    "fnmr_at_fmr1_pct",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name not in ("n_mated", "n_nonmated"))
 
-GROUP_BYS = ("method", "method_kind", "method_distance")
-
-
-def _group_key(result: ExperimentResult, group_by: str) -> tuple:
-    if group_by == "method":
-        return (result.method_id,)
-    if group_by == "method_kind":
-        return (result.method_id, result.item.kind)
-    if group_by == "method_distance":
-        return (result.method_id, result.item.test_setting.distance_m)
-    raise ContractError(f"group_by must be one of {GROUP_BYS}, got {group_by!r}")
+# group_by -> {summary label: its value in a result}; a group is the results
+# that share every label's value
+GROUP_LABELS: dict[str, dict[str, Callable[[ExperimentResult], object]]] = {
+    "method": {"method": lambda r: r.method_id},
+    "method_kind": {"method": lambda r: r.method_id, "kind": lambda r: r.item.kind},
+    "method_distance": {
+        "method": lambda r: r.method_id,
+        "test_distance_m": lambda r: r.item.test_setting.distance_m,
+    },
+}
+GROUP_BYS = tuple(GROUP_LABELS)
 
 
 def aggregate_results(results: list[ExperimentResult], group_by: str = "method") -> list[dict]:
@@ -259,17 +254,15 @@ def aggregate_results(results: list[ExperimentResult], group_by: str = "method")
     """
     if not results:
         raise ContractError("aggregate_results needs at least one result")
+    labels = GROUP_LABELS.get(group_by)
+    if labels is None:
+        raise ContractError(f"group_by must be one of {GROUP_BYS}, got {group_by!r}")
     groups: dict[tuple, list[ExperimentResult]] = {}
     for res in results:
-        groups.setdefault(_group_key(res, group_by), []).append(res)
-    label_fields = {
-        "method": ("method",),
-        "method_kind": ("method", "kind"),
-        "method_distance": ("method", "test_distance_m"),
-    }[group_by]
+        groups.setdefault(tuple(label(res) for label in labels.values()), []).append(res)
     rows = []
     for key, members in groups.items():
-        row: dict = dict(zip(label_fields, key))
+        row: dict = dict(zip(labels, key))
         row["n_results"] = len(members)
         for field in METRIC_FIELDS:
             values = np.array([getattr(m.report, field) for m in members], dtype=np.float64)
@@ -283,18 +276,10 @@ def result_to_dict(result: ExperimentResult) -> dict:
     """JSON-ready form of one grid cell result."""
     return {
         "kind": result.item.kind,
-        "train_setting": {
-            "camera_id": result.item.train_setting.camera_id,
-            "distance_m": result.item.train_setting.distance_m,
-            "dataset_id": result.item.train_setting.dataset_id,
-        },
-        "test_setting": {
-            "camera_id": result.item.test_setting.camera_id,
-            "distance_m": result.item.test_setting.distance_m,
-            "dataset_id": result.item.test_setting.dataset_id,
-        },
+        "train_setting": asdict(result.item.train_setting),
+        "test_setting": asdict(result.item.test_setting),
         "method_id": result.method_id,
-        "metrics": result.report.as_dict(),
+        "metrics": asdict(result.report),
         "seed": result.seed,
         "provenance": dict(sorted(result.provenance.items())),
         "fitted": result.fitted,

@@ -575,16 +575,7 @@ def _score_table(path: Path, declared_range, check: _FirstBadRow, shared=None) -
     return ScoreTable(matcher_id, (lo, hi), columns, scores[:n])
 
 
-PAIRS_CSV_HEADER = (
-    "probe_id",
-    "reference_id",
-    "probe_subject",
-    "reference_subject",
-    "mated",
-    "camera_id",
-    "distance_m",
-    "dataset_id",
-)
+PAIRS_CSV_HEADER = SCORE_CSV_HEADER[1:9]
 
 
 def load_pairs(path) -> PairColumns:

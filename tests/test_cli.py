@@ -233,6 +233,67 @@ def test_fuse_weighted_with_weights_file(tmp_path, capsys):
                 "--weights-file", bogus, "--out-dir", tmp_path]) == 3
 
 
+def _pcc_inputs(tmp_path, anti: bool):
+    """Test and validation tables of matchers a and b; with ``anti``, both
+    validation columns fall as the label rises, so every weight clamps to 0."""
+    mated, non = [0.9, 0.8, 0.7], [0.3, 0.2, 0.1]
+    paths = {}
+    for mid in ("a", "b"):
+        paths[mid] = tmp_path / f"{mid}.csv"
+        _write_table(paths[mid], mated, non, mid, tag="t-")
+        paths["v" + mid] = tmp_path / f"v{mid}.csv"
+        _write_table(paths["v" + mid], *((non, mated) if anti else (mated, non)), mid, tag="v-")
+    return ["--inputs", paths["a"], paths["b"], "--validation", paths["va"], paths["vb"]]
+
+
+def test_fused_table_is_named_after_the_method_that_ran(tmp_path):
+    out = tmp_path / "out"
+    # all correlations clamp to 0: uniform weights, but the method is pcc_avg
+    assert run(["fuse", "--method", "pcc_avg", *_pcc_inputs(tmp_path, anti=True), "--out-dir", out]) == 0
+    assert json.loads((out / "fuser_pcc_avg.json").read_text())["provenance"] == "uniform"
+    assert load_score_table(out / "fused_pcc_avg.csv", (0.0, 1.0)).matcher_id == "pcc_avg"
+
+    # pcc weights, reused by the weighted method
+    assert run(["fuse", "--method", "pcc_avg", *_pcc_inputs(tmp_path, anti=False), "--out-dir", out]) == 0
+    assert json.loads((out / "fuser_pcc_avg.json").read_text())["provenance"] == "pcc"
+    inputs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    assert run(["fuse", "--method", "weighted", "--inputs", *inputs,
+                "--weights-file", out / "fuser_pcc_avg.json", "--out-dir", out]) == 0
+    assert load_score_table(out / "fused_weighted.csv", (0.0, 1.0)).matcher_id == "weighted"
+
+
+def test_a_weights_file_without_weights_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = _pcc_inputs(tmp_path, anti=False)
+    assert run(["fuse", "--method", "perceptron", *args, "--out-dir", out, "--max-epochs", 20]) == 0
+    perceptron = out / "fuser_perceptron.json"
+    capsys.readouterr()
+
+    assert run(["fuse", "--method", "weighted", *args[:3], "--weights-file", perceptron, "--out-dir", out]) == 3
+    assert f"{perceptron} does not contain weights" in capsys.readouterr().err
+
+    config = {
+        "schema": "scorefuse-grid-config/1",
+        "seed": 0,
+        "output_dir": "results",
+        "kinds": ["intra"],
+        "matchers": ["a", "b"],
+        "settings": [{"camera_id": "cam0", "distance_m": 1.0, "dataset_id": "unit"}],
+        "score_files": [
+            {"matcher_id": m, "camera_id": "cam0", "distance_m": 1.0, "dataset_id": "unit",
+             "split": split, "path": f"{prefix}{m}.csv"}
+            for m in ("a", "b") for split, prefix in (("test", ""), ("validation", "v"))
+        ],
+        "methods": [{"method_id": "w", "kind": "weighted", "matchers": ["a", "b"],
+                     "weights_file": "out/fuser_perceptron.json"}],
+    }
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(["grid", "--config", config_path]) == 3
+    assert f"{perceptron} does not contain weights" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_fuse_leakage_between_validation_and_inputs(tmp_path, capsys):
     a, va = tmp_path / "a.csv", tmp_path / "va.csv"
     _write_table(a, [0.9, 0.8], [0.2, 0.1], "a", tag="same-")

@@ -35,6 +35,10 @@ CODE_RULES = (
     "is not a usable file name",
     "'output_dir' must be a relative path",
     "must not contain a path separator",
+    "share the key",
+    "needs exactly one matcher",
+    "needs a 'weights_file'",
+    "is only read by kind",
 )
 
 

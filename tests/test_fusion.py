@@ -1,4 +1,7 @@
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,12 @@ from scorefuse.fusion import (
     fuser_from_dict,
     fuser_to_dict,
     load_fuser,
+    load_weights,
     save_fuser,
     train_perceptron,
 )
 from scorefuse.metrics import auc, build_curves
+from scorefuse.provenance import canonical_json
 from scorefuse.rng import SplitMix64
 
 from helpers import aligned
@@ -297,3 +302,24 @@ def test_fuser_round_trip_via_json(tmp_path):
         assert fuser_from_dict(fuser_to_dict(fuser)) == fuser
     with pytest.raises(ParseError):
         fuser_from_dict({"kind": "mystery"})
+
+
+def test_fuser_documents_hold_the_dataclass_fields_as_canonical_json(tmp_path):
+    val = _informative_and_noise(n=200, seed=40)
+    perceptron = train_perceptron(val, PerceptronHyper(max_epochs=200))
+    for fuser in (estimate_pcc_weights(val), perceptron):
+        assert set(fuser_to_dict(fuser)) == {"kind", *(f.name for f in fields(fuser))}
+    assert set(fuser_to_dict(perceptron)["training_log"]) == {f.name for f in fields(perceptron.training_log)}
+
+    weights = FusionWeights(("café", "b"), (2.0, 1.0), "manual")
+    path = tmp_path / "w.json"
+    save_fuser(weights, path)
+    assert path.read_text(encoding="utf-8") == canonical_json(fuser_to_dict(weights))
+    # the ASCII-escaped form that earlier versions wrote still loads
+    path.write_text(json.dumps(fuser_to_dict(weights), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    assert "caf\\u00e9" in path.read_text(encoding="utf-8")
+    assert load_weights(path) == weights
+
+    save_fuser(perceptron, path)
+    with pytest.raises(ParseError, match="does not contain weights"):
+        load_weights(path)

@@ -473,6 +473,15 @@ def _set(*path_and_value):
     return mutate
 
 
+def _add_setting(**changes):
+    """A config mutation adding a copy of the first setting, with ``changes``."""
+
+    def mutate(config):
+        config["settings"].append({**config["settings"][0], **changes})
+
+    return mutate
+
+
 # (mutation, words the error must name); each breaks grid_config.schema.json,
 # except those in CODE_RULES, which break a rule the schema does not state
 CONFIG_MUTATIONS = {
@@ -518,6 +527,22 @@ CONFIG_MUTATIONS = {
         _set("methods", 0, "method_id", "a\0b"),
         ["method 'a\\x00b'", "'method_id' 'a\\x00b'", "not a usable file name"],
     ),
+    "method-matchers-repeat": (_set("methods", 0, "matchers", ["m1", "m1"]), ["method 'avg'", "must not repeat"]),
+    "settings-repeat": (_add_setting(), ["settings entries", "share the key 'demo-cam1-1'"]),
+    "settings-same-key": (
+        _add_setting(distance_m=1.0000001),
+        ["settings entries", "'distance_m': 1.0000001", "share the key 'demo-cam1-1'"],
+    ),
+    "single-two-matchers": (_set("methods", 0, "kind", "single"), ["method 'avg'", "needs exactly one matcher"]),
+    "weighted-without-weights": (_set("methods", 0, "kind", "weighted"), ["method 'avg'", "needs a 'weights_file'"]),
+    "weights-file-not-weighted": (
+        _set("methods", 0, "weights_file", "missing.json"),
+        ["method 'avg'", "'weights_file' is only read by kind 'weighted'"],
+    ),
+    "hyper-not-perceptron": (
+        _set("methods", 0, "hyper", {"max_epochs": 5}),
+        ["method 'avg'", "'hyper' is only read by kind 'perceptron'"],
+    ),
 }
 CODE_RULES = {
     "output-dir-escapes",
@@ -530,6 +555,12 @@ CODE_RULES = {
     "settings-camera-nul",
     "score-files-dataset-nul",
     "method-id-nul",
+    "settings-repeat",
+    "settings-same-key",
+    "single-two-matchers",
+    "weighted-without-weights",
+    "weights-file-not-weighted",
+    "hyper-not-perceptron",
 }
 
 

@@ -1,11 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from scorefuse.errors import ContractError, LeakageError
 from scorefuse.fusion import PerceptronHyper
-from scorefuse.metrics import evaluate_table
+from scorefuse.metrics import MetricsReport, evaluate_table
 from scorefuse.protocol import (
     ExperimentResult,
     MethodSpec,
@@ -218,6 +219,9 @@ def test_run_experiment_is_deterministic():
     r1 = run_experiment(item, method, val, test, seed=2)
     r2 = run_experiment(item, method, val, test, seed=2)
     assert result_to_dict(r1) == result_to_dict(r2)
+    doc = result_to_dict(r1)
+    assert set(doc["metrics"]) == {f.name for f in fields(MetricsReport)}
+    assert set(doc["train_setting"]) == set(doc["test_setting"]) == {f.name for f in fields(SettingDescriptor)}
 
 
 def _result(method_id, kind, auc_pct, distance=1.0):
