@@ -129,9 +129,9 @@ def cmd_fuse(args) -> int:
     if method == "weighted":
         if not args.weights_file:
             raise ContractError("weighted fusion requires --weights-file")
-        weights = load_weights(args.weights_file)
+        weights = load_weights(args.weights_file, test.matcher_ids)
         inputs.update(_digests([args.weights_file]))
-    hyper = PerceptronHyper(args.learning_rate, args.max_epochs, args.tolerance, args.seed)
+    hyper = PerceptronHyper(args.max_epochs, args.tolerance, args.seed)
     fused, fitted = fuse_method(MethodSpec(method, method, test.matcher_ids, weights, hyper), val, test)
 
     out_csv = out_dir / f"fused_{method}.csv"
@@ -217,17 +217,8 @@ def cmd_synth(args) -> int:
             clamp=doc.get("clamp", False),
         )
         inputs = _digests([args.model_file])
-    else:
-        model = GaussianScoreModel(
-            mu_nonmated=args.mu_nonmated,
-            sigma_nonmated=args.sigma_nonmated,
-            mu_mated=args.mu_mated,
-            sigma_mated=args.sigma_mated,
-            n_mated=args.n_mated,
-            n_nonmated=args.n_nonmated,
-            seed=args.seed,
-            clamp=args.clamp,
-        )
+    else:  # each model field has its flag
+        model = GaussianScoreModel(**{f.name: getattr(args, f.name) for f in fields(GaussianScoreModel)})
         inputs = {}
     setting = SettingDescriptor(args.camera, args.distance, args.dataset)
     table = generate_scores(
@@ -301,11 +292,12 @@ def _validate_grid_config(doc, config_path: Path) -> None:
     rules that schema does not state: each method's matchers are among the
     config's and its id is unique, a method has the keys its kind reads and
     no other (``single``: one matcher, ``weighted``: a ``weights_file``,
-    ``hyper`` only for ``perceptron``), no two settings share a key, every
-    file name is one the system can open, ``output_dir`` is a relative path
-    inside the config file's directory, and every camera, dataset and method
-    id, which become parts of result file names, is such a name and holds no
-    path separator."""
+    ``hyper`` only for ``perceptron``), no two settings share a key, no
+    two score files share a (matcher, setting, split), every file name is
+    one the system can open, ``output_dir`` is a relative path inside the
+    config file's directory, and every camera, dataset and method id, which
+    become parts of result file names, is such a name and holds no path
+    separator."""
 
     def fail(msg: str):
         raise ParseError(f"{config_path}: {msg}")
@@ -340,6 +332,11 @@ def _validate_grid_config(doc, config_path: Path) -> None:
         first = first_with_key.setdefault(key, entry)
         if first is not entry:
             fail(f"settings entries {first!r} and {entry!r} share the key {key!r} of their result file names")
+    first_with_file: dict[tuple, dict] = {}
+    for entry in doc["score_files"]:
+        first = first_with_file.setdefault((entry["matcher_id"], _setting(entry), entry["split"]), entry)
+        if first is not entry:
+            fail(f"score_files entries {first!r} and {entry!r} name the same matcher, setting and split")
     for key, entries in (("output_dir", [doc]), ("path", doc["score_files"]), ("weights_file", doc["methods"])):
         for name in (entry[key] for entry in entries if key in entry):
             if not usable(name):
@@ -365,14 +362,15 @@ def _setting(entry: dict) -> SettingDescriptor:
 
 
 def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
-    weights = load_weights(config_dir / entry["weights_file"]) if entry["kind"] == "weighted" else None
+    matchers = tuple(entry["matchers"])
+    weights = load_weights(config_dir / entry["weights_file"], matchers) if entry["kind"] == "weighted" else None
     hyper = None
     if entry.get("hyper"):
         try:
             hyper = PerceptronHyper(**entry["hyper"])
         except ContractError as exc:
             raise ParseError(f"method {entry['method_id']!r}: bad hyper ({exc})") from None
-    return MethodSpec(entry["method_id"], entry["kind"], tuple(entry["matchers"]), weights, hyper)
+    return MethodSpec(entry["method_id"], entry["kind"], matchers, weights, hyper)
 
 
 _Group = tuple[SettingDescriptor, str]  # (setting, split)
@@ -392,12 +390,7 @@ def _plan_groups(doc: dict, config_dir: Path, plan) -> dict[_Group, dict[str, Pa
     listed, so that its files are hashed, only when every matcher declares a
     file for it.
     """
-    files: dict[tuple[str, SettingDescriptor, str], Path] = {}
-    for entry in doc["score_files"]:
-        key = (entry["matcher_id"], _setting(entry), entry["split"])
-        if key in files:
-            raise ParseError(f"duplicate score_files entry for {key}")
-        files[key] = config_dir / entry["path"]
+    files = {(e["matcher_id"], _setting(e), e["split"]): config_dir / e["path"] for e in doc["score_files"]}
     groups: dict[_Group, dict[str, Path | None]] = {}
     for item in plan.items:
         for group in _item_groups(item):
@@ -475,7 +468,6 @@ def cmd_grid(args) -> int:
     config_dir = config_path.parent
     seed = doc["seed"]
     out_dir = config_dir / doc["output_dir"]
-    enforce_val = doc.get("enforce_validation_setting", True)
     group_by = doc.get("group_by", ["method"])
 
     plan = plan_experiments([_setting(entry) for entry in doc["settings"]], doc["kinds"])
@@ -515,7 +507,6 @@ def cmd_grid(args) -> int:
                     _unwrap(loaded[val_group][0]),
                     _unwrap(loaded[test_group][0]),
                     seed=seed,
-                    enforce_validation_setting=enforce_val,
                     fit=functools.partial(fit, item.train_setting),
                 )
             )
@@ -590,16 +581,15 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _finite_float(minimum: float, inclusive: bool = True):
-    """argparse type: a finite float >= ``minimum`` (> if not ``inclusive``), else exit 2."""
+def _finite_float(minimum: float):
+    """argparse type: a finite float >= ``minimum``, else exit 2."""
 
     def parse(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-        if value < minimum or (value == minimum and not inclusive):
-            relation = ">=" if inclusive else ">"
-            raise argparse.ArgumentTypeError(f"must be a number {relation} {minimum:g}, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a number >= {minimum:g}, got {text!r}")
         return value
 
     parse.__name__ = "float"
@@ -653,12 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-file", default=None, help="manual weights JSON (weighted)")
     _add_input_range(p)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument(
-        "--learning-rate",
-        type=_finite_float(0.0, inclusive=False),
-        default=0.05,
-        help="ignored: the perceptron is fitted by Newton steps; kept for old command lines",
-    )
     p.add_argument(
         "--max-epochs",
         type=_int_at_least(1),
@@ -731,6 +715,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "synth" and not args.demo and not args.out:
         parser.error("synth requires --out (or --demo DIR)")
+    if args.command == "fuse" and args.weights_file and args.method != "weighted":
+        parser.error(f"--weights-file is only read by --method weighted, got --method {args.method}")
     try:
         return args.fn(args)
     except ScoreFuseError as exc:

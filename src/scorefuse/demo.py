@@ -97,7 +97,6 @@ def build_demo(root, seed: int) -> Path:
         "seed": seed,
         "output_dir": "results",
         "kinds": ["intra"],
-        "enforce_validation_setting": True,
         "matchers": list(MATCHERS),
         "settings": [asdict(s) for s in settings],
         "score_files": score_files,

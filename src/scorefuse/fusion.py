@@ -62,6 +62,10 @@ class TrainingLog:
     seed: int
     stop_reason: str | None = None
 
+    def __post_init__(self):
+        if self.stop_reason not in (*STOP_REASONS, None):
+            raise ContractError(f"stop_reason must be one of {STOP_REASONS}, got {self.stop_reason!r}")
+
 
 @dataclass(frozen=True)
 class PerceptronFuser:
@@ -100,19 +104,16 @@ def fuse_average(scores) -> float:
     return float(_weighted_mean(_scores_row(scores, "fuse_average"))[0])
 
 
-def fuse_bayesian(scores, clamp_epsilon: float = DEFAULT_CLAMP_EPSILON) -> float:
+def fuse_bayesian(scores) -> float:
     """Product-odds combination prod(s) / (prod(s) + prod(1-s)): the
     ``bayes`` kernel on one row.
 
-    Scores are clamped to [eps, 1-eps] first, which removes the 0/0
-    singularity at unanimous extreme scores. The quotient is evaluated as a
-    sigmoid of summed log-odds, which is the same quantity but cannot
-    underflow however many scores are fused.
+    Scores are clamped to [eps, 1-eps] first (``DEFAULT_CLAMP_EPSILON``),
+    which removes the 0/0 singularity at unanimous extreme scores. The
+    quotient is evaluated as a sigmoid of summed log-odds, which is the same
+    quantity but cannot underflow however many scores are fused.
     """
-    row = _scores_row(scores, "fuse_bayesian")
-    if not (0.0 < clamp_epsilon < 0.5):
-        raise ContractError(f"clamp_epsilon must be in (0, 0.5), got {clamp_epsilon}")
-    return float(_bayes(row, clamp_epsilon)[0])
+    return float(_bayes(_scores_row(scores, "fuse_bayesian"))[0])
 
 
 def fuse_weighted(scores, weights: FusionWeights) -> float:
@@ -193,9 +194,9 @@ def _weighted_mean(mat: np.ndarray, weights=None) -> np.ndarray:
     return _dd_divide(_row_sums(np.hstack(_two_product(mat, w))), _row_sums(w[None, :]))
 
 
-def _bayes(mat: np.ndarray, clamp_epsilon: float) -> np.ndarray:
+def _bayes(mat: np.ndarray) -> np.ndarray:
     """Each row's sigmoid of its summed log-odds, clamped into (0, 1)."""
-    clamped = np.clip(mat, clamp_epsilon, 1.0 - clamp_epsilon)
+    clamped = np.clip(mat, DEFAULT_CLAMP_EPSILON, 1.0 - DEFAULT_CLAMP_EPSILON)
     log_odds, _ = _row_sums(np.log(clamped) - np.log(1.0 - clamped))
     # sigma rounds to 0.0 / 1.0 beyond ~37 units of log-odds; keep (0, 1) open
     return np.clip(_sigmoid(log_odds), _TINY, _BELOW_ONE)
@@ -251,18 +252,14 @@ def _is_real(value) -> bool:
 class PerceptronHyper:
     """Fit settings. ``max_epochs`` caps the Newton iterations; the fit stops
     earlier once an iteration lowers the objective by less than
-    ``tolerance``. ``learning_rate`` is accepted for compatibility and
-    ignored: Newton steps need no step size."""
+    ``tolerance``."""
 
-    learning_rate: float = 0.05
     max_epochs: int = 10000
     tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         problems = []
-        if not (_is_real(self.learning_rate) and self.learning_rate > 0):
-            problems.append("learning_rate must be a finite number > 0")
         if not (_is_int(self.max_epochs) and self.max_epochs >= 1):
             problems.append("max_epochs must be an integer >= 1")
         if not (_is_real(self.tolerance) and self.tolerance >= 0):
@@ -356,10 +353,8 @@ def apply_fusion(method, test: AlignedScores) -> ScoreTable:
         kernel = functools.partial(_weighted_mean, weights=method.weights)
     elif isinstance(method, PerceptronFuser):
         method_id, kernel = "perceptron", method.predict
-    elif method == "avg":
-        method_id, kernel = "avg", _weighted_mean
-    elif method == "bayes":
-        method_id, kernel = "bayes", functools.partial(_bayes, clamp_epsilon=DEFAULT_CLAMP_EPSILON)
+    elif method in ("avg", "bayes"):
+        method_id, kernel = method, {"avg": _weighted_mean, "bayes": _bayes}[method]
     else:
         raise ContractError(f"unknown fusion method {method!r}")
     if not isinstance(method, str) and method.matcher_ids != test.matcher_ids:
@@ -380,42 +375,55 @@ def fuser_to_dict(fuser: FusionWeights | PerceptronFuser) -> dict:
     raise ContractError(f"cannot serialize {fuser!r}")
 
 
-def fuser_from_dict(doc: dict) -> FusionWeights | PerceptronFuser:
+def fuser_from_dict(doc) -> FusionWeights | PerceptronFuser:
+    """The fuser a :func:`fuser_to_dict` document records, ignoring other keys
+    (an artifact's provenance); a missing or mistyped key is a ParseError."""
+    if type(doc) is not dict or type(doc.get("training_log", {})) is not dict:
+        raise ParseError(f"malformed fuser document: it and its training_log must be objects, got {doc!r}")
     try:
         kind = doc["kind"]
-        ids = tuple(str(m) for m in doc["matcher_ids"])
+        ids = _field(doc, "matcher_ids", str, many=True)
         if kind == "weights":
             raw = doc.get("raw_pcc")
             return FusionWeights(
                 ids,
-                tuple(float(w) for w in doc["weights"]),
-                str(doc["provenance"]),
-                None if raw is None else tuple(float(r) for r in raw),
-                tuple(str(n) for n in doc.get("notes", ())),
+                _field(doc, "weights", float, many=True),
+                _field(doc, "provenance", str),
+                None if raw is None else _field(doc, "raw_pcc", float, many=True),
+                _field(doc, "notes", str, many=True) if "notes" in doc else (),
             )
         if kind == "perceptron":
             log = doc["training_log"]
             return PerceptronFuser(
                 ids,
-                tuple(float(c) for c in doc["coefficients"]),
-                float(doc["bias"]),
+                _field(doc, "coefficients", float, many=True),
+                _field(doc, "bias", float),
                 TrainingLog(
-                    float(log["initial_loss"]),
-                    float(log["final_loss"]),
-                    int(log["epochs_run"]),
-                    int(log["seed"]),
-                    _stop_reason(log.get("stop_reason")),
+                    _field(log, "initial_loss", float),
+                    _field(log, "final_loss", float),
+                    _field(log, "epochs_run", int),
+                    _field(log, "seed", int),
+                    log.get("stop_reason"),
                 ),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"malformed fuser document: missing key {exc}") from None
+    except (ValueError, OverflowError, ContractError) as exc:
         raise ParseError(f"malformed fuser document: {exc}") from None
-    raise ParseError(f"unknown fuser kind {doc.get('kind')!r}")
+    raise ParseError(f"unknown fuser kind {kind!r}")
 
 
-def _stop_reason(value) -> str | None:
-    if value is not None and value not in STOP_REASONS:
-        raise ValueError(f"stop_reason must be one of {STOP_REASONS}, got {value!r}")
-    return value
+_JSON_TYPES = {float: ((int, float), "number"), int: ((int,), "integer"), str: ((str,), "string")}
+
+
+def _field(doc: dict, key: str, convert, many: bool = False):
+    """``doc[key]`` converted by ``convert``, or with ``many`` a list of such
+    values as a tuple. The JSON type must match exactly: true is no number."""
+    values = doc[key] if many else [doc[key]]
+    types, name = _JSON_TYPES[convert]
+    if type(values) not in (list, tuple) or not all(type(v) in types for v in values):
+        raise ValueError(f"{key!r} must be a {'list of ' * many}JSON {name}{'s' * many}, got {doc[key]!r}")
+    return tuple(map(convert, values)) if many else convert(values[0])
 
 
 def save_fuser(fuser: FusionWeights | PerceptronFuser, path) -> None:
@@ -423,12 +431,20 @@ def save_fuser(fuser: FusionWeights | PerceptronFuser, path) -> None:
 
 
 def load_fuser(path) -> FusionWeights | PerceptronFuser:
-    return fuser_from_dict(read_json(path))
+    """The fuser in a JSON file; a malformed one is a :class:`ParseError` naming the file."""
+    doc = read_json(path)
+    try:
+        return fuser_from_dict(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def load_weights(path) -> FusionWeights:
-    """The weights in a fuser document; any other fuser is a :class:`ParseError`."""
+def load_weights(path, matcher_ids: tuple[str, ...]) -> FusionWeights:
+    """The weights in a fuser document, over exactly ``matcher_ids`` in that
+    order; any other fuser or matchers are a :class:`ParseError`."""
     fuser = load_fuser(path)
     if not isinstance(fuser, FusionWeights):
         raise ParseError(f"{path} does not contain weights")
+    if fuser.matcher_ids != matcher_ids:
+        raise ParseError(f"{path}: weights cover matchers {fuser.matcher_ids}, expected {matcher_ids}")
     return fuser

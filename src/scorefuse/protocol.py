@@ -203,15 +203,13 @@ def run_experiment(
     test_scores: AlignedScores,
     *,
     seed: int,
-    enforce_validation_setting: bool = True,
     fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
 ) -> ExperimentResult:
     """Fit (if parametric), evaluate on the test scores, package the result.
 
     Parametric methods are fitted on ``val_scores`` only, which must come
-    from the train setting (checked unless ``enforce_validation_setting``
-    is off), through :func:`fuse_method`; a grid passes a ``fit`` that
-    fits each (train setting, method) once.
+    from the train setting, through :func:`fuse_method`; a grid passes a
+    ``fit`` that fits each (train setting, method) once.
     """
     missing = [m for m in method.matcher_ids if m not in test_scores.matcher_ids]
     if missing:
@@ -219,7 +217,7 @@ def run_experiment(
             f"test scores lack matchers {missing} required by {method.method_id!r}"
         )
     _check_settings(test_scores, item.test_setting, "test")
-    if val_scores is not None and enforce_validation_setting:
+    if val_scores is not None:
         _check_settings(val_scores, item.train_setting, "validation")
     fused, fuser = fuse_method(method, val_scores, test_scores, fit)
 

@@ -141,7 +141,7 @@ def test_c05_fusion_rule_unit_identities():
     assert fuse_bayesian([0.9, 0.1]) == pytest.approx(0.5, abs=1e-12)
     weights = FusionWeights(("a", "b"), (2.0, 1.0), "manual")
     assert fuse_weighted([0.9, 0.3], weights) == 0.7
-    assert fuse_bayesian([1.0, 0.0], clamp_epsilon=1e-6) == pytest.approx(0.5, abs=1e-6)
+    assert fuse_bayesian([1.0, 0.0]) == pytest.approx(0.5, abs=1e-6)
     _announce(5, "fusion rule unit identities")
 
 

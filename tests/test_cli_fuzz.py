@@ -91,7 +91,7 @@ def root(tmp_path_factory):
 def _argvs(root: Path) -> list[list[str]]:
     """A valid argv of each subcommand; fuse and synth have two."""
     a, b, va, vb = (str(root / f"{name}.csv") for name in ("a", "b", "va", "vb"))
-    fit = ["--max-epochs", "20", "--tolerance", "1e-6", "--learning-rate", "0.05"]
+    fit = ["--max-epochs", "20", "--tolerance", "1e-6"]
     return [
         ["score", "--references", str(root / "refs.jsonl"), "--probes", str(root / "probes.jsonl"),
          "--pairs", str(root / "pairs.csv"), "--metric", "cosine", "--matcher-id", "s", "--normalize",

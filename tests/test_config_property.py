@@ -39,6 +39,7 @@ CODE_RULES = (
     "needs exactly one matcher",
     "needs a 'weights_file'",
     "is only read by kind",
+    "name the same matcher, setting and split",
 )
 
 

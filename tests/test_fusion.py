@@ -1,5 +1,6 @@
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -41,22 +42,20 @@ def test_bayesian_identities():
     # 0.64 / (0.64 + 0.04) = 16/17
     assert fuse_bayesian([0.8, 0.8]) == pytest.approx(0.64 / 0.68, abs=1e-9)
     assert fuse_bayesian([0.9, 0.1]) == pytest.approx(0.5, abs=1e-12)
-    assert fuse_bayesian([1.0, 0.0], clamp_epsilon=1e-6) == pytest.approx(0.5, abs=1e-6)
-    with pytest.raises(ContractError):
-        fuse_bayesian([0.5], clamp_epsilon=0.7)
+    assert fuse_bayesian([1.0, 0.0]) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_bayesian_stays_inside_open_interval_at_any_width():
     for n in (2, 3, 5, 50, 500):
-        hi = fuse_bayesian([1.0] * n, 1e-6)
-        lo = fuse_bayesian([0.0] * n, 1e-6)
+        hi = fuse_bayesian([1.0] * n)
+        lo = fuse_bayesian([0.0] * n)
         assert 0.0 < lo < 0.5 < hi < 1.0
 
 
 def test_perceptron_rolls_back_divergent_step():
     labels = [i % 2 == 0 for i in range(100)]
     val = aligned({"m": [0.99 if f else 0.01 for f in labels]}, labels)
-    fuser = train_perceptron(val, PerceptronHyper(learning_rate=5000.0, max_epochs=50))
+    fuser = train_perceptron(val, PerceptronHyper(max_epochs=50))
     assert fuser.training_log.final_loss <= fuser.training_log.initial_loss
 
 
@@ -304,6 +303,25 @@ def test_fuser_round_trip_via_json(tmp_path):
         fuser_from_dict({"kind": "mystery"})
 
 
+@pytest.mark.parametrize(
+    "edit, words",
+    [
+        (lambda doc: doc.update(bias="0.5"), "'bias' must be a JSON number"),
+        (lambda doc: doc.update(coefficients=[1.0, True]), "'coefficients' must be a list of JSON numbers"),
+        (lambda doc: doc["training_log"].update(epochs_run=2.5), "'epochs_run' must be a JSON integer"),
+        (lambda doc: doc["training_log"].pop("seed"), "missing key 'seed'"),
+        (lambda doc: doc.update(training_log=[]), "training_log must be objects"),
+        (lambda doc: doc.update(bias=float("nan")), "must be finite"),
+    ],
+)
+def test_perceptron_documents_refuse_mistyped_fields(edit, words):
+    doc = fuser_to_dict(train_perceptron(_informative_and_noise(n=200, seed=40), PerceptronHyper(max_epochs=20)))
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(ParseError, match=re.escape(words)):
+        fuser_from_dict(doc)
+
+
 def test_fuser_documents_hold_the_dataclass_fields_as_canonical_json(tmp_path):
     val = _informative_and_noise(n=200, seed=40)
     perceptron = train_perceptron(val, PerceptronHyper(max_epochs=200))
@@ -318,8 +336,8 @@ def test_fuser_documents_hold_the_dataclass_fields_as_canonical_json(tmp_path):
     # the ASCII-escaped form that earlier versions wrote still loads
     path.write_text(json.dumps(fuser_to_dict(weights), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     assert "caf\\u00e9" in path.read_text(encoding="utf-8")
-    assert load_weights(path) == weights
+    assert load_weights(path, ("café", "b")) == weights
 
     save_fuser(perceptron, path)
     with pytest.raises(ParseError, match="does not contain weights"):
-        load_weights(path)
+        load_weights(path, perceptron.matcher_ids)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ import scorefuse.provenance
 from scorefuse.cli import main
 from scorefuse.demo import build_demo
 from scorefuse.errors import ContractError
-from scorefuse.fusion import FusionWeights, fuser_to_dict, save_fuser
+from scorefuse.fusion import FusionWeights, PerceptronHyper, fuser_to_dict, save_fuser
 from scorefuse.protocol import GROUP_BYS, METHOD_KINDS, PLAN_KINDS
 from scorefuse.provenance import atomic_write_text
 from scorefuse.synth import GaussianScoreModel, generate_scores
@@ -482,6 +483,10 @@ def _add_setting(**changes):
     return mutate
 
 
+def _repeat_score_file(config):
+    config["score_files"].append(dict(config["score_files"][0]))
+
+
 # (mutation, words the error must name); each breaks grid_config.schema.json,
 # except those in CODE_RULES, which break a rule the schema does not state
 CONFIG_MUTATIONS = {
@@ -495,6 +500,17 @@ CONFIG_MUTATIONS = {
     "score-files-distance-text": (_set("score_files", 0, "distance_m", "x"), ["score_files entry", "'x'"]),
     "weights-file-number": (_set("methods", 0, "weights_file", 5), ["'weights_file'", "method 'avg'"]),
     "enforce-validation-text": (_set("enforce_validation_setting", "false"), ["'enforce_validation_setting'"]),
+    "enforce-validation-true": (
+        _set("enforce_validation_setting", True),
+        ["config: unknown key 'enforce_validation_setting'"],
+    ),
+    "root-unknown-key": (_set("group-by", ["method"]), ["config: unknown key 'group-by'"]),
+    "settings-unknown-key": (_set("settings", 0, "camera", "cam1"), ["settings entry", "unknown key 'camera'"]),
+    "score-files-unknown-key": (_set("score_files", 0, "weight", 1.0), ["score_files entry", "unknown key 'weight'"]),
+    "method-unknown-key": (
+        _set("methods", 0, "weight_file", "w.json"),
+        ["method 'avg'", "unknown key 'weight_file'"],
+    ),
     "settings-camera-number": (_set("settings", 0, "camera_id", 1), ["settings entry", "'camera_id'"]),
     "method-id-number": (_set("methods", 0, "method_id", 7), ["'method_id'", "method 7"]),
     "hyper-number": (_set("methods", 0, "hyper", 0), ["'hyper'", "method 'avg'"]),
@@ -543,6 +559,10 @@ CONFIG_MUTATIONS = {
         _set("methods", 0, "hyper", {"max_epochs": 5}),
         ["method 'avg'", "'hyper' is only read by kind 'perceptron'"],
     ),
+    "score-files-repeat": (
+        _repeat_score_file,
+        ["score_files entries", "'path': 'scores/baseline__demo-cam1-1__validation.csv'", "name the same matcher"],
+    ),
 }
 CODE_RULES = {
     "output-dir-escapes",
@@ -561,6 +581,7 @@ CODE_RULES = {
     "weighted-without-weights",
     "weights-file-not-weighted",
     "hyper-not-perceptron",
+    "score-files-repeat",
 }
 
 
@@ -626,6 +647,12 @@ def test_schema_enums_match_the_protocol():
     assert tuple(properties["methods"]["items"]["properties"]["kind"]["enum"]) == METHOD_KINDS
     assert tuple(properties["group_by"]["items"]["enum"]) == GROUP_BYS
     assert properties["score_files"]["items"]["properties"]["split"]["enum"] == ["train", "validation", "test"]
+
+
+def test_schema_hyper_keys_are_the_perceptron_hyperparameters():
+    schema = json.loads((SRC / "scorefuse" / "schemas" / "grid_config.schema.json").read_text())
+    hyper = schema["properties"]["methods"]["items"]["properties"]["hyper"]
+    assert list(hyper["properties"]) == [f.name for f in fields(PerceptronHyper)]
 
 
 # ---------------------------------------------------------------- input that is not UTF-8
@@ -713,6 +740,78 @@ def test_json_nested_too_deeply_is_a_parse_error(contract_demo, tmp_path, reader
     where = f"{bad}:2:" if reader == "embeddings" else f"{bad}:"
     assert f"{where} invalid JSON (nested too deeply)" in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "results").exists()
+
+
+# ---------------------------------------------------------------- weights files
+
+
+_WEIGHTS = {"kind": "weights", "matcher_ids": ["m1", "m2"], "weights": [2.0, 1.0], "provenance": "manual"}
+
+# name -> (weights document for matchers m1 m2, words the error must name)
+WEIGHTS_FAULTS = {
+    "weights-text-and-bool": ({**_WEIGHTS, "weights": ["0.5", True]}, "'weights' must be a list of JSON numbers"),
+    "weights-missing": ({k: v for k, v in _WEIGHTS.items() if k != "weights"}, "missing key 'weights'"),
+    "weights-negative": ({**_WEIGHTS, "weights": [-1.0, 2.0]}, "weights must be finite and >= 0"),
+    "weights-huge-integer": ({**_WEIGHTS, "weights": [10**400, 1]}, "malformed fuser document"),
+    "matcher-ids-text": ({**_WEIGHTS, "matcher_ids": "m1m2"}, "'matcher_ids' must be a list of JSON strings"),
+    "matcher-ids-reordered": (
+        {**_WEIGHTS, "matcher_ids": ["m2", "m1"]},
+        "weights cover matchers ('m2', 'm1'), expected ('m1', 'm2')",
+    ),
+    "provenance-number": ({**_WEIGHTS, "provenance": 1}, "'provenance' must be a JSON string"),
+    "raw-pcc-text": ({**_WEIGHTS, "raw_pcc": ["0.1", 0.2]}, "'raw_pcc' must be a list of JSON numbers"),
+    "not-an-object": ([1], "malformed fuser document: it and its training_log must be objects"),
+}
+
+
+def _weights_argv(contract_demo: Path, weights: Path, command: str, out: Path) -> list:
+    """``fuse --method weighted`` over m1 and m2 with ``weights``, or a grid
+    with one weighted method reading it, writing to ``out``."""
+    demo = contract_demo.parent
+    if command == "fuse":
+        scores = sorted((demo / "scores").glob("m[12]__demo-cam1-1__test.csv"))
+        return ["fuse", "--method", "weighted", "--inputs", *scores, "--weights-file", weights, "--out-dir", out]
+    config = json.loads(contract_demo.read_text(encoding="utf-8"))
+    config["methods"] = [{"method_id": "w", "kind": "weighted", "matchers": ["m1", "m2"], "weights_file": weights.name}]
+    config["output_dir"] = out.name
+    config_path = demo / f"{out.name}.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return ["grid", "--config", config_path]
+
+
+@pytest.mark.parametrize("command", ["fuse", "grid"])
+@pytest.mark.parametrize("name", sorted(WEIGHTS_FAULTS))
+def test_weights_file_faults_are_parse_errors_naming_the_file(contract_demo, capsys, name, command):
+    doc, words = WEIGHTS_FAULTS[name]
+    demo = contract_demo.parent
+    weights = demo / f"weights-{name}.json"
+    weights.write_text(json.dumps(doc), encoding="utf-8")
+    out = demo / f"results-weights-{name}-{command}"
+    assert main([str(a) for a in _weights_argv(contract_demo, weights, command, out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{weights}: " in err and words in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "grid"])
+def test_weights_files_need_only_the_fields_they_fuse_with(contract_demo, command):
+    demo = contract_demo.parent
+    weights = demo / f"weights-minimal-{command}.json"
+    # the provenance keys of a document that fuse wrote are ignored
+    weights.write_text(json.dumps({**_WEIGHTS, "seed": 3, "tool_version": "0", "input_digests": {}}), encoding="utf-8")
+    out = demo / f"results-weights-minimal-{command}"
+    assert main([str(a) for a in _weights_argv(contract_demo, weights, command, out)]) == 0
+    assert out.exists()
+
+
+def test_fuse_weights_file_needs_the_weighted_method(contract_demo, tmp_path):
+    scores = sorted((contract_demo.parent / "scores").glob("m[12]__demo-cam1-1__test.csv"))
+    out = tmp_path / "out"
+    code, err = cli("fuse", "--method", "avg", "--inputs", *scores, "--weights-file", tmp_path / "missing.json",
+                    "--out-dir", out)
+    assert code == 2
+    assert "--weights-file is only read by --method weighted" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- synth model parameters

@@ -84,11 +84,6 @@ def test_iteration_cap_reports_max_iter():
     assert log.final_loss < log.initial_loss
 
 
-def test_learning_rate_is_ignored():
-    val = _noisy(300, 2, 5)
-    assert train_perceptron(val, PerceptronHyper(learning_rate=5000.0)) == train_perceptron(val)
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -97,8 +92,6 @@ def test_learning_rate_is_ignored():
         {"max_epochs": 0},
         {"tolerance": float("nan")},
         {"tolerance": -1e-9},
-        {"learning_rate": 0.0},
-        {"learning_rate": float("inf")},
         {"seed": True},
     ],
 )

@@ -164,11 +164,6 @@ def test_run_experiment_checks_settings_and_matchers():
     method = MethodSpec("avg", "avg", ("matcher_1", "matcher_2"))
     with pytest.raises(ContractError, match="validation"):
         run_experiment(wrong_item, method, val, test, seed=0)
-    # the same inputs pass once the setting check is relaxed
-    res = run_experiment(
-        wrong_item, method, val, test, seed=0, enforce_validation_setting=False
-    )
-    assert res.method_id == "avg"
 
     swapped = PlanItem(train_s, train_s, "intra")  # test came from test_s
     with pytest.raises(ContractError, match="test"):
