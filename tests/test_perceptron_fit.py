@@ -92,6 +92,8 @@ def test_iteration_cap_reports_max_iter():
         {"max_epochs": 0},
         {"tolerance": float("nan")},
         {"tolerance": -1e-9},
+        {"tolerance": float("inf")},
+        {"seed": 1.5},
         {"seed": True},
     ],
 )
