@@ -39,6 +39,7 @@ from .protocol import (
     MethodSpec,
     PlanItem,
     aggregate_results,
+    check_leakage,
     fit_method,
     fuse_method,
     plan_experiments,
@@ -127,8 +128,6 @@ def cmd_fuse(args) -> int:
     method = args.method
     weights = None
     if method == "weighted":
-        if not args.weights_file:
-            raise ContractError("weighted fusion requires --weights-file")
         weights = load_weights(args.weights_file, test.matcher_ids)
         inputs.update(_digests([args.weights_file]))
     hyper = PerceptronHyper(args.max_epochs, args.tolerance, args.seed)
@@ -197,6 +196,23 @@ _MODEL_SCHEMA = {  # a synth --model-file document, read by _violations
 }
 
 
+# synth's model flags, each named after its GaussianScoreModel field, with their defaults
+_MODEL_DEFAULTS = {
+    "mu_nonmated": 0.3,
+    "sigma_nonmated": 0.1,
+    "mu_mated": 0.6,
+    "sigma_mated": 0.1,
+    "n_mated": 1000,
+    "n_nonmated": 1000,
+    "clamp": False,
+}
+
+
+def _flag(name: str) -> str:
+    """The command-line flag of a model field."""
+    return "--" + name.replace("_", "-")
+
+
 def cmd_synth(args) -> int:
     if args.demo:
         config = build_demo(args.demo, args.seed)
@@ -217,8 +233,12 @@ def cmd_synth(args) -> int:
             clamp=doc.get("clamp", False),
         )
         inputs = _digests([args.model_file])
-    else:  # each model field has its flag
-        model = GaussianScoreModel(**{f.name: getattr(args, f.name) for f in fields(GaussianScoreModel)})
+    else:  # each model field but the seed has its flag, None where not given
+        given = {name: getattr(args, name) for name in _MODEL_DEFAULTS}
+        model = GaussianScoreModel(
+            **{name: _MODEL_DEFAULTS[name] if value is None else value for name, value in given.items()},
+            seed=args.seed,
+        )
         inputs = {}
     setting = SettingDescriptor(args.camera, args.distance, args.dataset)
     table = generate_scores(
@@ -482,18 +502,25 @@ def cmd_grid(args) -> int:
         mapper = map if pool is None else pool.map
         loaded = dict(zip(groups, mapper(_load_group, groups, groups.values())))
 
-    fits: dict[tuple[SettingDescriptor, str], object] = {}
+    done: dict[tuple, object] = {}
+
+    def once(key: tuple, fn, *args):
+        """``fn(*args)``, run once per ``key``; a failure is raised again in
+        every cell that comes back to the key."""
+        if key not in done:
+            try:
+                done[key] = fn(*args)
+            except ScoreFuseError as exc:
+                done[key] = exc
+        return _unwrap(done[key])
 
     def fit(setting: SettingDescriptor, method: MethodSpec, val_scores: AlignedScores):
-        """``fit_method`` for the train ``setting``, fitted once; a failed fit
-        is raised again in every cell that fits it."""
-        key = (setting, method.method_id)
-        if key not in fits:
-            try:
-                fits[key] = fit_method(method, val_scores)
-            except ScoreFuseError as exc:
-                fits[key] = exc
-        return _unwrap(fits[key])
+        """``fit_method`` for the train ``setting``, fitted once."""
+        return once(("fit", setting, method.method_id), fit_method, method, val_scores)
+
+    def leakage(item: PlanItem, val_scores: AlignedScores, test_scores: AlignedScores):
+        """``check_leakage`` of the validation and test groups that ``item`` reads, checked once."""
+        once(("leakage", item.train_setting, item.test_setting), check_leakage, val_scores, test_scores)
 
     ok_results: list[ExperimentResult] = []
     failures: list[dict] = []
@@ -508,6 +535,7 @@ def cmd_grid(args) -> int:
                     _unwrap(loaded[test_group][0]),
                     seed=seed,
                     fit=functools.partial(fit, item.train_setting),
+                    leakage=functools.partial(leakage, item),
                 )
             )
         except ScoreFuseError as exc:
@@ -581,15 +609,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _finite_float(minimum: float):
-    """argparse type: a finite float >= ``minimum``, else exit 2."""
+def _finite_float(minimum: float, strict: bool = False):
+    """argparse type: a finite float >= ``minimum`` (> with ``strict``), else exit 2."""
 
     def parse(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be a number >= {minimum:g}, got {text!r}")
+        if value < minimum or strict and value == minimum:
+            relation = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be a number {relation} {minimum:g}, got {text!r}")
         return value
 
     parse.__name__ = "float"
@@ -691,16 +720,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic labeled score tables")
     p.add_argument("--out", help="output score CSV")
     p.add_argument("--model-file", default=None, help="Gaussian model JSON")
-    p.add_argument("--mu-nonmated", type=_finite_float(-math.inf), default=0.3)
-    p.add_argument("--sigma-nonmated", type=_finite_float(-math.inf), default=0.1)
-    p.add_argument("--mu-mated", type=_finite_float(-math.inf), default=0.6)
-    p.add_argument("--sigma-mated", type=_finite_float(-math.inf), default=0.1)
-    p.add_argument("--n-mated", type=int, default=1000)
-    p.add_argument("--n-nonmated", type=int, default=1000)
-    p.add_argument("--clamp", action="store_true", help="clamp samples into [0, 1]")
+    # a model flag's default is None, so main can tell a given flag; cmd_synth
+    # reads the defaults from _MODEL_DEFAULTS
+    for name in ("mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"):
+        p.add_argument(_flag(name), type=_finite_float(-math.inf), help=f"(default {_MODEL_DEFAULTS[name]})")
+    for name in ("n_mated", "n_nonmated"):
+        p.add_argument(_flag(name), type=int, help=f"(default {_MODEL_DEFAULTS[name]})")
+    p.add_argument("--clamp", action="store_true", default=None, help="clamp samples into [0, 1]")
     p.add_argument("--matcher-id", default="synthetic")
     p.add_argument("--camera", default=DEFAULT_SETTING.camera_id)
-    p.add_argument("--distance", type=float, default=DEFAULT_SETTING.distance_m)
+    p.add_argument("--distance", type=_finite_float(0.0, strict=True), default=DEFAULT_SETTING.distance_m)
     p.add_argument("--dataset", default=DEFAULT_SETTING.dataset_id)
     p.add_argument("--id-tag", default="", help="prefix for generated pair ids")
     p.add_argument("--demo", default=None, metavar="DIR", help="write the demo grid instead")
@@ -717,6 +746,12 @@ def main(argv=None) -> int:
         parser.error("synth requires --out (or --demo DIR)")
     if args.command == "fuse" and args.weights_file and args.method != "weighted":
         parser.error(f"--weights-file is only read by --method weighted, got --method {args.method}")
+    if args.command == "fuse" and args.method == "weighted" and not args.weights_file:
+        parser.error("--method weighted requires --weights-file")
+    if args.command == "synth" and args.model_file:
+        for name in _MODEL_DEFAULTS:
+            if getattr(args, name) is not None:
+                parser.error(f"{_flag(name)} is not read with --model-file, which sets the model")
     try:
         return args.fn(args)
     except ScoreFuseError as exc:

@@ -5,7 +5,8 @@ which setting fields differ (``intra`` = none, ``cross_distance`` /
 ``cross_camera`` / ``cross_both`` within one dataset, ``cross_dataset``
 across datasets). Running an item fits any parametric fuser on the train
 setting's validation scores only, evaluates on the test setting's scores,
-and refuses to run if validation and test share comparison pairs.
+and refuses to run if validation and test share comparison pairs
+(:func:`check_leakage`).
 """
 
 from __future__ import annotations
@@ -163,28 +164,34 @@ def fit_method(method: MethodSpec, val_scores: AlignedScores) -> FusionWeights |
     return train_perceptron(val_sub, method.hyper)
 
 
+def check_leakage(val_scores: AlignedScores, test_scores: AlignedScores) -> None:
+    """Raise :class:`LeakageError` if the validation and test scores share a comparison pair."""
+    overlap = val_scores.keys() & test_scores.keys()
+    if overlap:
+        shown = ", ".join(map(str, sorted(overlap)[:5]))
+        raise LeakageError(
+            f"{len(overlap)} comparison pair(s) appear in both validation and "
+            f"test partitions: {shown}"
+        )
+
+
 def fuse_method(
     method: MethodSpec,
     val_scores: AlignedScores | None,
     test_scores: AlignedScores,
     fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
+    leakage: Callable[[AlignedScores, AlignedScores], None] = check_leakage,
 ) -> tuple[ScoreTable, FusionWeights | PerceptronFuser | None]:
     """Fuse the test scores of ``method``'s matchers by its rule.
 
-    ``pcc_avg`` and ``perceptron`` are first fitted by ``fit(method,
-    val_scores)``; a comparison pair shared between the validation and test
-    scores raises :class:`LeakageError`. Returns the fused table, named after
-    the method's kind, and the fuser it ran (fitted, or the method's
-    weights), or None for a fixed rule.
+    With validation scores, ``leakage(val_scores, test_scores)`` runs first.
+    ``pcc_avg`` and ``perceptron`` are then fitted by ``fit(method,
+    val_scores)``. Returns the fused table, named after the method's kind,
+    and the fuser it ran (fitted, or the method's weights), or None for a
+    fixed rule.
     """
     if val_scores is not None:
-        overlap = val_scores.keys() & test_scores.keys()
-        if overlap:
-            shown = ", ".join(map(str, sorted(overlap)[:5]))
-            raise LeakageError(
-                f"{len(overlap)} comparison pair(s) appear in both validation and "
-                f"test partitions: {shown}"
-            )
+        leakage(val_scores, test_scores)
     # a single matcher goes through the average, the identity for one column
     fuser = {"single": "avg", "avg": "avg", "bayes": "bayes", "weighted": method.weights}.get(method.kind)
     if fuser is None:
@@ -204,12 +211,14 @@ def run_experiment(
     *,
     seed: int,
     fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
+    leakage: Callable[[AlignedScores, AlignedScores], None] = check_leakage,
 ) -> ExperimentResult:
     """Fit (if parametric), evaluate on the test scores, package the result.
 
     Parametric methods are fitted on ``val_scores`` only, which must come
     from the train setting, through :func:`fuse_method`; a grid passes a
-    ``fit`` that fits each (train setting, method) once.
+    ``fit`` that fits each (train setting, method) once, and a ``leakage``
+    check that runs once per (train setting, test setting).
     """
     missing = [m for m in method.matcher_ids if m not in test_scores.matcher_ids]
     if missing:
@@ -219,7 +228,7 @@ def run_experiment(
     _check_settings(test_scores, item.test_setting, "test")
     if val_scores is not None:
         _check_settings(val_scores, item.train_setting, "validation")
-    fused, fuser = fuse_method(method, val_scores, test_scores, fit)
+    fused, fuser = fuse_method(method, val_scores, test_scores, fit, leakage)
 
     prov = {"test_scores_sha256": test_scores.sha256}
     if val_scores is not None:

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -118,11 +119,19 @@ def _inconsistent(mated: np.ndarray, probe_subjects, reference_subjects) -> int 
     return _first_true(np.asarray(mated, dtype=bool) != same)
 
 
-def _per_row(values, codes: np.ndarray) -> list:
-    """``values[code]`` for every row's code."""
+def _decoded(values, codes: np.ndarray) -> np.ndarray:
+    """The object array of ``values[code]`` for every row's code."""
     table = np.empty(len(values), dtype=object)
     table[:] = values
-    return table[codes].tolist()
+    return table[codes]
+
+
+def _per_row(values, codes: np.ndarray) -> list:
+    """``values[code]`` for every row's code."""
+    return _decoded(values, codes).tolist()
+
+
+_TEXT_COLUMNS = ("probe_ids", "reference_ids", "probe_subjects", "reference_subjects")
 
 
 class PairColumns:
@@ -136,6 +145,11 @@ class PairColumns:
     instance and its cached key index. ``check_mated=False`` skips the check
     that every ``mated`` flag agrees with subject equality, for a caller that
     has already made it.
+
+    A pickle, such as a forked loader's result, holds each text column as
+    its distinct strings and a code per row, in the smallest unsigned integer
+    type that numbers them, and no key index; the key index is built again
+    on first use.
     """
 
     def __init__(
@@ -170,7 +184,17 @@ class PairColumns:
         if bad is not None:
             _check_mated(bool(self.mated[bad]), self.probe_subjects[bad], self.reference_subjects[bad])
 
-    __setstate__ = _frozen_state
+    def __getstate__(self) -> dict:
+        state = {name: value for name, value in self.__dict__.items() if name != "key_index"}
+        for name in _TEXT_COLUMNS:
+            codes, distinct = _text_codes(state[name].tolist())
+            state[name] = (distinct, codes.astype(np.min_scalar_type(len(distinct))))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name in _TEXT_COLUMNS:
+            state[name] = _decoded(*state[name])
+        _frozen_state(self, state)
 
     def __len__(self) -> int:
         return len(self.mated)
@@ -339,6 +363,7 @@ class _FirstBadRow:
         self.path = path
         self.error: Exception | None = None
         columns = _plain_columns(path, header)
+        self.plain = columns is not None
         if columns is not None:
             self.limit = len(columns[0])
             self.columns = columns
@@ -372,15 +397,29 @@ class _FirstBadRow:
             self.fail(bad, ParseError, f"mated must be 0 or 1, got {flags[bad]!r}")
         return np.array(self.head(flags), dtype=object) == "1"
 
-    def floats(self, texts, what: str) -> np.ndarray:
-        """The rows' ``texts`` as finite floats."""
+    def floats(self, texts, what: str, repeated: bool = False) -> np.ndarray:
+        """The rows' ``texts`` as finite floats.
+
+        With ``repeated``, for a column of few distinct texts, each distinct
+        text is parsed once, in order of first appearance, up to the first
+        that is no number: the text of the first bad row.
+        """
         texts = self.head(texts)
+        parse = float
+        if repeated:
+            parsed = {}
+            for text in dict.fromkeys(texts):
+                try:
+                    parsed[text] = float(text)
+                except ValueError:
+                    break
+            parse = parsed.__getitem__  # a KeyError from the first bad row on
         try:
-            values = np.fromiter(map(float, texts), np.float64, len(texts))
-        except ValueError:
+            values = np.fromiter(map(parse, texts), np.float64, len(texts))
+        except (ValueError, KeyError):
             bad = next(i for i, text in enumerate(texts) if not _is_float(text))
             self.fail(bad, ParseError, f"non-numeric {what} {texts[bad]!r}")
-            values = np.fromiter(map(float, texts[:bad]), np.float64, bad)
+            values = np.fromiter(map(parse, texts[:bad]), np.float64, bad)
         self.fail(
             _first_true(~np.isfinite(values)),
             ParseError,
@@ -412,8 +451,8 @@ class _FirstBadRow:
         """
         codes, first = _first_appearance(distances[: self.limit])
         for column in (self.head(cams), self.head(dsets)):
-            column_codes, n_distinct = _text_codes(column)
-            codes, first = _first_appearance(codes * n_distinct + column_codes)
+            column_codes, distinct = _text_codes(column)
+            codes, first = _first_appearance(codes * len(distinct) + column_codes)
         settings = []
         for row in first.tolist():
             try:
@@ -445,12 +484,14 @@ def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse.reshape(-1)], first[order]
 
 
-def _text_codes(column) -> tuple[np.ndarray, int]:
-    """Codes numbering the distinct strings of ``column``, and how many there are."""
+def _text_codes(column: list) -> tuple[np.ndarray, list]:
+    """Codes numbering the distinct strings of ``column`` in order of first
+    appearance, and those strings."""
     if not column or column.count(column[0]) == len(column):
-        return np.zeros(len(column), dtype=np.intp), 1
-    distinct = {text: k for k, text in enumerate(dict.fromkeys(column))}
-    return np.fromiter(map(distinct.__getitem__, column), np.intp, len(column)), len(distinct)
+        return np.zeros(len(column), dtype=np.intp), column[:1]
+    distinct = dict.fromkeys(column)
+    codes = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), list(distinct)
 
 
 def _is_float(text: str) -> bool:
@@ -528,28 +569,66 @@ def load_score_tables(paths, declared_range: tuple[float, float]):
     only when the previous one has loaded.
 
     Files that list the same comparisons, as the matchers of one setting and
-    split do, share one :class:`PairColumns`: a later file whose eight pair
-    fields, as read, equal the first file's row for row gets a table over the
-    first table's columns. Every file runs the same checks, so a bad file
+    split do, share one :class:`PairColumns`. When the first file is plain
+    (:func:`_plain_columns`) and has rows, a later file is first compared
+    with it as text (:func:`_same_pairs`). A later file that repeats the
+    first file's pair fields and holds only valid scores gets a table over
+    the first table's columns. Any other file runs every check of
+    :func:`load_score_table` and gets columns of its own, so a bad file
     raises what :func:`load_score_table` raises for it.
     """
-    shared = None
-    for path in map(Path, paths):
+    first = None  # matcher id, cut lines and columns of a plain first file with rows
+    for k, path in enumerate(map(Path, paths)):
+        same = first and _same_pairs(path, first[0], first[1])
+        scores = same and _valid_scores(same[1], declared_range)
+        if scores is not None:
+            yield ScoreTable(same[0], declared_range, first[2], scores)
+            continue
         check = _FirstBadRow(path, SCORE_CSV_HEADER)
-        table = _score_table(path, declared_range, check, shared)
-        shared = shared or (check.columns[1:9], table.columns)
+        table = _score_table(path, declared_range, check)
+        if k == 0 and check.plain and len(table):
+            cut = "\n" + "\n".join(map(",".join, zip(*check.columns[:9])))
+            first = (table.matcher_id, cut, table.columns)
         yield table
 
 
-def _score_table(path: Path, declared_range, check: _FirstBadRow, shared=None) -> ScoreTable:
-    """The checks of :func:`load_score_table` over ``check``'s columns, then its table.
+def _same_pairs(path: Path, first_id: str, first_cut: str) -> tuple[str, list[str]] | None:
+    """The matcher id and score texts of a plain score file that repeats the
+    first file's rows but for matcher id and score, or None.
 
-    ``shared`` is an earlier file's pair fields, as read, and the columns
-    loaded from them. Once the matcher id, mated flag, float and range checks
-    have passed, a file with those pair fields gets a table over those
-    columns: the remaining checks look only at the pair fields, which the
-    earlier file passed.
+    ``first_cut`` is the first file's body lines, each after a LF and
+    without its last field. This file's lines, cut at their last comma,
+    equal it with ``first_id`` replaced at every line start by this file's
+    row-1 matcher id exactly when each row holds that id and the first
+    file's eight pair fields: in a plain file LF only starts lines, and
+    every line of the first file starts with ``first_id``.
     """
+    text = read_text(path)
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    if lines[0] != ",".join(SCORE_CSV_HEADER) or not body:
+        return None
+    parts = list(map(str.rpartition, body, repeat(",")))
+    matcher_id = parts[0][0].partition(",")[0]
+    if "\n" + "\n".join(map(itemgetter(0), parts)) != first_cut.replace(f"\n{first_id},", f"\n{matcher_id},"):
+        return None
+    return matcher_id, list(map(itemgetter(2), parts))
+
+
+def _valid_scores(texts, declared_range) -> np.ndarray | None:
+    """``texts`` as floats if every one is a finite number in ``declared_range``, else None."""
+    lo, hi = declared_range
+    try:
+        scores = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return None
+    return scores if np.all(np.isfinite(scores) & (lo <= scores) & (scores <= hi)) else None
+
+
+def _score_table(path: Path, declared_range, check: _FirstBadRow) -> ScoreTable:
+    """The checks of :func:`load_score_table` over ``check``'s columns, then its table."""
     lo, hi = declared_range
     mids, probes, refs, psubs, rsubs, flags, cams, dists, dsets, score_texts = check.columns
     matcher_id = mids[0] if mids else path.stem
@@ -559,7 +638,7 @@ def _score_table(path: Path, declared_range, check: _FirstBadRow, shared=None) -
         lambda i: f"matcher_id {mids[i]!r} differs from {matcher_id!r} (one matcher per file)",
     )
     mated = check.mated(flags)
-    distances = check.floats(dists, "distance_m")
+    distances = check.floats(dists, "distance_m", repeated=True)
     scores = check.floats(score_texts, "score")
     outside = ~((lo <= scores) & (scores <= hi))
     check.fail(
@@ -567,8 +646,6 @@ def _score_table(path: Path, declared_range, check: _FirstBadRow, shared=None) -
         RangeViolationError,
         lambda i: f"score {score_texts[i]} outside declared range [{lo}, {hi}]",
     )
-    if shared is not None and check.error is None and check.columns[1:9] == shared[0]:
-        return ScoreTable(matcher_id, (lo, hi), shared[1], scores)
     key_index = check.key_index(probes, refs)
     n = check.limit
     columns = check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
@@ -584,7 +661,7 @@ def load_pairs(path) -> PairColumns:
     check = _FirstBadRow(path, PAIRS_CSV_HEADER)
     probes, refs, psubs, rsubs, flags, cams, dists, dsets = check.columns
     mated = check.mated(flags)
-    distances = check.floats(dists, "distance_m")
+    distances = check.floats(dists, "distance_m", repeated=True)
     key_index = check.key_index(probes, refs)
     return check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
 

@@ -225,8 +225,10 @@ def test_fuse_weighted_with_weights_file(tmp_path, capsys):
     doc = json.loads((tmp_path / "fuser_weighted.json").read_text())
     assert doc["kind"] == "weights" and doc["provenance"] == "manual"
 
-    # omitting the weights file, or pointing it at a non-fuser JSON, fails
-    assert run(["fuse", "--method", "weighted", "--inputs", a, b, "--out-dir", tmp_path]) == 4
+    # omitting the weights file is a usage error; pointing it at a non-fuser JSON fails to parse
+    with pytest.raises(SystemExit) as exc:
+        run(["fuse", "--method", "weighted", "--inputs", a, b, "--out-dir", tmp_path])
+    assert exc.value.code == 2
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{}", encoding="utf-8")
     assert run(["fuse", "--method", "weighted", "--inputs", a, b,

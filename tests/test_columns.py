@@ -361,39 +361,93 @@ def _group_outcome(tables, loaded: list):
     return ("ok", [(t.matcher_id, t.declared_range, rows_of(t.columns, t.scores)) for t in loaded], aligned.sha256)
 
 
-def test_group_loader_matches_loading_each_file(tmp_path):
+# Variants of a later file of a group. Each but "mutated", "crlf", "quoted",
+# "reordered", "longer" and "blank_end" keeps the first file's eight pair
+# fields, row for row, in a plain file.
+LATER_VARIANTS = [
+    "same", "mutated", "score", "reordered", "crlf", "quoted", "longer",
+    "other_id", "extended", "no_final_lf", "blank_end", "edge_score",
+]
+
+
+def _repeats_pairs(rows, base, fmt) -> bool:
+    """True if ``rows``, written in ``fmt``, make a plain file that repeats
+    ``base``'s pair fields under one matcher id."""
+    return (
+        fmt in (FORMATS[0], FORMATS[1])
+        and len(rows) == len(base)
+        and all(
+            len(r) == 10 and r[0] == rows[0][0] and r[1:9] == b[1:9] and not re.search('[",]', "".join(r))
+            for r, b in zip(rows, base)
+        )
+    )
+
+
+def test_group_loader_matches_loading_each_file(tmp_path, monkeypatch):
+    import scorefuse.tables as tables_module
+
+    compared = []  # (path, whether the text comparison matched) of each later file compared
+    same_pairs = tables_module._same_pairs
+
+    def spy(path, first_id, first_cut):
+        found = same_pairs(path, first_id, first_cut)
+        compared.append((path, found is not None))
+        return found
+
+    monkeypatch.setattr(tables_module, "_same_pairs", spy)
     rng = random.Random(20261018)
-    outcomes, shared = set(), set()
-    for case in range(240):
+    outcomes, shared, matched = set(), set(), {}
+    for case in range(360):
         base = score_rows(8)
-        paths, variants = [], []
+        paths, variants, repeats = [], [], []
         for k in range(rng.randrange(2, 5)):
             rows = [[f"m{k}", *r[1:9], repr(rng.random())] for r in base]
-            variant = rng.choice(
-                ["same", "crlf"] if k == 0 else ["same", "mutated", "score", "reordered", "crlf", "quoted", "longer"]
-            )
+            variant = rng.choice(["same", "crlf", "no_final_lf"] if k == 0 else LATER_VARIANTS)
             if variant == "mutated":
                 for _ in range(rng.randrange(1, 3)):
                     _mutate(rng, rows, True)
             elif variant == "score":  # the first file's pairs, with one bad or edge score
                 rng.choice(rows)[9] = rng.choice(["1.5", "-0.1", "nan", "inf", "abc", "1", "0"])
+            elif variant == "edge_score":  # texts that float() reads, as a row-by-row reading does
+                rng.choice(rows)[9] = rng.choice([" 0.5", "1_0", "+0.5"])
             elif variant == "reordered":
                 rng.shuffle(rows)
             elif variant == "longer":  # the first file's rows, then a short row
                 rows.append(rows[0][: rng.randrange(1, 10)])
+            elif variant == "other_id":  # one row names the first file's matcher, or another
+                rng.choice(rows)[0] = rng.choice(["m0", "x"])
+            elif variant == "extended":  # an id that extends the first file's, m0 -> m0<k>
+                for row in rows:
+                    row[0] = f"m0{k}"
             variants.append(variant)
-            fmt = {"crlf": FORMATS[2], "quoted": FORMATS[6]}.get(variant, FORMATS[0])
+            fmt = {"crlf": FORMATS[2], "quoted": FORMATS[6], "no_final_lf": FORMATS[1]}.get(variant, FORMATS[0])
             paths.append(tmp_path / f"case{case}-{k}.csv")
             _write_csv(paths[-1], SCORE_HEADER, rows, fmt, rng)
+            if variant == "blank_end":
+                paths[-1].write_bytes(paths[-1].read_bytes() + b"\n")
+                fmt = None
+            repeats.append(_repeats_pairs(rows, base, fmt))
         want = _group_outcome((load_score_table(p, (0.0, 1.0)) for p in paths), [])
-        tables = []
+        tables, compared[:] = [], []
         assert _group_outcome(load_score_tables(paths, (0.0, 1.0)), tables) == want, (case, variants)
+        # a later file is compared as text only after a plain first file, and
+        # matches exactly when it repeats the first file's pair fields
+        assert [path for path, _ in compared] == (paths[1 : len(compared) + 1] if variants[0] != "crlf" else [])
+        for (path, found), variant, repeat in zip(compared, variants[1:], repeats[1:]):
+            assert found == repeat, (case, variants, path)
+            matched.setdefault(variant, set()).add(found)
         outcomes.add(want[0] if want[0] == "ok" else want[0].__name__)
         if want[0] == "ok":
             shared.update(t.columns is tables[0].columns for t in tables[1:])
     # both ways of loading a later file, and errors of loading and of joining
     assert shared == {True, False}
-    assert {"ok", "ParseError", "AlignmentError", "ConsistencyError"} <= outcomes, outcomes
+    assert {"ok", "ParseError", "RangeViolationError", "AlignmentError", "ConsistencyError"} <= outcomes, outcomes
+    # plain files with the first file's pairs take the text comparison, the others do not
+    for variant in ("same", "score", "extended", "no_final_lf", "edge_score"):
+        assert matched[variant] == {True}, variant
+    for variant in ("reordered", "crlf", "quoted", "longer", "other_id", "blank_end"):
+        assert matched[variant] == {False}, variant
+    assert matched["mutated"] == {True, False}
 
 
 def test_pickled_tables_keep_read_only_arrays():
@@ -403,6 +457,32 @@ def test_pickled_tables_keep_read_only_arrays():
     assert copy.sha256 == aligned.sha256
     for arr in (copy.matrix, copy.columns.probe_ids, copy.columns.mated, copy.columns.setting_codes):
         assert not arr.flags.writeable
+
+
+def test_pickled_pair_columns_send_each_distinct_string_once():
+    n, distinct = 10_000, 1_000
+    # 10^3 distinct probes, references and subjects; the keys (i % 1000, i // 10) are unique
+    pairs = columns(
+        (f"p{i % distinct}", f"r{i // 10}", f"s{i % distinct}", f"s{i // 10}", i % distinct == i // 10,
+         SettingDescriptor("c", 1.0 + i % 2, "d"))
+        for i in range(n)
+    )
+    aligned = AlignedScores(("a", "b"), pairs, np.linspace(0.0, 1.0, 2 * n).reshape(n, 2))
+    key_index, digest = dict(pairs.key_index), aligned.sha256
+    blob = pickle.dumps(aligned)
+    copy = pickle.loads(blob)
+    c = copy.columns
+    assert "key_index" not in c.__dict__  # built again on first use
+    for name in ("probe_ids", "reference_ids", "probe_subjects", "reference_subjects", "mated", "setting_codes"):
+        assert getattr(c, name).tolist() == getattr(pairs, name).tolist(), name
+        assert getattr(c, name).dtype == getattr(pairs, name).dtype and not getattr(c, name).flags.writeable, name
+    assert c.settings == pairs.settings and np.array_equal(copy.matrix, aligned.matrix)
+    assert c.key_index == key_index and copy.sha256 == digest
+    assert AlignedScores(copy.matcher_ids, c, copy.matrix).sha256 == digest  # recomputed from the copy
+    # the columns against the default pickle of their attributes: one string
+    # object per row, and the key index
+    compact, attributes = len(pickle.dumps(pairs)), len(pickle.dumps(pairs.__dict__))
+    assert compact < attributes / 2, (compact, attributes)
 
 
 def test_long_field_reads_the_same_on_both_paths(tmp_path):

@@ -21,7 +21,7 @@ import scorefuse.protocol
 import scorefuse.provenance
 from scorefuse.cli import main
 from scorefuse.demo import build_demo
-from scorefuse.errors import ContractError
+from scorefuse.errors import ContractError, ScoreFuseError
 from scorefuse.fusion import FusionWeights, PerceptronHyper, fuser_to_dict, save_fuser
 from scorefuse.protocol import GROUP_BYS, METHOD_KINDS, PLAN_KINDS
 from scorefuse.provenance import atomic_write_text
@@ -305,6 +305,46 @@ def test_leakage_takes_precedence_over_a_failed_fit(tmp_path, monkeypatch, capsy
     summary = json.loads((config_path.parent / "results" / "summary.json").read_text())
     assert [f["error"] for f in summary["failures"]] == ["LeakageError"] * 2
     assert calls == []
+
+
+def test_leakage_is_checked_once_per_pair_of_settings(tmp_path, monkeypatch, capsys):
+    # the test files of the 1-m setting are its validation files: its intra
+    # cells leak, the other cells do not
+    config_path = small_demo(tmp_path, kinds=("intra", "cross_distance"), methods=("avg", "pcc_avg"))
+    config = json.loads(config_path.read_text())
+    for entry in config["score_files"]:
+        if entry["split"] == "test" and entry["distance_m"] == 1.0:
+            entry["path"] = entry["path"].replace("__test.csv", "__validation.csv")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    checks = []  # (validation row 1's key, test row 1's key, message raised or None) per check
+    check_leakage = scorefuse.cli.check_leakage
+
+    def counted(val_scores, test_scores):
+        try:
+            check_leakage(val_scores, test_scores)
+            message = None
+        except ScoreFuseError as exc:
+            message = str(exc)
+            raise
+        finally:
+            checks.append((val_scores.columns.key(0), test_scores.columns.key(0), message))
+
+    monkeypatch.setattr(scorefuse.cli, "check_leakage", counted)
+    runs = []
+    for jobs in ("1", "2"):
+        checks.clear()
+        assert main(["grid", "--config", str(config_path), "--jobs", jobs, "--keep-going"]) == 6
+        results = config_path.parent / "results"
+        runs.append({p.name: p.read_bytes() for p in results.iterdir()})
+        shutil.rmtree(results)
+        # 4 plan items (2 intra, 2 cross_distance) x 2 methods, one check per (train, test) setting
+        assert len(checks) == len({(val, test) for val, test, _ in checks}) == 4
+        failures = json.loads(runs[-1]["summary.json"])["failures"]
+        assert [(f["error"], f["method_id"]) for f in failures] == [("LeakageError", "avg"), ("LeakageError", "pcc_avg")]
+        leaks = [message for _, _, message in checks if message is not None]
+        assert len(leaks) == 1 and all(f["message"] == leaks[0] for f in failures)
+        assert f"FAILED {failures[0]['cell']} avg: {leaks[0]}" in capsys.readouterr().err
+    assert runs[1] == runs[0]
 
 
 # ---------------------------------------------------------------- --jobs
@@ -854,3 +894,41 @@ def test_synth_mistyped_model_file_is_a_parse_error(tmp_path, edit, key):
     assert code == 3, err
     assert f"{model}: " in err and repr(key) in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def _usage_error(capsys, *argv) -> str:
+    """The message of ``main(argv)``'s usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--clamp"], ["--mu-mated", "0.6"], ["--n-nonmated", "7"], ["--sigma-nonmated", "0.2", "--clamp"]],
+)
+def test_synth_model_flag_with_a_model_file_is_a_usage_error(tmp_path, capsys, flags):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_MODEL), encoding="utf-8")
+    err = _usage_error(capsys, "synth", "--model-file", model, *flags, "--out", tmp_path / "s.csv")
+    assert f"{flags[0]} is not read with --model-file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    # the flags alone, or the file with the flags that are no model field, still run
+    assert main(["synth", *map(str, flags), "--n-mated", "5", "--out", str(tmp_path / "flags.csv")]) == 0
+    assert main(["synth", "--model-file", str(model), "--seed", "3", "--distance", "2", "--out", str(tmp_path / "f.csv")]) == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1.5"])
+def test_synth_distance_must_be_finite_and_positive(tmp_path, capsys, value):
+    out = tmp_path / "s.csv"
+    err = _usage_error(capsys, "synth", f"--distance={value}", "--out", out)
+    assert "--distance" in err and repr(value) in err
+    assert not out.exists()
+
+
+def test_fuse_weighted_needs_a_weights_file_before_reading_inputs(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"  # no input is read: a missing one would be an i/o error
+    err = _usage_error(capsys, "fuse", "--method", "weighted", "--inputs", missing, missing, "--out-dir", tmp_path / "out")
+    assert "--method weighted requires --weights-file" in err
+    assert not (tmp_path / "out").exists()

@@ -12,6 +12,7 @@ from scorefuse.protocol import (
     MethodSpec,
     PlanItem,
     aggregate_results,
+    check_leakage,
     classify_pair,
     plan_experiments,
     result_to_dict,
@@ -150,6 +151,21 @@ def test_run_experiment_leakage_guard():
     method = MethodSpec("avg", "avg", ("matcher_1", "matcher_2"))
     with pytest.raises(LeakageError, match="pair"):
         run_experiment(item, method, test, test, seed=0)
+
+
+def test_check_leakage_names_the_shared_pairs():
+    # probes p0..p5 against references r0..r5 (validation) and r6..r11 (test)
+    def pairs(refs, shared=()):
+        keys = [(f"p{i}", f"r{j}") for i, j in zip(range(6), refs)] + list(shared)
+        return AlignedScores(("m",), columns((p, r, p, p, True, S("c", 1.0, "d")) for p, r in keys), np.full((len(keys), 1), 0.5))
+
+    val = pairs(range(6))
+    check_leakage(val, pairs(range(6, 12)))  # shared probes, no shared pair
+    with pytest.raises(LeakageError) as exc:
+        check_leakage(val, pairs(range(6, 12), [("p3", "r3"), ("p1", "r1")]))
+    assert str(exc.value) == (
+        "2 comparison pair(s) appear in both validation and test partitions: ('p1', 'r1'), ('p3', 'r3')"
+    )
 
 
 def test_run_experiment_checks_settings_and_matchers():
