@@ -130,7 +130,7 @@ def cmd_fuse(args) -> int:
     if method == "weighted":
         weights = load_weights(args.weights_file, test.matcher_ids)
         inputs.update(_digests([args.weights_file]))
-    hyper = PerceptronHyper(args.max_epochs, args.tolerance, args.seed)
+    hyper = PerceptronHyper(args.max_epochs, args.tolerance)
     fused, fitted = fuse_method(MethodSpec(method, method, test.matcher_ids, weights, hyper), val, test)
 
     out_csv = out_dir / f"fused_{method}.csv"
@@ -188,8 +188,10 @@ _MODEL_SCHEMA = {  # a synth --model-file document, read by _violations
     "type": "object",
     "required": ["mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated", "n_mated", "n_nonmated"],
     "properties": {
-        **dict.fromkeys(("mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"), {"type": "number"}),
-        **dict.fromkeys(("n_mated", "n_nonmated", "seed"), {"type": "integer"}),
+        **dict.fromkeys(("mu_nonmated", "mu_mated"), {"type": "number"}),
+        **dict.fromkeys(("sigma_nonmated", "sigma_mated"), {"type": "number", "exclusiveMinimum": 0}),
+        **dict.fromkeys(("n_mated", "n_nonmated"), {"type": "integer", "minimum": 1}),
+        "seed": {"type": "integer"},
         "clamp": {"type": "boolean"},
     },
     "additionalProperties": False,
@@ -207,10 +209,25 @@ _MODEL_DEFAULTS = {
     "clamp": False,
 }
 
+# synth's flags for the written table, with their defaults
+_TABLE_DEFAULTS = {
+    "matcher_id": "synthetic",
+    "camera": DEFAULT_SETTING.camera_id,
+    "distance": DEFAULT_SETTING.distance_m,
+    "dataset": DEFAULT_SETTING.dataset_id,
+    "id_tag": "",
+}
+
 
 def _flag(name: str) -> str:
-    """The command-line flag of a model field."""
+    """The command-line flag of an argument."""
     return "--" + name.replace("_", "-")
+
+
+def _given_or_default(args, defaults: dict) -> dict:
+    """Each argument named in ``defaults``: its value, or its default where not given."""
+    given = {name: getattr(args, name) for name in defaults}
+    return {name: default if given[name] is None else given[name] for name, default in defaults.items()}
 
 
 def cmd_synth(args) -> int:
@@ -233,17 +250,12 @@ def cmd_synth(args) -> int:
             clamp=doc.get("clamp", False),
         )
         inputs = _digests([args.model_file])
-    else:  # each model field but the seed has its flag, None where not given
-        given = {name: getattr(args, name) for name in _MODEL_DEFAULTS}
-        model = GaussianScoreModel(
-            **{name: _MODEL_DEFAULTS[name] if value is None else value for name, value in given.items()},
-            seed=args.seed,
-        )
+    else:  # each model field but the seed has its flag
+        model = GaussianScoreModel(**_given_or_default(args, _MODEL_DEFAULTS), seed=args.seed)
         inputs = {}
-    setting = SettingDescriptor(args.camera, args.distance, args.dataset)
-    table = generate_scores(
-        model, matcher_id=args.matcher_id, setting=setting, id_tag=args.id_tag
-    )
+    flags = _given_or_default(args, _TABLE_DEFAULTS)
+    setting = SettingDescriptor(flags["camera"], flags["distance"], flags["dataset"])
+    table = generate_scores(model, matcher_id=flags["matcher_id"], setting=setting, id_tag=flags["id_tag"])
     write_csv_artifact(args.out, score_table_csv_text(table), seed=model.seed, inputs=inputs)
     print(f"wrote {len(table)} synthetic scores to {args.out}")
     return 0
@@ -384,12 +396,10 @@ def _setting(entry: dict) -> SettingDescriptor:
 def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
     matchers = tuple(entry["matchers"])
     weights = load_weights(config_dir / entry["weights_file"], matchers) if entry["kind"] == "weighted" else None
-    hyper = None
-    if entry.get("hyper"):
-        try:
-            hyper = PerceptronHyper(**entry["hyper"])
-        except ContractError as exc:
-            raise ParseError(f"method {entry['method_id']!r}: bad hyper ({exc})") from None
+    hyper = dict(entry.get("hyper", {}))
+    if "max_epochs" in hyper:  # the schema reads 2000.0 as an integer
+        hyper["max_epochs"] = int(hyper["max_epochs"])
+    hyper = PerceptronHyper(**hyper) if hyper else None
     return MethodSpec(entry["method_id"], entry["kind"], matchers, weights, hyper)
 
 
@@ -486,7 +496,7 @@ def cmd_grid(args) -> int:
     doc = read_json(config_path)
     _validate_grid_config(doc, config_path)
     config_dir = config_path.parent
-    seed = doc["seed"]
+    seed = int(doc["seed"])  # the schema reads 1.0 as an integer
     out_dir = config_dir / doc["output_dir"]
     group_by = doc.get("group_by", ["method"])
 
@@ -720,18 +730,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic labeled score tables")
     p.add_argument("--out", help="output score CSV")
     p.add_argument("--model-file", default=None, help="Gaussian model JSON")
-    # a model flag's default is None, so main can tell a given flag; cmd_synth
-    # reads the defaults from _MODEL_DEFAULTS
-    for name in ("mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"):
-        p.add_argument(_flag(name), type=_finite_float(-math.inf), help=f"(default {_MODEL_DEFAULTS[name]})")
-    for name in ("n_mated", "n_nonmated"):
-        p.add_argument(_flag(name), type=int, help=f"(default {_MODEL_DEFAULTS[name]})")
+    # a model or table flag's default is None, so main can tell a given flag;
+    # cmd_synth reads the defaults from _MODEL_DEFAULTS and _TABLE_DEFAULTS
+    types = {
+        "mu_nonmated": _finite_float(-math.inf),
+        "sigma_nonmated": _finite_float(0.0, strict=True),
+        "mu_mated": _finite_float(-math.inf),
+        "sigma_mated": _finite_float(0.0, strict=True),
+        "n_mated": _int_at_least(1),
+        "n_nonmated": _int_at_least(1),
+    }
+    for name, parse in types.items():
+        p.add_argument(_flag(name), type=parse, help=f"(default {_MODEL_DEFAULTS[name]})")
     p.add_argument("--clamp", action="store_true", default=None, help="clamp samples into [0, 1]")
-    p.add_argument("--matcher-id", default="synthetic")
-    p.add_argument("--camera", default=DEFAULT_SETTING.camera_id)
-    p.add_argument("--distance", type=_finite_float(0.0, strict=True), default=DEFAULT_SETTING.distance_m)
-    p.add_argument("--dataset", default=DEFAULT_SETTING.dataset_id)
-    p.add_argument("--id-tag", default="", help="prefix for generated pair ids")
+    p.add_argument("--matcher-id", help=f"(default {_TABLE_DEFAULTS['matcher_id']})")
+    p.add_argument("--camera", help=f"(default {_TABLE_DEFAULTS['camera']})")
+    p.add_argument(
+        "--distance", type=_finite_float(0.0, strict=True), help=f"(default {_TABLE_DEFAULTS['distance']})"
+    )
+    p.add_argument("--dataset", help=f"(default {_TABLE_DEFAULTS['dataset']})")
+    p.add_argument("--id-tag", help="prefix for generated pair ids (default none)")
     p.add_argument("--demo", default=None, metavar="DIR", help="write the demo grid instead")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synth)
@@ -748,6 +766,10 @@ def main(argv=None) -> int:
         parser.error(f"--weights-file is only read by --method weighted, got --method {args.method}")
     if args.command == "fuse" and args.method == "weighted" and not args.weights_file:
         parser.error("--method weighted requires --weights-file")
+    if args.command == "synth" and args.demo:
+        for name in ("out", "model_file", *_MODEL_DEFAULTS, *_TABLE_DEFAULTS):
+            if getattr(args, name) is not None:
+                parser.error(f"{_flag(name)} is not read with --demo, which writes the demo grid")
     if args.command == "synth" and args.model_file:
         for name in _MODEL_DEFAULTS:
             if getattr(args, name) is not None:

@@ -59,7 +59,6 @@ class TrainingLog:
     initial_loss: float
     final_loss: float
     epochs_run: int
-    seed: int
     stop_reason: str | None = None
 
     def __post_init__(self):
@@ -256,7 +255,6 @@ class PerceptronHyper:
 
     max_epochs: int = 10000
     tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         problems = []
@@ -264,8 +262,6 @@ class PerceptronHyper:
             problems.append("max_epochs must be an integer >= 1")
         if not (_is_real(self.tolerance) and self.tolerance >= 0):
             problems.append("tolerance must be a finite number >= 0")
-        if not _is_int(self.seed):
-            problems.append("seed must be an integer")
         if problems:
             raise ContractError(f"invalid perceptron hyperparameters: {'; '.join(problems)}")
 
@@ -287,8 +283,7 @@ def train_perceptron(
     the validation rows.
 
     The ridge keeps the optimum finite on separable data. Weights and bias
-    start at zero, so the fit is deterministic; the seed is recorded in the
-    training log for provenance only. Each iteration solves one
+    start at zero, so the fit is deterministic. Each iteration solves one
     (N+1)x(N+1) Newton system and halves the step until the objective does
     not increase, so the loss never ends above where it began. The fit stops
     once an iteration lowers the objective by less than ``tolerance``
@@ -334,7 +329,7 @@ def train_perceptron(
         if decrease < hyper.tolerance:
             stop_reason = "converged"
             break
-    log = TrainingLog(initial_loss, _cross_entropy(p, y), iterations, hyper.seed, stop_reason)
+    log = TrainingLog(initial_loss, _cross_entropy(p, y), iterations, stop_reason)
     w = theta[:-1]
     return PerceptronFuser(validation.matcher_ids, tuple(float(c) for c in w), float(theta[-1]), log)
 
@@ -402,7 +397,6 @@ def fuser_from_dict(doc) -> FusionWeights | PerceptronFuser:
                     _field(log, "initial_loss", float),
                     _field(log, "final_loss", float),
                     _field(log, "epochs_run", int),
-                    _field(log, "seed", int),
                     log.get("stop_reason"),
                 ),
             )

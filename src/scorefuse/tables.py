@@ -25,6 +25,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -96,23 +97,6 @@ def _first_true(mask: np.ndarray) -> int | None:
     return i if len(mask) and mask[i] else None
 
 
-def _first_not_equal(values, expected) -> int | None:
-    if values.count(expected) == len(values):
-        return None
-    return next(i for i, v in enumerate(values) if v != expected)
-
-
-def _first_repeat(keys) -> tuple[int, int] | None:
-    """(row, earlier row) of the first key seen before, or None."""
-    if len(set(keys)) == len(keys):
-        return None
-    seen: dict = {}
-    for i, key in enumerate(keys):
-        if key in seen:
-            return i, seen[key]
-        seen[key] = i
-
-
 def _inconsistent(mated: np.ndarray, probe_subjects, reference_subjects) -> int | None:
     """First row whose ``mated`` flag disagrees with subject equality."""
     same = np.asarray(probe_subjects, dtype=object) == np.asarray(reference_subjects, dtype=object)
@@ -142,9 +126,7 @@ class PairColumns:
     array and ``setting_codes`` an int array indexing ``settings``, a tuple of
     distinct :class:`SettingDescriptor`. Arrays are read-only, so every table
     over the same pairs (each matcher's scores, a fused column) shares one
-    instance and its cached key index. ``check_mated=False`` skips the check
-    that every ``mated`` flag agrees with subject equality, for a caller that
-    has already made it.
+    instance and its cached key index.
 
     A pickle, such as a forked loader's result, holds each text column as
     its distinct strings and a code per row, in the smallest unsigned integer
@@ -161,8 +143,6 @@ class PairColumns:
         mated,
         setting_codes,
         settings,
-        *,
-        check_mated: bool = True,
     ):
         text = [
             _frozen(np.array(col, dtype=object).reshape(-1))
@@ -180,7 +160,7 @@ class PairColumns:
         codes = self.setting_codes
         if n and (codes.min() < 0 or codes.max() >= len(self.settings)):
             raise ContractError("setting code out of range")
-        bad = _inconsistent(self.mated, self.probe_subjects, self.reference_subjects) if check_mated else None
+        bad = _inconsistent(self.mated, self.probe_subjects, self.reference_subjects)
         if bad is not None:
             _check_mated(bool(self.mated[bad]), self.probe_subjects[bad], self.reference_subjects[bad])
 
@@ -212,7 +192,11 @@ class PairColumns:
         """First row whose key appeared on an earlier row, or None."""
         if len(self.key_index) == len(self):
             return None
-        return _first_repeat(list(zip(self.probe_ids.tolist(), self.reference_ids.tolist())))[0]
+        seen = set()
+        for i, key in enumerate(zip(self.probe_ids.tolist(), self.reference_ids.tolist())):
+            if key in seen:
+                return i
+            seen.add(key)
 
     def setting_fields(self) -> tuple[list, list, list]:
         """Per-row camera_id, distance_m and dataset_id."""
@@ -345,135 +329,6 @@ class AlignedScores:
 # ---------------------------------------------------------------- CSV input
 
 
-class _FirstBadRow:
-    """The error that reading a CSV file row by row would report.
-
-    Such a reading checks every row in a fixed order of checks and stops at
-    the first failure, so it reports the first failing check of the earliest
-    bad row. Here each check runs over whole columns, in that same order, and
-    looks only at the rows before the earliest failure found so far
-    (``limit``); a later check can therefore only replace the error with one
-    on an earlier row. A plain file is split into ``columns`` in one pass
-    (:func:`_plain_columns`); any other is read by ``csv.reader``, and its
-    first check is the column count, after which ``columns`` holds the fields
-    of the rows before ``limit``.
-    """
-
-    def __init__(self, path: Path, header: tuple[str, ...]):
-        self.path = path
-        self.error: Exception | None = None
-        columns = _plain_columns(path, header)
-        self.plain = columns is not None
-        if columns is not None:
-            self.limit = len(columns[0])
-            self.columns = columns
-            return
-        rows = _read_rows(path, header)
-        width = len(header)
-        self.limit = len(rows)
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        bad = _first_true(lengths != width)
-        if bad is not None:
-            self.fail(bad, ParseError, f"expected {width} columns, got {lengths[bad]}")
-        self.columns = tuple(zip(*rows[: self.limit])) or ((),) * width
-
-    def fail(self, row: int | None, cls, message) -> None:
-        """Record ``cls`` at ``row`` if it is earlier than the current error.
-
-        ``message`` is a string or a function of the row giving one.
-        """
-        if row is not None and row < self.limit:
-            text = message(row) if callable(message) else message
-            self.limit = row
-            self.error = cls(f"{self.path}:{row + 2}: {text}")
-
-    def head(self, column):
-        return column[: self.limit]
-
-    def mated(self, flags) -> np.ndarray:
-        flags = self.head(flags)
-        if flags.count("1") + flags.count("0") != len(flags):
-            bad = next(i for i, f in enumerate(flags) if f not in ("0", "1"))
-            self.fail(bad, ParseError, f"mated must be 0 or 1, got {flags[bad]!r}")
-        return np.array(self.head(flags), dtype=object) == "1"
-
-    def floats(self, texts, what: str, repeated: bool = False) -> np.ndarray:
-        """The rows' ``texts`` as finite floats.
-
-        With ``repeated``, for a column of few distinct texts, each distinct
-        text is parsed once, in order of first appearance, up to the first
-        that is no number: the text of the first bad row.
-        """
-        texts = self.head(texts)
-        parse = float
-        if repeated:
-            parsed = {}
-            for text in dict.fromkeys(texts):
-                try:
-                    parsed[text] = float(text)
-                except ValueError:
-                    break
-            parse = parsed.__getitem__  # a KeyError from the first bad row on
-        try:
-            values = np.fromiter(map(parse, texts), np.float64, len(texts))
-        except (ValueError, KeyError):
-            bad = next(i for i, text in enumerate(texts) if not _is_float(text))
-            self.fail(bad, ParseError, f"non-numeric {what} {texts[bad]!r}")
-            values = np.fromiter(map(parse, texts[:bad]), np.float64, bad)
-        self.fail(
-            _first_true(~np.isfinite(values)),
-            ParseError,
-            lambda i: f"non-finite {what} {texts[i]!r}",
-        )
-        return values
-
-    def key_index(self, probes, refs) -> dict[tuple[str, str], int]:
-        """Row of each (probe, reference) key; a repeated key fails on its second row.
-
-        It looks at every row of ``columns``: the first repeat among them is
-        also the first among the rows before ``limit``, when it lies there.
-        """
-        index = dict(zip(zip(probes, refs), range(len(probes))))
-        if len(index) < len(probes):
-            row, first = _first_repeat(list(zip(probes, refs)))
-            key = (probes[row], refs[row])
-            self.fail(row, DuplicatePairError, f"duplicate pair {key}, first seen on line {first + 2}")
-        return index
-
-    def pairs(
-        self, probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index
-    ) -> PairColumns:
-        """The checks of the pair constructors (setting, then mated flag), then the columns.
-
-        A setting is a distinct (camera, distance, dataset) triple, numbered in
-        order of first appearance; each column is coded on its own and the
-        codes combined, so no per-row triple is built.
-        """
-        codes, first = _first_appearance(distances[: self.limit])
-        for column in (self.head(cams), self.head(dsets)):
-            column_codes, distinct = _text_codes(column)
-            codes, first = _first_appearance(codes * len(distinct) + column_codes)
-        settings = []
-        for row in first.tolist():
-            try:
-                settings.append(SettingDescriptor(cams[row], float(distances[row]), dsets[row]))
-            except ContractError as exc:
-                self.fail(row, ParseError, str(exc))
-        n = self.limit
-        bad = _inconsistent(mated[:n], psubs[:n], rsubs[:n])
-        if bad is not None:
-            try:
-                _check_mated(bool(mated[bad]), psubs[bad], rsubs[bad])
-            except ContractError as exc:
-                self.fail(bad, ParseError, str(exc))
-        if self.error is not None:
-            raise self.error
-        # every row's mated flag was checked above
-        columns = PairColumns(probes, refs, psubs, rsubs, mated, codes, settings, check_mated=False)
-        columns.__dict__["key_index"] = key_index
-        return columns
-
-
 def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes numbering the distinct ``values`` in order of first appearance,
     and the first row of each code."""
@@ -492,14 +347,6 @@ def _text_codes(column: list) -> tuple[np.ndarray, list]:
     distinct = dict.fromkeys(column)
     codes = dict(zip(distinct, range(len(distinct))))
     return np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), list(distinct)
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _plain_columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | None:
@@ -552,6 +399,113 @@ def _read_rows(path: Path, header: tuple[str, ...]) -> list[list[str]]:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def _fields(path: Path, header: tuple[str, ...], declared_range) -> tuple[list, bool]:
+    """The columns of a CSV file, and whether it is plain.
+
+    A plain file is split in one pass (:func:`_plain_columns`); any other is
+    read by ``csv.reader``, and a row with the wrong number of fields makes
+    :func:`_first_error` report the first bad row.
+    """
+    columns = _plain_columns(path, header)
+    if columns is not None:
+        return columns, True
+    rows = _read_rows(path, header)
+    if list(map(len, rows)).count(len(header)) != len(rows):
+        _first_error(path, header, rows, declared_range)
+    return list(zip(*rows)) or [()] * len(header), False
+
+
+def _pair_columns(fields) -> PairColumns | None:
+    """The :class:`PairColumns` of the eight pair fields, or None if a row is bad.
+
+    A setting is a distinct (camera, distance, dataset) triple, numbered in
+    order of first appearance; each column is coded on its own and the
+    codes combined, so no per-row triple is built. Each distinct distance
+    text is parsed once.
+    """
+    probes, refs, psubs, rsubs, flags, cams, dists, dsets = fields
+    if flags.count("1") + flags.count("0") != len(flags):
+        return None
+    try:
+        distance_of = {text: float(text) for text in dict.fromkeys(dists)}
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, distance_of.values())):
+        return None
+    distances = np.fromiter(map(distance_of.__getitem__, dists), np.float64, len(dists))
+    codes, first = _first_appearance(distances)
+    for column in (cams, dsets):
+        column_codes, distinct = _text_codes(column)
+        codes, first = _first_appearance(codes * len(distinct) + column_codes)
+    mated = np.array(flags, dtype=object) == "1"
+    try:
+        settings = [SettingDescriptor(cams[i], float(distances[i]), dsets[i]) for i in first.tolist()]
+        columns = PairColumns(probes, refs, psubs, rsubs, mated, codes, settings)
+    except ContractError:
+        return None
+    return columns if columns.first_duplicate() is None else None
+
+
+def _checked_table(path: Path, declared_range, columns) -> ScoreTable:
+    """The table of a score file's columns, or the error of its first bad row."""
+    mids, *pair_fields, score_texts = columns
+    matcher_id = mids[0] if mids else path.stem
+    scores = _valid_scores(score_texts, declared_range)
+    pairs = mids.count(matcher_id) == len(mids) and scores is not None and _pair_columns(pair_fields)
+    if not pairs:
+        _first_error(path, SCORE_CSV_HEADER, list(zip(*columns)), declared_range)
+    return ScoreTable(matcher_id, declared_range, pairs, scores)
+
+
+def _first_error(path: Path, header: tuple[str, ...], rows, declared_range) -> NoReturn:
+    """Raise the error of the first bad row of ``rows``, read one at a time.
+
+    The rows are those of a score file, or of a pairs file when
+    ``declared_range`` is None. Each row runs its checks in a fixed order and
+    the first that fails is raised, naming the row's line; the loaders call
+    this only when a check over whole columns has found some bad row.
+    """
+    scored = declared_range is not None
+    seen: dict[tuple[str, str], int] = {}
+
+    def error(cls, text: str) -> Exception:
+        return cls(f"{path}:{line}: {text}")  # the line being read
+
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise error(ParseError, f"expected {len(header)} columns, got {len(row)}")
+        if scored:
+            matcher_id, *row, score_text = row
+            if matcher_id != rows[0][0]:
+                text = f"matcher_id {matcher_id!r} differs from {rows[0][0]!r} (one matcher per file)"
+                raise error(ParseError, text)
+        probe, ref, psub, rsub, flag, cam, distance_text, dset = row
+        if flag not in ("0", "1"):
+            raise error(ParseError, f"mated must be 0 or 1, got {flag!r}")
+        values = []
+        for what, text in [("distance_m", distance_text)] + ([("score", score_text)] if scored else []):
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise error(ParseError, f"non-numeric {what} {text!r}") from None
+            if not math.isfinite(values[-1]):
+                raise error(ParseError, f"non-finite {what} {text!r}")
+        if scored:
+            lo, hi = declared_range
+            if not lo <= values[1] <= hi:
+                raise error(RangeViolationError, f"score {score_text} outside declared range [{lo}, {hi}]")
+        key = (probe, ref)
+        if key in seen:
+            raise error(DuplicatePairError, f"duplicate pair {key}, first seen on line {seen[key]}")
+        seen[key] = line
+        try:
+            SettingDescriptor(cam, values[0], dset)
+            _check_mated(flag == "1", psub, rsub)
+        except ContractError as exc:
+            raise error(ParseError, str(exc)) from None
+    raise AssertionError(f"{path}: a column check failed on no row")
+
+
 def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
     """Parse one matcher's score CSV; row order is preserved.
 
@@ -561,7 +515,7 @@ def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
     When several rows are bad, the error names the first of them.
     """
     path = Path(path)
-    return _score_table(path, declared_range, _FirstBadRow(path, SCORE_CSV_HEADER))
+    return _checked_table(path, declared_range, _fields(path, SCORE_CSV_HEADER, declared_range)[0])
 
 
 def load_score_tables(paths, declared_range: tuple[float, float]):
@@ -584,10 +538,10 @@ def load_score_tables(paths, declared_range: tuple[float, float]):
         if scores is not None:
             yield ScoreTable(same[0], declared_range, first[2], scores)
             continue
-        check = _FirstBadRow(path, SCORE_CSV_HEADER)
-        table = _score_table(path, declared_range, check)
-        if k == 0 and check.plain and len(table):
-            cut = "\n" + "\n".join(map(",".join, zip(*check.columns[:9])))
+        columns, plain = _fields(path, SCORE_CSV_HEADER, declared_range)
+        table = _checked_table(path, declared_range, columns)
+        if k == 0 and plain and len(table):
+            cut = "\n" + "\n".join(map(",".join, zip(*columns[:9])))
             first = (table.matcher_id, cut, table.columns)
         yield table
 
@@ -627,43 +581,17 @@ def _valid_scores(texts, declared_range) -> np.ndarray | None:
     return scores if np.all(np.isfinite(scores) & (lo <= scores) & (scores <= hi)) else None
 
 
-def _score_table(path: Path, declared_range, check: _FirstBadRow) -> ScoreTable:
-    """The checks of :func:`load_score_table` over ``check``'s columns, then its table."""
-    lo, hi = declared_range
-    mids, probes, refs, psubs, rsubs, flags, cams, dists, dsets, score_texts = check.columns
-    matcher_id = mids[0] if mids else path.stem
-    check.fail(
-        _first_not_equal(check.head(mids), matcher_id),
-        ParseError,
-        lambda i: f"matcher_id {mids[i]!r} differs from {matcher_id!r} (one matcher per file)",
-    )
-    mated = check.mated(flags)
-    distances = check.floats(dists, "distance_m", repeated=True)
-    scores = check.floats(score_texts, "score")
-    outside = ~((lo <= scores) & (scores <= hi))
-    check.fail(
-        _first_true(outside[: check.limit]),
-        RangeViolationError,
-        lambda i: f"score {score_texts[i]} outside declared range [{lo}, {hi}]",
-    )
-    key_index = check.key_index(probes, refs)
-    n = check.limit
-    columns = check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
-    return ScoreTable(matcher_id, (lo, hi), columns, scores[:n])
-
-
 PAIRS_CSV_HEADER = SCORE_CSV_HEADER[1:9]
 
 
 def load_pairs(path) -> PairColumns:
     """Parse a comparison-pair CSV (score CSV columns minus matcher/score)."""
     path = Path(path)
-    check = _FirstBadRow(path, PAIRS_CSV_HEADER)
-    probes, refs, psubs, rsubs, flags, cams, dists, dsets = check.columns
-    mated = check.mated(flags)
-    distances = check.floats(dists, "distance_m", repeated=True)
-    key_index = check.key_index(probes, refs)
-    return check.pairs(probes, refs, psubs, rsubs, mated, cams, distances, dsets, key_index)
+    columns = _fields(path, PAIRS_CSV_HEADER, None)[0]
+    pairs = _pair_columns(columns)
+    if pairs is None:
+        _first_error(path, PAIRS_CSV_HEADER, list(zip(*columns)), None)
+    return pairs
 
 
 # ---------------------------------------------------------------- CSV output

@@ -300,6 +300,19 @@ def _write_csv(path, header, rows, fmt, rng):
     path.write_bytes(text.encode("utf-8"))
 
 
+def _spy_on_row_reader(monkeypatch, tables) -> list:
+    """The list that receives the path of each call of the loaders' row reader."""
+    row_reads = []
+    first_error = tables._first_error
+
+    def spy(path, *args):
+        row_reads.append(path)
+        first_error(path, *args)
+
+    monkeypatch.setattr(tables, "_first_error", spy)
+    return row_reads
+
+
 def _load(scored, path):
     """The loader's outcome, with the table or pairs as a list of rows."""
     if scored:
@@ -322,6 +335,7 @@ def test_loaders_match_row_by_row_reading(tmp_path, monkeypatch, scored):
         return columns
 
     monkeypatch.setattr(tables, "_plain_columns", spy)
+    row_reads = _spy_on_row_reader(monkeypatch, tables)
     rng = random.Random(20250417 + scored)
     header = SCORE_HEADER if scored else PAIRS_HEADER
     outcomes, paths = set(), set()
@@ -334,7 +348,10 @@ def test_loaders_match_row_by_row_reading(tmp_path, monkeypatch, scored):
         _write_csv(path, header, rows, fmt, rng)
         want = outcome(reference_load, path, *([(0.0, 1.0)] if scored else []))
         split_used.clear()
+        row_reads.clear()
         assert _load(scored, path) == want, (case, fmt, rows)
+        # the row reader runs once for a bad file, and never for a good one
+        assert row_reads == [path] * (want[0] != "ok"), (case, fmt, rows)
         plain = fmt["eol"] == "\n" and not fmt.get("blank") and not fmt.get("quote") and all(
             len(r) == header.count(",") + 1 and not re.search('[",]', "".join(r)) for r in rows
         )
@@ -342,7 +359,9 @@ def test_loaders_match_row_by_row_reading(tmp_path, monkeypatch, scored):
         paths.add(plain)
         with monkeypatch.context() as m:  # the same file through csv.reader
             m.setattr(tables, "_plain_columns", lambda path, header: None)
+            row_reads.clear()
             assert _load(scored, path) == want, (case, fmt, rows)
+            assert row_reads == [path] * (want[0] != "ok"), (case, fmt, rows)
         outcomes.add(want[0] if want[0] == "ok" else re.sub(r".*?:\d+: (\S+ \S+).*", r"\1", want[1]))
     # the cases reach both read paths, and every check: ok, and each error's first two words
     assert paths == {True, False}
@@ -395,6 +414,7 @@ def test_group_loader_matches_loading_each_file(tmp_path, monkeypatch):
         return found
 
     monkeypatch.setattr(tables_module, "_same_pairs", spy)
+    row_reads = _spy_on_row_reader(monkeypatch, tables_module)
     rng = random.Random(20261018)
     outcomes, shared, matched = set(), set(), {}
     for case in range(360):
@@ -427,9 +447,14 @@ def test_group_loader_matches_loading_each_file(tmp_path, monkeypatch):
                 paths[-1].write_bytes(paths[-1].read_bytes() + b"\n")
                 fmt = None
             repeats.append(_repeats_pairs(rows, base, fmt))
+        row_reads.clear()
         want = _group_outcome((load_score_table(p, (0.0, 1.0)) for p in paths), [])
-        tables, compared[:] = [], []
+        # the row reader runs once for the file that fails to load, and never for a join error
+        bad_file = [paths[want[2]]] if want[0] != "ok" and issubclass(want[0], ParseError) else []
+        assert row_reads == bad_file, (case, variants)
+        tables, compared[:], row_reads[:] = [], [], []
         assert _group_outcome(load_score_tables(paths, (0.0, 1.0)), tables) == want, (case, variants)
+        assert row_reads == bad_file, (case, variants)
         # a later file is compared as text only after a plain first file, and
         # matches exactly when it repeats the first file's pair fields
         assert [path for path, _ in compared] == (paths[1 : len(compared) + 1] if variants[0] != "crlf" else [])

@@ -309,7 +309,7 @@ def test_fuser_round_trip_via_json(tmp_path):
         (lambda doc: doc.update(bias="0.5"), "'bias' must be a JSON number"),
         (lambda doc: doc.update(coefficients=[1.0, True]), "'coefficients' must be a list of JSON numbers"),
         (lambda doc: doc["training_log"].update(epochs_run=2.5), "'epochs_run' must be a JSON integer"),
-        (lambda doc: doc["training_log"].pop("seed"), "missing key 'seed'"),
+        (lambda doc: doc["training_log"].pop("final_loss"), "missing key 'final_loss'"),
         (lambda doc: doc.update(training_log=[]), "training_log must be objects"),
         (lambda doc: doc.update(bias=float("nan")), "must be finite"),
     ],
@@ -320,6 +320,14 @@ def test_perceptron_documents_refuse_mistyped_fields(edit, words):
     edit(doc)
     with pytest.raises(ParseError, match=re.escape(words)):
         fuser_from_dict(doc)
+
+
+def test_perceptron_documents_with_a_training_log_seed_still_load():
+    fuser = train_perceptron(_informative_and_noise(n=200, seed=40), PerceptronHyper(max_epochs=20))
+    doc = fuser_to_dict(fuser)
+    assert "seed" not in doc["training_log"]
+    doc["training_log"]["seed"] = 0  # as earlier versions wrote it
+    assert fuser_from_dict(doc) == fuser
 
 
 def test_fuser_documents_hold_the_dataclass_fields_as_canonical_json(tmp_path):

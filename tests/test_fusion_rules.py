@@ -126,7 +126,7 @@ def _fusers(test: AlignedScores) -> dict:
         "weighted": FusionWeights(ids, tuple(np.linspace(0.5, 2.0, k).tolist()), "manual"),
         "pcc_avg": estimate_pcc_weights(test),
         "perceptron": PerceptronFuser(
-            ids, tuple(np.linspace(-3.0, 4.0, k).tolist()), -0.7, TrainingLog(1.0, 1.0, 1, 0)
+            ids, tuple(np.linspace(-3.0, 4.0, k).tolist()), -0.7, TrainingLog(1.0, 1.0, 1)
         ),
     }
 

@@ -457,6 +457,26 @@ def test_grid_hyper_out_of_schema_is_a_parse_error(demo_config, hyper):
     assert not (demo_config.parent / "results-bad").exists()
 
 
+def test_grid_reads_whole_numbers_as_integers(demo_config):
+    """A seed of 11.0 and a max_epochs of 2000.0, which the schema accepts as
+    integers, give the results of 11 and 2000 but for the config's digest."""
+    config = json.loads(demo_config.read_text())
+    results = {}
+    for number in (int, float):
+        doc = {**config, "seed": number(config["seed"]), "output_dir": f"results-{number.__name__}"}
+        doc["methods"] = [{**method, "hyper": {"max_epochs": number(2000)}} for method in config["methods"]]
+        path = demo_config.parent / f"{number.__name__}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["grid", "--config", str(path)]) == 0
+        out = demo_config.parent / doc["output_dir"]
+        results[number] = {
+            p.name: p.read_text(encoding="utf-8").replace(str(path), "CONFIG").replace(scorefuse.provenance.sha256_file(path), "DIGEST")
+            for p in sorted(out.iterdir())
+        }
+    assert '"max_epochs": 2000.0' in (demo_config.parent / "float.json").read_text()
+    assert len(results[int]) > 2 and results[float] == results[int]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -878,6 +898,10 @@ _DROP = object()  # the key is left out
         ({"n_mated": True}, "n_mated"),
         ({"n_nonmated": "5"}, "n_nonmated"),
         ({"seed": 1.9}, "seed"),
+        ({"sigma_mated": 0}, "sigma_mated"),
+        ({"sigma_nonmated": -0.1}, "sigma_nonmated"),
+        ({"n_mated": 0}, "n_mated"),
+        ({"n_nonmated": -3}, "n_nonmated"),
         ({"clamp": "false"}, "clamp"),
         ({"clamp": 0}, "clamp"),
         ({"mu_mated": "0.6"}, "mu_mated"),
@@ -917,6 +941,32 @@ def test_synth_model_flag_with_a_model_file_is_a_usage_error(tmp_path, capsys, f
     # the flags alone, or the file with the flags that are no model field, still run
     assert main(["synth", *map(str, flags), "--n-mated", "5", "--out", str(tmp_path / "flags.csv")]) == 0
     assert main(["synth", "--model-file", str(model), "--seed", "3", "--distance", "2", "--out", str(tmp_path / "f.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--sigma-mated", "0"), ("--sigma-nonmated", "-0.1"), ("--n-mated", "0"), ("--n-nonmated", "-3")],
+)
+def test_synth_out_of_range_model_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "s.csv"
+    err = _usage_error(capsys, "synth", f"{flag}={value}", "--out", out)
+    assert flag in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--out", "x.csv"], ["--model-file", "model.json"], ["--mu-nonmated", "0.2"], ["--sigma-nonmated", "0.2"],
+        ["--mu-mated", "0.1"], ["--sigma-mated", "0.2"], ["--n-mated", "5"], ["--n-nonmated", "5"], ["--clamp"],
+        ["--matcher-id", "m"], ["--camera", "c"], ["--distance", "3"], ["--dataset", "d"], ["--id-tag", "t"],
+    ],
+    ids=lambda flags: flags[0],
+)
+def test_synth_flag_with_demo_is_a_usage_error(tmp_path, capsys, flags):
+    err = _usage_error(capsys, "synth", "--demo", tmp_path / "demo", "--seed", "3", *flags)
+    assert f"{flags[0]} is not read with --demo" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1.5"])

@@ -93,8 +93,8 @@ def test_iteration_cap_reports_max_iter():
         {"tolerance": float("nan")},
         {"tolerance": -1e-9},
         {"tolerance": float("inf")},
-        {"seed": 1.5},
-        {"seed": True},
+        {"max_epochs": -2},
+        {"tolerance": float("-inf")},
     ],
 )
 def test_hyperparameters_out_of_schema_are_rejected(bad):
