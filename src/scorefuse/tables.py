@@ -451,8 +451,8 @@ def _checked_table(path: Path, declared_range, columns) -> ScoreTable:
     mids, *pair_fields, score_texts = columns
     matcher_id = mids[0] if mids else path.stem
     scores = _valid_scores(score_texts, declared_range)
-    pairs = mids.count(matcher_id) == len(mids) and scores is not None and _pair_columns(pair_fields)
-    if not pairs:
+    pairs = _pair_columns(pair_fields) if mids.count(matcher_id) == len(mids) and scores is not None else None
+    if pairs is None:
         _first_error(path, SCORE_CSV_HEADER, list(zip(*columns)), declared_range)
     return ScoreTable(matcher_id, declared_range, pairs, scores)
 

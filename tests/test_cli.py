@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scorefuse.cli import _load_tables, main
-from scorefuse.tables import load_score_table, write_score_table
+from scorefuse.tables import SCORE_CSV_HEADER, load_score_table, write_score_table
 
 from helpers import table
 
@@ -328,6 +328,27 @@ def test_eval_chance_and_separated(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "AUC [%]          100.00" in out
     assert "EER [%]          0.00" in out
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["eval", "--scores", "empty.csv", "--out-dir", "out"],
+         "curves need at least one mated and one non-mated score"),
+        (["fuse", "--method", "avg", "--inputs", "empty.csv", "a.csv", "--out-dir", "out"], "table is empty"),
+        (["fuse", "--method", "avg", "--inputs", "a.csv", "empty.csv", "--out-dir", "out"], "table is empty"),
+        (["correlate", "--inputs", "a.csv", "empty.csv", "--out", "out.json"], "table is empty"),
+    ],
+)
+def test_header_only_score_file_is_a_contract_error(tmp_path, capsys, command, message):
+    """A score file with a header and no rows loads as an empty table, which
+    the command then refuses."""
+    _write_table(tmp_path / "a.csv", [0.9, 0.7], [0.2, 0.1], "a")
+    (tmp_path / "empty.csv").write_text(",".join(SCORE_CSV_HEADER) + "\n", encoding="utf-8")
+    code = run([tmp_path / arg if arg == "out" or arg.endswith((".csv", ".json")) else arg for arg in command])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert message in err and "Traceback" not in err
 
 
 def test_eval_rerun_is_byte_identical(tmp_path, capsys):

@@ -229,6 +229,25 @@ def test_load_pairs_wrong_column_count(tmp_path):
     assert str(exc.value) == f"{path}:3: expected 8 columns, got 9"
 
 
+@pytest.mark.parametrize("ending", ["\n", "", "\r\n"])
+def test_header_only_files_load_empty(tmp_path, monkeypatch, ending):
+    """A file with a header and no rows loads as an empty table named after
+    the file, on both read paths and in either place of a group."""
+    import scorefuse.tables as tables
+
+    row_reads = _spy_on_row_reader(monkeypatch, tables)
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes((SCORE_HEADER + ending).encode())
+    good = write_rows(tmp_path / "good.csv", SCORE_HEADER, score_rows())
+    loaded = [load_score_table(empty, (0.0, 1.0))]
+    loaded += load_score_tables([empty, good], (0.0, 1.0))
+    loaded += load_score_tables([good, empty], (0.0, 1.0))
+    assert [(t.matcher_id, len(t)) for t in loaded] == [("empty", 0), ("empty", 0), ("m", 6), ("m", 6), ("empty", 0)]
+    empty.write_bytes((PAIRS_HEADER + ending).encode())
+    assert len(load_pairs(empty)) == 0
+    assert row_reads == []
+
+
 # ---------------------------------------------------------------- against the row-by-row oracle
 
 

@@ -364,6 +364,11 @@ def _bad_score(demo: Path) -> None:
     (demo / EDITED).write_text("\n".join(lines), encoding="utf-8")
 
 
+def _header_only(demo: Path) -> None:
+    header = (demo / EDITED).read_text(encoding="utf-8").split("\n")[0]
+    (demo / EDITED).write_text(header + "\n", encoding="utf-8")
+
+
 def _undeclared(demo: Path) -> None:
     config = json.loads((demo / "config.json").read_text(encoding="utf-8"))
     config["score_files"] = [e for e in config["score_files"] if e["path"] != EDITED]
@@ -389,6 +394,7 @@ def _declare_train(demo: Path, every_matcher: bool) -> None:
         ("clean", None, 0, None),
         ("reordered", _reverse_rows, 0, None),  # cannot share the first file's pair columns
         ("bad-file", _bad_score, 3, f"{EDITED}:6: non-numeric score 'high'"),
+        ("header-only", _header_only, 4, "matcher 'm2__demo-cam1-2.6__validation' table is empty"),
         ("undeclared", _undeclared, 4, "no score file declared for matcher 'm2', setting demo-cam1-2.6"),
         ("missing-file", lambda demo: (demo / EDITED).unlink(), 7, "i/o error: [Errno 2] No such file"),
         ("missing-train-file", lambda demo: _declare_train(demo, True), 7, "i/o error: [Errno 2] No such file"),
