@@ -12,48 +12,28 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, fields
-from importlib import resources
 from pathlib import Path
 
-from .demo import build_demo
-from .embeddings import METRICS, batch_score, load_embeddings
+# every command runs errors, provenance and tables; the other layers run
+# only in the commands that call them (see the package's __init__)
+from . import demo, embeddings, fusion, metrics, protocol, synth
 from .errors import IO_EXIT_CODE, ContractError, ParseError, ScoreFuseError
-from .fusion import PerceptronHyper, fuser_to_dict, load_weights
-from .metrics import (
-    build_curves,
-    correlation_matrix,
-    curves_csv_text,
-    evaluate_table,
-    format_report,
-    roc_csv_text,
-)
-from .protocol import (
-    METHOD_KINDS,
-    ExperimentResult,
-    MethodSpec,
-    PlanItem,
-    aggregate_results,
-    check_leakage,
-    fit_method,
-    fuse_method,
-    plan_experiments,
-    result_to_dict,
-    run_experiment,
-)
+from .kinds import METHOD_KINDS, METRICS
 from .provenance import (
     read_json,
     sha256_file,
     write_csv_artifact,
     write_json_artifact,
 )
-from .synth import DEFAULT_SETTING, GaussianScoreModel, generate_scores
 from .tables import (
+    DEFAULT_SETTING,
     AlignedScores,
     ScoreTable,
     SettingDescriptor,
@@ -92,12 +72,12 @@ def _digests(paths) -> dict[str, str]:
 
 
 def cmd_score(args) -> int:
-    refs = load_embeddings(args.references, "reference")
-    probes = load_embeddings(args.probes, "probe")
+    refs = embeddings.load_embeddings(args.references, "reference")
+    probes = embeddings.load_embeddings(args.probes, "probe")
     pairs = load_pairs(args.pairs)
     if not pairs:
         raise ContractError(f"{args.pairs}: no comparisons to score")
-    table = batch_score(refs, probes, pairs, args.metric, matcher_id=args.matcher_id)
+    table = embeddings.batch_score(refs, probes, pairs, args.metric, matcher_id=args.matcher_id)
     if args.normalize:
         table = normalize_scores(table)
     inputs = _digests([args.references, args.probes, args.pairs])
@@ -128,17 +108,18 @@ def cmd_fuse(args) -> int:
     method = args.method
     weights = None
     if method == "weighted":
-        weights = load_weights(args.weights_file, test.matcher_ids)
+        weights = fusion.load_weights(args.weights_file, test.matcher_ids)
         inputs.update(_digests([args.weights_file]))
-    hyper = PerceptronHyper(args.max_epochs, args.tolerance)
-    fused, fitted = fuse_method(MethodSpec(method, method, test.matcher_ids, weights, hyper), val, test)
+    hyper = fusion.PerceptronHyper(args.max_epochs, args.tolerance)
+    spec = protocol.MethodSpec(method, method, test.matcher_ids, weights, hyper)
+    fused, fitted = protocol.fuse_method(spec, val, test)
 
     out_csv = out_dir / f"fused_{method}.csv"
     write_csv_artifact(out_csv, score_table_csv_text(fused), seed=args.seed, inputs=inputs)
     if fitted is not None:
         write_json_artifact(
             out_dir / f"fuser_{method}.json",
-            fuser_to_dict(fitted),
+            fusion.fuser_to_dict(fitted),
             seed=args.seed,
             inputs=inputs,
         )
@@ -151,16 +132,16 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     table = load_score_table(args.scores, tuple(args.input_range))
-    report = evaluate_table(table)
-    curves = build_curves(table)
+    report = metrics.evaluate_table(table)
+    curves = metrics.build_curves(table)
     inputs = _digests([args.scores])
     out_dir = Path(args.out_dir)
     write_json_artifact(
         out_dir / "report.json", {"metrics": asdict(report)}, seed=args.seed, inputs=inputs
     )
-    write_csv_artifact(out_dir / "curves.csv", curves_csv_text(curves), seed=args.seed, inputs=inputs)
-    write_csv_artifact(out_dir / "roc.csv", roc_csv_text(curves), seed=args.seed, inputs=inputs)
-    print(format_report(report, args.precision))
+    write_csv_artifact(out_dir / "curves.csv", metrics.curves_csv_text(curves), seed=args.seed, inputs=inputs)
+    write_csv_artifact(out_dir / "roc.csv", metrics.roc_csv_text(curves), seed=args.seed, inputs=inputs)
+    print(metrics.format_report(report, args.precision))
     return 0
 
 
@@ -172,7 +153,7 @@ def cmd_correlate(args) -> int:
         raise ContractError("need >= 2 matchers to correlate")
     tables = _load_tables(args.inputs, args.input_range, args.normalize)
     aligned = align_tables(tables)
-    matrix = correlation_matrix(aligned)
+    matrix = metrics.correlation_matrix(aligned)
     ids = matrix.matcher_ids
     rows = ((mid, *map(repr, row)) for mid, row in zip(ids, matrix.values))
     text = csv_text(("matcher_id", *ids), rows, plain_fields(ids))
@@ -232,14 +213,14 @@ def _given_or_default(args, defaults: dict) -> dict:
 
 def cmd_synth(args) -> int:
     if args.demo:
-        config = build_demo(args.demo, args.seed)
+        config = demo.build_demo(args.demo, args.seed)
         print(f"demo written; run: scorefuse grid --config {config}")
         return 0
     if args.model_file:
         doc = read_json(args.model_file)
         for msg in _violations(doc, _MODEL_SCHEMA, ("model",)):
             raise ParseError(f"{args.model_file}: {msg}")
-        model = GaussianScoreModel(
+        model = synth.GaussianScoreModel(
             mu_nonmated=float(doc["mu_nonmated"]),
             sigma_nonmated=float(doc["sigma_nonmated"]),
             mu_mated=float(doc["mu_mated"]),
@@ -251,11 +232,11 @@ def cmd_synth(args) -> int:
         )
         inputs = _digests([args.model_file])
     else:  # each model field but the seed has its flag
-        model = GaussianScoreModel(**_given_or_default(args, _MODEL_DEFAULTS), seed=args.seed)
+        model = synth.GaussianScoreModel(**_given_or_default(args, _MODEL_DEFAULTS), seed=args.seed)
         inputs = {}
     flags = _given_or_default(args, _TABLE_DEFAULTS)
     setting = SettingDescriptor(flags["camera"], flags["distance"], flags["dataset"])
-    table = generate_scores(model, matcher_id=flags["matcher_id"], setting=setting, id_tag=flags["id_tag"])
+    table = synth.generate_scores(model, matcher_id=flags["matcher_id"], setting=setting, id_tag=flags["id_tag"])
     write_csv_artifact(args.out, score_table_csv_text(table), seed=model.seed, inputs=inputs)
     print(f"wrote {len(table)} synthetic scores to {args.out}")
     return 0
@@ -340,7 +321,7 @@ def _validate_grid_config(doc, config_path: Path) -> None:
         except UnicodeEncodeError:
             return False
 
-    schema_file = resources.files(__package__) / "schemas" / "grid_config.schema.json"
+    schema_file = Path(__file__).with_name("schemas") / "grid_config.schema.json"
     for msg in _violations(doc, json.loads(schema_file.read_text(encoding="utf-8"))):
         fail(msg)
     method_ids = [method["method_id"] for method in doc["methods"]]
@@ -393,20 +374,22 @@ def _setting(entry: dict) -> SettingDescriptor:
     return SettingDescriptor(*(entry[f.name] for f in fields(SettingDescriptor)))
 
 
-def _method_from_config(entry: dict, config_dir: Path) -> MethodSpec:
+def _method_from_config(entry: dict, config_dir: Path) -> protocol.MethodSpec:
     matchers = tuple(entry["matchers"])
-    weights = load_weights(config_dir / entry["weights_file"], matchers) if entry["kind"] == "weighted" else None
+    weights = None
+    if entry["kind"] == "weighted":
+        weights = fusion.load_weights(config_dir / entry["weights_file"], matchers)
     hyper = dict(entry.get("hyper", {}))
     if "max_epochs" in hyper:  # the schema reads 2000.0 as an integer
         hyper["max_epochs"] = int(hyper["max_epochs"])
-    hyper = PerceptronHyper(**hyper) if hyper else None
-    return MethodSpec(entry["method_id"], entry["kind"], matchers, weights, hyper)
+    hyper = fusion.PerceptronHyper(**hyper) if hyper else None
+    return protocol.MethodSpec(entry["method_id"], entry["kind"], matchers, weights, hyper)
 
 
 _Group = tuple[SettingDescriptor, str]  # (setting, split)
 
 
-def _item_groups(item: PlanItem) -> tuple[_Group, _Group, _Group]:
+def _item_groups(item: protocol.PlanItem) -> tuple[_Group, _Group, _Group]:
     """A plan item's validation, test and train groups."""
     return (item.train_setting, "validation"), (item.test_setting, "test"), (item.train_setting, "train")
 
@@ -500,7 +483,7 @@ def cmd_grid(args) -> int:
     out_dir = config_dir / doc["output_dir"]
     group_by = doc.get("group_by", ["method"])
 
-    plan = plan_experiments([_setting(entry) for entry in doc["settings"]], doc["kinds"])
+    plan = protocol.plan_experiments([_setting(entry) for entry in doc["settings"]], doc["kinds"])
     methods = [_method_from_config(entry, config_dir) for entry in doc["methods"]]
     groups = _plan_groups(doc, config_dir, plan)
     config_digest = {str(config_path): sha256_file(config_path)}
@@ -524,21 +507,21 @@ def cmd_grid(args) -> int:
                 done[key] = exc
         return _unwrap(done[key])
 
-    def fit(setting: SettingDescriptor, method: MethodSpec, val_scores: AlignedScores):
+    def fit(setting: SettingDescriptor, method: protocol.MethodSpec, val_scores: AlignedScores):
         """``fit_method`` for the train ``setting``, fitted once."""
-        return once(("fit", setting, method.method_id), fit_method, method, val_scores)
+        return once(("fit", setting, method.method_id), protocol.fit_method, method, val_scores)
 
-    def leakage(item: PlanItem, val_scores: AlignedScores, test_scores: AlignedScores):
+    def leakage(item: protocol.PlanItem, val_scores: AlignedScores, test_scores: AlignedScores):
         """``check_leakage`` of the validation and test groups that ``item`` reads, checked once."""
-        once(("leakage", item.train_setting, item.test_setting), check_leakage, val_scores, test_scores)
+        once(("leakage", item.train_setting, item.test_setting), protocol.check_leakage, val_scores, test_scores)
 
-    ok_results: list[ExperimentResult] = []
+    ok_results: list[protocol.ExperimentResult] = []
     failures: list[dict] = []
     for item, method in itertools.product(plan.items, methods):
         val_group, test_group, _ = _item_groups(item)
         try:
             ok_results.append(
-                run_experiment(
+                protocol.run_experiment(
                     item,
                     method,
                     _unwrap(loaded[val_group][0]),
@@ -568,7 +551,7 @@ def cmd_grid(args) -> int:
         inputs = dict(config_digest)
         for group in _item_groups(res.item):
             inputs.update(loaded.get(group, (None, {}))[1])
-        write_json_artifact(out_dir / name, result_to_dict(res), seed=seed, inputs=inputs)
+        write_json_artifact(out_dir / name, protocol.result_to_dict(res), seed=seed, inputs=inputs)
 
     all_inputs = dict(config_digest)
     for _, digests in loaded.values():
@@ -577,7 +560,7 @@ def cmd_grid(args) -> int:
         {k: f[k] for k in ("cell", "method_id", "error", "message")} for f in failures
     ]
     if ok_results:
-        summaries = {gb: aggregate_results(ok_results, gb) for gb in group_by}
+        summaries = {gb: protocol.aggregate_results(ok_results, gb) for gb in group_by}
     else:
         summaries = {}
     write_json_artifact(
@@ -784,5 +767,19 @@ def main(argv=None) -> int:
         return IO_EXIT_CODE
 
 
+def run() -> int:
+    """:func:`main` on the process's arguments, for a process that exits on return.
+
+    ``gc.freeze`` first moves every object into the permanent generation, so
+    the full collection that CPython runs as it tears its modules down at
+    exit has nothing to walk; the memory goes back to the OS with the
+    process. Exit still runs atexit handlers and flushes stdio.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -18,11 +18,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContractError, ParseError, UnknownEntityError
+from .kinds import METRICS
 from .provenance import not_utf8
 from .tables import PairColumns, ScoreTable
 
 ROLES = ("reference", "probe")
-METRICS = ("euclidean_posterior", "cosine")
 
 # bytes of gathered reference and probe vectors that batch_score holds at once
 _BLOCK_BYTES = 1 << 24

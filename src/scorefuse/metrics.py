@@ -91,7 +91,11 @@ def curves_from_scores(mated: np.ndarray, nonmated: np.ndarray) -> ThresholdCurv
         raise ContractError("curves need at least one mated and one non-mated score")
     mated = np.sort(np.asarray(mated, dtype=np.float64))
     nonmated = np.sort(np.asarray(nonmated, dtype=np.float64))
-    scores = np.unique(np.concatenate([mated, nonmated]))
+    # the distinct scores, as np.unique finds them, without the numpy.ma
+    # import that np.unique makes
+    scores = np.concatenate([mated, nonmated])
+    scores.sort()
+    scores = scores[np.concatenate([[True], scores[1:] != scores[:-1]])]
     thresholds = np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
     # counts via binary search on the sorted class scores
     fmr = 1.0 - np.searchsorted(nonmated, thresholds, side="left") / len(nonmated)

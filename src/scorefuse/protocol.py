@@ -26,11 +26,9 @@ from .fusion import (
     fuser_to_dict,
     train_perceptron,
 )
+from .kinds import METHOD_KINDS, PLAN_KINDS
 from .metrics import MetricsReport, evaluate_table
 from .tables import AlignedScores, ScoreTable, SettingDescriptor
-
-PLAN_KINDS = ("intra", "cross_distance", "cross_camera", "cross_both", "cross_dataset")
-METHOD_KINDS = ("single", "avg", "bayes", "pcc_avg", "weighted", "perceptron")
 
 
 def classify_pair(train: SettingDescriptor, test: SettingDescriptor) -> str:

@@ -19,9 +19,7 @@ import numpy as np
 from .errors import ContractError, UnsupportedOracleError
 from .metrics import class_scores
 from .rng import SplitMix64, normal_cdf, normal_quantile, substream_seed
-from .tables import AlignedScores, PairColumns, ScoreTable, SettingDescriptor
-
-DEFAULT_SETTING = SettingDescriptor("synthcam", 1.0, "synthetic")
+from .tables import DEFAULT_SETTING, AlignedScores, PairColumns, ScoreTable, SettingDescriptor
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,10 @@ class SettingDescriptor:
         return f"{self.dataset_id}-{self.camera_id}-{self.distance_m:g}"
 
 
+# the setting of synthetic tables that name none
+DEFAULT_SETTING = SettingDescriptor("synthcam", 1.0, "synthetic")
+
+
 def _check_mated(mated: bool, probe_subject: str, reference_subject: str) -> None:
     if mated != (probe_subject == reference_subject):
         raise ContractError(

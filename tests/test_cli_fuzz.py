@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -170,9 +171,89 @@ def test_the_valid_argvs_succeed(root):
             os.chdir(previous)
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    """The pool's modules load when ``grid --jobs`` forks, not with the CLI."""
-    probe = "import sys, scorefuse.cli; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+LAYERS = ("errors", "provenance", "tables", "embeddings", "metrics", "fusion", "rng", "synth", "protocol", "demo")
+
+# Imports the CLI, runs ``main`` on the argv given after it, if any, and
+# prints as its last line: the exit code, which layers are registered, which
+# have run, and the process pool's modules that are loaded. A layer that has
+# not run is still the lazy module type that the package registered.
+_PROBE = f"""
+import contextlib, json, sys, types
+import scorefuse.cli
+with contextlib.redirect_stdout(sys.stderr):
+    code = scorefuse.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+layers = {{name: sys.modules.get("scorefuse." + name) for name in {LAYERS!r}}}
+print(json.dumps({{
+    "code": code,
+    "registered": [name for name, module in layers.items() if module is not None],
+    "ran": [name for name, module in layers.items() if type(module) is types.ModuleType],
+    "pool": sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))),
+}}))
+"""
+
+
+def _python(code: str, argv=(), cwd=None) -> str:
+    """The output of ``python -c code *argv``, run on this checkout's package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+def _probe(argv=(), cwd=None) -> dict:
+    return json.loads(_python(_PROBE, argv, cwd).splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool's modules load when ``grid --jobs`` forks, not with the CLI;
+    of the layers, only those that every command uses run with it."""
+    probe = _probe()
+    assert probe["pool"] == []
+    assert probe["registered"] == list(LAYERS)
+    assert probe["ran"] == ["errors", "provenance", "tables"]  # cli binds names from these
+
+
+@pytest.mark.parametrize(
+    "command, ran",
+    [
+        ("score", ["errors", "provenance", "tables", "embeddings"]),
+        ("eval", ["errors", "provenance", "tables", "metrics"]),
+        ("grid", ["errors", "provenance", "tables", "metrics", "fusion", "protocol"]),
+    ],
+)
+def test_a_command_runs_only_the_layers_it_uses(root, command, ran):
+    argv = next(argv for argv in _argvs(root) if argv[0] == command)
+    probe = _probe(argv, cwd=root / "cwd")
+    assert probe["code"] == 0
+    assert probe["ran"] == ran
+
+
+def test_run_returns_mains_exit_code_with_the_heap_frozen(root):
+    argv = next(argv for argv in _argvs(root) if argv[0] == "eval")
+    probe = "import gc, scorefuse.cli; code = scorefuse.cli.run(); print(code, gc.get_freeze_count() > 0)"
+    assert _python(probe, argv, root / "cwd").split()[-2:] == ["0", "True"]
+
+
+def test_star_import_binds_every_public_name():
+    names = {}
+    exec("from scorefuse import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(scorefuse.__all__) == [
+        "AlignedScores", "CorrelationMatrix", "EmbeddingSet", "ExperimentPlan", "ExperimentResult",
+        "FusionWeights", "GaussianScoreModel", "MethodSpec", "MetricsReport", "PerceptronFuser",
+        "PerceptronHyper", "PlanItem", "ScoreTable", "SettingDescriptor", "ThresholdCurves",
+        "aggregate_results", "align_tables", "analytic_auc", "analytic_cohens_d", "analytic_eer",
+        "apply_fusion", "auc", "batch_score", "brute_force_auc", "brute_force_eer", "build_curves",
+        "cohens_d", "correlation_matrix", "eer", "embeddings", "errors", "estimate_pcc_weights",
+        "evaluate_table", "fuse_average", "fuse_bayesian", "fuse_weighted", "fusion", "generate_scores",
+        "load_embeddings", "load_fuser", "load_pairs", "load_score_table", "make_complementary_matchers",
+        "metrics", "normalize_scores", "pcc", "plan_experiments", "protocol", "provenance",
+        "rate_at_operating_point", "rng", "run_experiment", "save_fuser", "score_cosine", "score_euclidean",
+        "synth", "tables", "train_perceptron", "write_score_table",
+    ]
+    for name, value in names.items():
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"scorefuse.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import scorefuse
-import scorefuse.cli
 import scorefuse.protocol
 import scorefuse.provenance
 from scorefuse.cli import main
@@ -226,13 +225,13 @@ def test_failed_fit_fails_each_cell_that_needs_it(tmp_path, monkeypatch, capsys)
 def test_cells_run_on_the_main_thread(tmp_path, monkeypatch):
     config = small_demo(tmp_path, kinds=("intra", "cross_distance"), methods=("avg", "pcc_avg"))
     on_main = []
-    original = scorefuse.cli.run_experiment
+    original = scorefuse.protocol.run_experiment
 
     def recorded(*args, **kwargs):
         on_main.append(threading.current_thread() is threading.main_thread())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scorefuse.cli, "run_experiment", recorded)
+    monkeypatch.setattr(scorefuse.protocol, "run_experiment", recorded)
     assert main(["grid", "--config", str(config), "--jobs", "2"]) == 0
     assert on_main == [True] * 8
 
@@ -317,7 +316,7 @@ def test_leakage_is_checked_once_per_pair_of_settings(tmp_path, monkeypatch, cap
             entry["path"] = entry["path"].replace("__test.csv", "__validation.csv")
     config_path.write_text(json.dumps(config), encoding="utf-8")
     checks = []  # (validation row 1's key, test row 1's key, message raised or None) per check
-    check_leakage = scorefuse.cli.check_leakage
+    check_leakage = scorefuse.protocol.check_leakage
 
     def counted(val_scores, test_scores):
         try:
@@ -329,7 +328,7 @@ def test_leakage_is_checked_once_per_pair_of_settings(tmp_path, monkeypatch, cap
         finally:
             checks.append((val_scores.columns.key(0), test_scores.columns.key(0), message))
 
-    monkeypatch.setattr(scorefuse.cli, "check_leakage", counted)
+    monkeypatch.setattr(scorefuse.protocol, "check_leakage", counted)
     runs = []
     for jobs in ("1", "2"):
         checks.clear()

@@ -6,6 +6,7 @@ from scorefuse.errors import ContractError, UndefinedEffectError
 from scorefuse.metrics import (
     auc,
     build_curves,
+    class_scores,
     cohens_d,
     correlation_matrix,
     curves_csv_text,
@@ -87,6 +88,27 @@ def test_curve_invariants_hold_on_random_tables():
         assert np.all(np.diff(curves.fnmr) >= 0)
         assert (curves.fmr[0], curves.fnmr[0]) == (1.0, 0.0)
         assert (curves.fmr[-1], curves.fnmr[-1]) == (0.0, 1.0)
+        # the distinct scores are np.unique's, bit for bit
+        distinct = np.unique(np.concatenate([np.sort(s) for s in class_scores(t)]))
+        assert curves.thresholds[1:-1].tobytes() == distinct.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mated, nonmated",
+    [
+        ([0.7], [0.7]),  # one distinct score
+        ([0.7, 0.7, 0.7], [0.7, 0.7]),
+        ([0.9, 0.5, 0.5, 0.1], [0.5, 0.3, 0.3, 0.9]),  # ties within and across classes
+        ([0.0, 0.5], [-0.0, 0.25]),  # -0.0 beside 0.0, in both orders
+        ([-0.0, 0.5], [0.0, 0.25]),
+        ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]),
+    ],
+)
+def test_curve_thresholds_are_np_unique_bit_for_bit(mated, nonmated):
+    curves = curves_from_scores(np.array(mated), np.array(nonmated))
+    scores = np.unique(np.concatenate([np.sort(mated), np.sort(nonmated)]))
+    expected = np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
+    assert curves.thresholds.tobytes() == expected.tobytes()
 
 
 def test_single_class_table_rejected():
