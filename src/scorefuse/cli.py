@@ -25,7 +25,7 @@ from pathlib import Path
 # only in the commands that call them (see the package's __init__)
 from . import demo, embeddings, fusion, metrics, protocol, synth
 from .errors import IO_EXIT_CODE, ContractError, ParseError, ScoreFuseError
-from .kinds import METHOD_KINDS, METRICS
+from .kinds import FITTED_KINDS, METHOD_KINDS, METRICS
 from .provenance import (
     read_json,
     sha256_file,
@@ -48,19 +48,22 @@ from .tables import (
 )
 
 FUSE_METHODS = tuple(kind for kind in METHOD_KINDS if kind != "single")
+# fuse's flags of the perceptron fit, each named after its PerceptronHyper
+# field; a flag not given leaves the field's default
+_HYPER_FLAGS = ("max_epochs", "tolerance")
 
 
-def _load_tables(paths, input_range, normalize: bool) -> list[ScoreTable]:
-    lo, hi = input_range
+def _load_tables(paths, input_range, digests: dict[str, str]) -> list[ScoreTable]:
+    """The score files at ``paths``, declared ``input_range``, each mapped onto [0, 1].
+
+    A table declared another range is mapped by :func:`normalize_scores`.
+    Each file's digest goes into ``digests`` as soon as the file has loaded,
+    so after an error ``digests`` holds those of the files before it.
+    """
     tables = []
-    for path, table in zip(paths, load_score_tables(paths, (lo, hi))):
-        if normalize:
-            table = normalize_scores(table)
-        elif table.declared_range != (0.0, 1.0):
-            raise ContractError(
-                f"{path}: declared range [{lo}, {hi}] is not [0, 1]; pass --normalize"
-            )
-        tables.append(table)
+    for path, table in zip(paths, load_score_tables(paths, input_range)):
+        digests[str(path)] = sha256_file(path)
+        tables.append(table if table.declared_range == (0.0, 1.0) else normalize_scores(table))
     return tables
 
 
@@ -90,27 +93,25 @@ def cmd_score(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    tables = _load_tables(args.inputs, args.input_range, args.normalize)
-    test = align_tables(tables)
+    inputs: dict[str, str] = {}
+    test = align_tables(_load_tables(args.inputs, args.input_range, inputs))
     out_dir = Path(args.out_dir)
-    inputs = _digests(args.inputs)
 
     val = None
     if args.validation:
-        val_tables = _load_tables(args.validation, args.input_range, args.normalize)
-        val = align_tables(val_tables)
+        val = align_tables(_load_tables(args.validation, args.input_range, inputs))
         if val.matcher_ids != test.matcher_ids:
             raise ContractError(
                 f"validation matchers {val.matcher_ids} do not match inputs {test.matcher_ids}"
             )
-        inputs.update(_digests(args.validation))
 
     method = args.method
     weights = None
     if method == "weighted":
         weights = fusion.load_weights(args.weights_file, test.matcher_ids)
         inputs.update(_digests([args.weights_file]))
-    hyper = fusion.PerceptronHyper(args.max_epochs, args.tolerance)
+    given = {name: value for name in _HYPER_FLAGS if (value := getattr(args, name)) is not None}
+    hyper = fusion.PerceptronHyper(**given)
     spec = protocol.MethodSpec(method, method, test.matcher_ids, weights, hyper)
     fused, fitted = protocol.fuse_method(spec, val, test)
 
@@ -151,13 +152,12 @@ def cmd_eval(args) -> int:
 def cmd_correlate(args) -> int:
     if len(args.inputs) < 2:
         raise ContractError("need >= 2 matchers to correlate")
-    tables = _load_tables(args.inputs, args.input_range, args.normalize)
-    aligned = align_tables(tables)
-    matrix = metrics.correlation_matrix(aligned)
+    inputs: dict[str, str] = {}
+    matrix = metrics.correlation_matrix(align_tables(_load_tables(args.inputs, args.input_range, inputs)))
     ids = matrix.matcher_ids
     rows = ((mid, *map(repr, row)) for mid, row in zip(ids, matrix.values))
     text = csv_text(("matcher_id", *ids), rows, plain_fields(ids))
-    write_csv_artifact(args.out, text, seed=args.seed, inputs=_digests(args.inputs))
+    write_csv_artifact(args.out, text, seed=args.seed, inputs=inputs)
     print(text, end="")
     return 0
 
@@ -418,8 +418,8 @@ def _load_group(
 ) -> tuple[AlignedScores | ScoreFuseError | None, dict[str, str]]:
     """Load and align the score files of one (setting, split) group.
 
-    ``paths`` is the group's entry of :func:`_plan_groups`. Each file is
-    hashed once it has loaded, and the aligned table's digest is computed
+    ``paths`` is the group's entry of :func:`_plan_groups`. :func:`_load_tables`
+    hashes each file once it has loaded, and the aligned table's digest is computed
     here, so a worker process returns it with the table. Returns the aligned
     table, or the error that stopped the group, with the digests made up to
     that point. A train group's files are only hashed, and its table is
@@ -431,10 +431,7 @@ def _load_group(
     digests: dict[str, str] = {}
     try:
         declared = list(itertools.takewhile(lambda path: path is not None, paths.values()))
-        tables = []
-        for path, table in zip(declared, load_score_tables(declared, (0.0, 1.0))):
-            tables.append(table)
-            digests[str(path)] = sha256_file(path)
+        tables = _load_tables(declared, (0.0, 1.0), digests)
         if len(declared) < len(paths):
             raise ContractError(
                 f"no score file declared for matcher {list(paths)[len(declared)]!r}, "
@@ -664,18 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validation", nargs="*", default=[], help="validation CSVs (parametric)")
     p.add_argument("--weights-file", default=None, help="manual weights JSON (weighted)")
     _add_input_range(p)
-    p.add_argument("--normalize", action="store_true")
+    # None where not given, so main can tell a given flag
     p.add_argument(
-        "--max-epochs",
-        type=_int_at_least(1),
-        default=10000,
-        help="cap on the perceptron's Newton iterations (default 10000)",
+        "--max-epochs", type=_int_at_least(1), help="cap on the perceptron's Newton iterations (perceptron only)"
     )
     p.add_argument(
         "--tolerance",
         type=_finite_float(0.0),
-        default=1e-8,
-        help="stop the perceptron fit once an iteration lowers its objective by less (default 1e-8)",
+        help="stop the perceptron fit once an iteration lowers its objective by less (perceptron only)",
     )
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -705,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="pairwise score correlations across matchers")
     p.add_argument("--inputs", nargs="+", required=True)
     _add_input_range(p)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_correlate)
@@ -749,6 +741,12 @@ def main(argv=None) -> int:
         parser.error(f"--weights-file is only read by --method weighted, got --method {args.method}")
     if args.command == "fuse" and args.method == "weighted" and not args.weights_file:
         parser.error("--method weighted requires --weights-file")
+    if args.command == "fuse" and args.method in FITTED_KINDS and not args.validation:
+        parser.error(f"--method {args.method} requires --validation, the scores it is fitted on")
+    if args.command == "fuse" and args.method != "perceptron":
+        for name in _HYPER_FLAGS:
+            if getattr(args, name) is not None:
+                parser.error(f"{_flag(name)} is only read by --method perceptron, got --method {args.method}")
     if args.command == "synth" and args.demo:
         for name in ("out", "model_file", *_MODEL_DEFAULTS, *_TABLE_DEFAULTS):
             if getattr(args, name) is not None:

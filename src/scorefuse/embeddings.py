@@ -82,11 +82,14 @@ def load_embeddings(path, role: str) -> EmbeddingSet:
             raise ParseError(
                 f"{path}:{lineno}: expected object with entity_id, role, vector"
             )
+        entity_id = obj["entity_id"]
+        if not isinstance(entity_id, str):
+            raise ParseError(f"{path}:{lineno}: entity_id must be a string, got {json.dumps(entity_id)}")
         vector = obj["vector"]
         # JSON true and false are Python ints too, so test exact types
         if not isinstance(vector, list) or not {int, float}.issuperset(map(type, vector)):
             raise ParseError(f"{path}:{lineno}: vector must be a list of numbers")
-        entity_id, line_role = str(obj["entity_id"]), str(obj["role"])
+        line_role = str(obj["role"])
         try:
             vector = list(map(float, vector))
         except OverflowError:

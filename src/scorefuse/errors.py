@@ -64,4 +64,3 @@ class LeakageError(ScoreFuseError):
 
 
 IO_EXIT_CODE = 7
-USAGE_EXIT_CODE = 2

@@ -26,7 +26,7 @@ from .fusion import (
     fuser_to_dict,
     train_perceptron,
 )
-from .kinds import METHOD_KINDS, PLAN_KINDS
+from .kinds import FITTED_KINDS, METHOD_KINDS, PLAN_KINDS
 from .metrics import MetricsReport, evaluate_table
 from .tables import AlignedScores, ScoreTable, SettingDescriptor
 
@@ -190,12 +190,12 @@ def fuse_method(
     """
     if val_scores is not None:
         leakage(val_scores, test_scores)
-    # a single matcher goes through the average, the identity for one column
-    fuser = {"single": "avg", "avg": "avg", "bayes": "bayes", "weighted": method.weights}.get(method.kind)
-    if fuser is None:
+    if method.kind in FITTED_KINDS:
         if val_scores is None:
             raise ContractError(f"method {method.method_id!r}: validation scores required")
         fuser = fit(method, val_scores)
+    else:  # a single matcher goes through the average, the identity for one column
+        fuser = {"single": "avg", "avg": "avg", "bayes": "bayes", "weighted": method.weights}[method.kind]
     fused = apply_fusion(fuser, test_scores.select(method.matcher_ids))
     fused.matcher_id = method.kind
     return fused, None if isinstance(fuser, str) else fuser

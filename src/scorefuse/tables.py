@@ -511,29 +511,26 @@ def _first_error(path: Path, header: tuple[str, ...], rows, declared_range) -> N
 
 
 def load_score_table(path, declared_range: tuple[float, float]) -> ScoreTable:
-    """Parse one matcher's score CSV; row order is preserved.
+    """Parse one matcher's score CSV: the one-file case of :func:`load_score_tables`."""
+    return next(load_score_tables([path], declared_range))
+
+
+def load_score_tables(paths, declared_range: tuple[float, float]):
+    """Parse each matcher's score CSV, in order, reading a file only when
+    the previous one has loaded; row order is preserved.
 
     Raises :class:`ParseError` (with the offending line number) for malformed
     rows, :class:`RangeViolationError` for scores outside ``declared_range``,
     and :class:`DuplicatePairError` for repeated (probe_id, reference_id).
     When several rows are bad, the error names the first of them.
-    """
-    path = Path(path)
-    return _checked_table(path, declared_range, _fields(path, SCORE_CSV_HEADER, declared_range)[0])
-
-
-def load_score_tables(paths, declared_range: tuple[float, float]):
-    """Yield each file's :func:`load_score_table`, in order, reading a file
-    only when the previous one has loaded.
 
     Files that list the same comparisons, as the matchers of one setting and
     split do, share one :class:`PairColumns`. When the first file is plain
     (:func:`_plain_columns`) and has rows, a later file is first compared
     with it as text (:func:`_same_pairs`). A later file that repeats the
     first file's pair fields and holds only valid scores gets a table over
-    the first table's columns. Any other file runs every check of
-    :func:`load_score_table` and gets columns of its own, so a bad file
-    raises what :func:`load_score_table` raises for it.
+    the first table's columns. Any other file runs every check and gets
+    columns of its own, so a bad file raises what it would raise alone.
     """
     first = None  # matcher id, cut lines and columns of a plain first file with rows
     for k, path in enumerate(map(Path, paths)):
@@ -544,10 +541,11 @@ def load_score_tables(paths, declared_range: tuple[float, float]):
             continue
         columns, plain = _fields(path, SCORE_CSV_HEADER, declared_range)
         table = _checked_table(path, declared_range, columns)
+        yield table
+        # after the yield, so that a one-file load builds no cut
         if k == 0 and plain and len(table):
             cut = "\n" + "\n".join(map(",".join, zip(*columns[:9])))
             first = (table.matcher_id, cut, table.columns)
-        yield table
 
 
 def _same_pairs(path: Path, first_id: str, first_cut: str) -> tuple[str, list[str]] | None:

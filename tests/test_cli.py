@@ -73,6 +73,8 @@ def test_score_command_writes_csv(tmp_path, embedding_files, capsys):
          "refs.jsonl:1: role must be 'reference' in a file of references, got 'probe'"),
         ("refs", {"entity_id": "r1", "role": "reference", "vector": [True, False]},
          "refs.jsonl:1: vector must be a list of numbers"),
+        ("probes", {"entity_id": None, "role": "probe", "vector": [1.0, 0.0]},
+         "probes.jsonl:1: entity_id must be a string, got null"),
     ],
 )
 def test_score_command_refuses_wrong_role_and_boolean_entries(tmp_path, embedding_files, capsys, which, row,
@@ -138,8 +140,10 @@ def test_fuse_inputs_over_the_same_pairs_share_their_columns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_table(a, [0.9, 0.7], [0.2, 0.1], "a")
     _write_table(b, [0.8, 0.6], [0.3, 0.4], "b")
-    tables = _load_tables([a, b], (0.0, 1.0), normalize=True)
+    digests = {}
+    tables = _load_tables([a, b], (0.0, 1.0), digests)
     assert tables[1].columns is tables[0].columns
+    assert list(digests) == [str(a), str(b)]
 
 
 def _write_table(path, mated, non, matcher_id, tag=""):
@@ -161,28 +165,88 @@ def test_fuse_normalizes_wide_range_inputs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_score_table(table([0.5, -0.5], [0.0], matcher_id="a", declared=(-1.0, 1.0)), a)
     write_score_table(table([0.7, -0.1], [0.2], matcher_id="b", declared=(-1.0, 1.0)), b)
-    code = run(
-        ["fuse", "--method", "avg", "--inputs", a, b,
-         "--input-range", "-1", "1", "--normalize", "--out-dir", tmp_path]
-    )
+    code = run(["fuse", "--method", "avg", "--inputs", a, b, "--input-range", "-1", "1", "--out-dir", tmp_path])
     assert code == 0
     fused = load_score_table(tmp_path / "fused_avg.csv", (0.0, 1.0))
     # each input is mapped s -> (s + 1) / 2 before averaging
     assert fused.scores[0] == pytest.approx(((0.75) + (0.85)) / 2, abs=1e-12)
 
-    # without --normalize the wide range is rejected
-    code = run(["fuse", "--method", "avg", "--inputs", a, b,
-                "--input-range", "-1", "1", "--out-dir", tmp_path])
-    assert code == 4
+    # the map is not optional, so fuse has no --normalize
+    with pytest.raises(SystemExit) as exc:
+        run(["fuse", "--method", "avg", "--inputs", a, b, "--input-range", "-1", "1", "--normalize",
+             "--out-dir", tmp_path])
+    assert exc.value.code == 2
+
+
+def _outputs_but_digests(out_dir):
+    """Each file in ``out_dir``, a JSON document without its input digests."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            del doc["input_digests"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("method", ["avg", "bayes", "pcc_avg", "perceptron"])
+def test_wide_range_inputs_fuse_and_correlate_as_their_normalized_files(tmp_path, method):
+    """Inputs declared [-1, 1] give the outputs of the same files mapped onto
+    [0, 1] first, validation files included."""
+    from scorefuse.tables import normalize_scores
+
+    rng = np.random.default_rng(7)
+    wide, unit = tmp_path / "wide", tmp_path / "unit"
+    wide.mkdir()
+    unit.mkdir()
+    names = ("a", "b", "va", "vb")  # test and validation files of matchers a and b
+    for name in names:
+        t = table(rng.uniform(-0.2, 1.0, 9), rng.uniform(-1.0, 0.4, 11), name[-1], (-1.0, 1.0), name[:-1] + "-")
+        write_score_table(t, wide / f"{name}.csv")
+        write_score_table(normalize_scores(t), unit / f"{name}.csv")
+    for root, declared in ((wide, ["--input-range", "-1", "1"]), (unit, [])):
+        a, b, va, vb = (root / f"{name}.csv" for name in names)
+        out = root / "out"
+        assert run(["fuse", "--method", method, "--inputs", a, b, "--validation", va, vb, *declared,
+                    "--out-dir", out, "--seed", 5]) == 0
+        assert run(["correlate", "--inputs", a, b, *declared, "--out", out / "c.csv"]) == 0
+    written = _outputs_but_digests(unit / "out")
+    assert _outputs_but_digests(wide / "out") == written
+    assert f"fused_{method}.csv" in written and "c.csv" in written
 
 
 def test_fuse_pcc_without_validation_fails(tmp_path, capsys):
+    """A fitted method without validation files is refused before any input
+    is read, so missing inputs do not change the exit code."""
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_table(a, [0.9], [0.2], "a")
     _write_table(b, [0.8], [0.1], "b")
-    code = run(["fuse", "--method", "pcc_avg", "--inputs", a, b, "--out-dir", tmp_path])
-    assert code == 4
-    assert "validation scores required" in capsys.readouterr().err
+    for method in ("pcc_avg", "perceptron"):
+        for inputs in ([a, b], [tmp_path / "missing_a.csv", tmp_path / "missing_b.csv"]):
+            for validation in ([], ["--validation"]):
+                argv = ["fuse", "--method", method, "--inputs", *inputs, *validation, "--out-dir", tmp_path / "out"]
+                with pytest.raises(SystemExit) as exc:
+                    run(argv)
+                assert exc.value.code == 2
+                assert f"--method {method} requires --validation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--max-epochs", "5"), ("--tolerance", "0.1")])
+@pytest.mark.parametrize("method", ["avg", "bayes", "pcc_avg", "weighted"])
+def test_a_perceptron_flag_with_another_method_is_a_usage_error(tmp_path, capsys, flag, value, method):
+    args = {
+        "pcc_avg": ["--validation", tmp_path / "va.csv", tmp_path / "vb.csv"],
+        "weighted": ["--weights-file", tmp_path / "w.json"],
+    }.get(method, [])
+    with pytest.raises(SystemExit) as exc:
+        run(["fuse", "--method", method, "--inputs", tmp_path / "a.csv", tmp_path / "b.csv", *args,
+             flag, value, "--out-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert f"{flag} is only read by --method perceptron, got --method {method}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fuse_perceptron_emits_parameter_json(tmp_path):

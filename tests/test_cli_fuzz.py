@@ -100,10 +100,10 @@ def _argvs(root: Path) -> list[list[str]]:
         ["fuse", "--method", "perceptron", "--inputs", a, b, "--validation", va, vb, *fit,
          "--input-range", "0", "1", "--out-dir", "fused", "--seed", "1"],
         ["fuse", "--method", "weighted", "--inputs", a, b, "--weights-file", str(root / "w.json"),
-         "--normalize", "--out-dir", "fused"],
+         "--out-dir", "fused"],
         ["eval", "--scores", a, "--input-range", "0", "1", "--out-dir", "ev", "--precision", "3", "--seed", "1"],
         ["grid", "--config", str(root / "grid.json"), "--jobs", "1", "--keep-going"],
-        ["correlate", "--inputs", a, b, "--input-range", "0", "1", "--normalize", "--out", "c.csv", "--seed", "1"],
+        ["correlate", "--inputs", a, b, "--input-range", "0", "1", "--out", "c.csv", "--seed", "1"],
         ["synth", "--out", "syn.csv", "--mu-nonmated", "0.3", "--sigma-nonmated", "0.1", "--mu-mated", "0.6",
          "--sigma-mated", "0.1", "--n-mated", "20", "--n-nonmated", "30", "--clamp", "--matcher-id", "x",
          "--camera", "c", "--distance", "1.5", "--dataset", "d", "--id-tag", "t", "--seed", "1"],

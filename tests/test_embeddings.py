@@ -216,3 +216,17 @@ def test_embedding_validation(tmp_path):
         with pytest.raises(ParseError) as exc:
             load_embeddings(f, "probe")
         assert str(exc.value) == f"{f}:2: {message}"
+
+
+@pytest.mark.parametrize("entity_id", ["null", "1", "1.0", "true", "[1]", '{"id": "e"}'])
+def test_an_entity_id_that_is_not_a_string_is_a_parse_error(tmp_path, entity_id):
+    """``1`` would otherwise load as the id ``"1"`` and ``null`` as ``"None"``."""
+    f = tmp_path / "e.jsonl"
+    f.write_text(
+        '{"entity_id": "1", "role": "probe", "vector": [1.0]}\n'
+        f'{{"entity_id": {entity_id}, "role": "probe", "vector": [2.0]}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as exc:
+        load_embeddings(f, "probe")
+    assert str(exc.value) == f"{f}:2: entity_id must be a string, got {json.dumps(json.loads(entity_id))}"

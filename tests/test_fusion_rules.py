@@ -191,9 +191,11 @@ def test_fuse_gives_the_bits_of_the_matching_grid_cell(tmp_path, monkeypatch):
     for method in ("avg", "bayes", "pcc_avg", "weighted", "perceptron"):
         out = tmp_path / method
         argv = ["fuse", "--method", method, "--inputs", *files("test"), "--validation", *files("validation"),
-                "--max-epochs", "2000", "--out-dir", str(out)]
+                "--out-dir", str(out)]
         if method == "weighted":
             argv += ["--weights-file", str(demo / "weights.json")]
+        if method == "perceptron":  # --max-epochs is a usage error with any other method
+            argv += ["--max-epochs", "2000"]
         assert main(argv) == 0
         fused = load_score_table(out / f"fused_{method}.csv", (0.0, 1.0)).scores
         assert np.array_equal(fused, cells[method]), method
