@@ -14,7 +14,6 @@ import contextlib
 import functools
 import gc
 import itertools
-import json
 import math
 import os
 import sys
@@ -28,7 +27,9 @@ from .errors import IO_EXIT_CODE, ContractError, ParseError, ScoreFuseError
 from .kinds import FITTED_KINDS, METHOD_KINDS, METRICS
 from .provenance import (
     read_json,
+    schema,
     sha256_file,
+    violations,
     write_csv_artifact,
     write_json_artifact,
 )
@@ -165,20 +166,6 @@ def cmd_correlate(args) -> int:
 # ---------------------------------------------------------------- synth
 
 
-_MODEL_SCHEMA = {  # a synth --model-file document, read by _violations
-    "type": "object",
-    "required": ["mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated", "n_mated", "n_nonmated"],
-    "properties": {
-        **dict.fromkeys(("mu_nonmated", "mu_mated"), {"type": "number"}),
-        **dict.fromkeys(("sigma_nonmated", "sigma_mated"), {"type": "number", "exclusiveMinimum": 0}),
-        **dict.fromkeys(("n_mated", "n_nonmated"), {"type": "integer", "minimum": 1}),
-        "seed": {"type": "integer"},
-        "clamp": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
-
-
 # synth's model flags, each named after its GaussianScoreModel field, with their defaults
 _MODEL_DEFAULTS = {
     "mu_nonmated": 0.3,
@@ -218,7 +205,7 @@ def cmd_synth(args) -> int:
         return 0
     if args.model_file:
         doc = read_json(args.model_file)
-        for msg in _violations(doc, _MODEL_SCHEMA, ("model",)):
+        for msg in violations(doc, schema("model"), ("model",)):
             raise ParseError(f"{args.model_file}: {msg}")
         model = synth.GaussianScoreModel(
             mu_nonmated=float(doc["mu_nonmated"]),
@@ -245,61 +232,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- grid
 
 
-_TYPES = {  # JSON Schema type: (test, how a message names it)
-    "object": (lambda v: isinstance(v, dict), "an object"),
-    "array": (lambda v: isinstance(v, list), "a list"),
-    "string": (lambda v: isinstance(v, str), "a string"),
-    "boolean": (lambda v: isinstance(v, bool), "true or false"),
-    "number": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"),
-    "integer": (lambda v: type(v) is int or type(v) is float and v.is_integer(), "an integer"),
-}
-
-
-def _violations(value, schema: dict, path: tuple[str, ...] = ()):
-    """Each way ``value`` breaks ``schema``, as a message naming the key.
-
-    Reads the keywords that schemas/grid_config.schema.json and
-    ``_MODEL_SCHEMA`` use and no other: type, const, enum, required,
-    properties, additionalProperties (false), items, minItems, uniqueItems,
-    minimum and exclusiveMinimum. Its
-    const and enum values are strings, which ``==`` compares as JSON does.
-    Beyond JSON Schema, a number must be finite as a float.
-    """
-    name = ": ".join(path) or "config"
-    if "type" in schema and not _TYPES[schema["type"]][0](value):
-        yield f"{name} must be {_TYPES[schema['type']][1]}, got {value!r}"
-        return
-    if "const" in schema and value != schema["const"]:
-        yield f"{name} must be {schema['const']!r}, got {value!r}"
-    if "enum" in schema and value not in schema["enum"]:
-        yield f"{name} must be one of {schema['enum']}, got {value!r}"
-    if type(value) in (int, float):
-        if "minimum" in schema and not value >= schema["minimum"]:
-            yield f"{name} must be >= {schema['minimum']}, got {value!r}"
-        if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
-            yield f"{name} must be > {schema['exclusiveMinimum']}, got {value!r}"
-    if isinstance(value, dict):
-        yield from (f"{name}: missing key {k!r}" for k in schema.get("required", ()) if k not in value)
-        properties = schema.get("properties", {})
-        if schema.get("additionalProperties") is False:
-            yield from (f"{name}: unknown key {k!r}" for k in value if k not in properties)
-        for key, sub in properties.items():
-            if key in value:
-                yield from _violations(value[key], sub, (*path, repr(key)))
-    if isinstance(value, list):
-        for entry in value if "items" in schema else ():
-            # a method is named by its id, as in the grid's other messages
-            if path[-1] == "'methods'" and isinstance(entry, dict) and "method_id" in entry:
-                label = f"method {entry['method_id']!r}"
-            else:
-                label = f"{path[-1][1:-1]} entry {entry!r}"
-            yield from _violations(entry, schema["items"], (*path[:-1], label))
-        if len(value) < schema.get("minItems", 0):
-            yield f"{name} must have at least {schema['minItems']} entry, got {value!r}"
-        if schema.get("uniqueItems") and len({json.dumps(v, sort_keys=True) for v in value}) < len(value):
-            yield f"{name} must not repeat an entry, got {value!r}"
-
-
 def _validate_grid_config(doc, config_path: Path) -> None:
     """Check the config against schemas/grid_config.schema.json, then the
     rules that schema does not state: each method's matchers are among the
@@ -321,8 +253,7 @@ def _validate_grid_config(doc, config_path: Path) -> None:
         except UnicodeEncodeError:
             return False
 
-    schema_file = Path(__file__).with_name("schemas") / "grid_config.schema.json"
-    for msg in _violations(doc, json.loads(schema_file.read_text(encoding="utf-8"))):
+    for msg in violations(doc, schema("grid_config")):
         fail(msg)
     method_ids = [method["method_id"] for method in doc["methods"]]
     if len(set(method_ids)) < len(method_ids):
@@ -616,12 +547,12 @@ def _finite_float(minimum: float, strict: bool = False):
 
 
 class _InputRange(argparse.Action):
-    """``--input-range LO HI``: two finite bounds with LO <= HI, else exit 2."""
+    """``--input-range LO HI``: two finite bounds with LO < HI, else exit 2."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         lo, hi = values
-        if lo > hi:
-            raise argparse.ArgumentError(self, f"lower bound {lo!r} exceeds upper bound {hi!r}")
+        if not lo < hi:
+            raise argparse.ArgumentError(self, f"lower bound {lo!r} must be below upper bound {hi!r}")
         setattr(namespace, self.dest, (lo, hi))
 
 
@@ -658,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse aligned score tables with one rule")
     p.add_argument("--method", choices=FUSE_METHODS, required=True)
     p.add_argument("--inputs", nargs="+", required=True, help="per-matcher score CSVs")
-    p.add_argument("--validation", nargs="*", default=[], help="validation CSVs (parametric)")
+    p.add_argument("--validation", nargs="*", default=[], help="validation CSVs (pcc_avg and perceptron only)")
     p.add_argument("--weights-file", default=None, help="manual weights JSON (weighted)")
     _add_input_range(p)
     # None where not given, so main can tell a given flag
@@ -743,6 +674,9 @@ def main(argv=None) -> int:
         parser.error("--method weighted requires --weights-file")
     if args.command == "fuse" and args.method in FITTED_KINDS and not args.validation:
         parser.error(f"--method {args.method} requires --validation, the scores it is fitted on")
+    if args.command == "fuse" and args.method not in FITTED_KINDS and args.validation:
+        fitted = " or ".join(FITTED_KINDS)
+        parser.error(f"--validation is only read by --method {fitted}, got --method {args.method}")
     if args.command == "fuse" and args.method != "perceptron":
         for name in _HYPER_FLAGS:
             if getattr(args, name) is not None:

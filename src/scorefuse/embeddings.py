@@ -4,12 +4,11 @@ Two score functions are provided: a Euclidean-distance posterior
 ``1 / (d + 1)`` mapping any distance into (0, 1], and plain cosine
 similarity in [-1, 1]. Embedding files are JSON lines, one object per
 embedding: ``{"entity_id": "...", "role": "reference"|"probe",
-"vector": [..]}``.
+"vector": [..]}``, as schemas/embedding.schema.json states.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import repeat
 from pathlib import Path
@@ -19,10 +18,8 @@ import numpy as np
 
 from .errors import ContractError, ParseError, UnknownEntityError
 from .kinds import METRICS
-from .provenance import not_utf8
+from .provenance import not_utf8, parse_json, schema, violations
 from .tables import PairColumns, ScoreTable
-
-ROLES = ("reference", "probe")
 
 # bytes of gathered reference and probe vectors that batch_score holds at once
 _BLOCK_BYTES = 1 << 24
@@ -65,6 +62,26 @@ def _lines(path: Path):
             raise not_utf8(path, exc) from None
 
 
+def _is_embedding(obj, role: str) -> bool:
+    """Whether ``obj`` meets schemas/embedding.schema.json, numbers finite as
+    floats, and has ``role``: the check of every line, which
+    :func:`violations` explains when it fails."""
+    if not (
+        type(obj) is dict
+        and type(obj.get("entity_id")) is str
+        and obj.get("role") == role
+        and type(vector := obj.get("vector")) is list
+        and vector
+        # JSON true and false are Python ints too, so test exact types
+        and {int, float}.issuperset(map(type, vector))
+    ):
+        return False
+    try:
+        return all(map(math.isfinite, vector))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def load_embeddings(path, role: str) -> EmbeddingSet:
     """Read a JSON-lines embedding file whose every line has the given ``role``."""
     path = Path(path)
@@ -72,38 +89,13 @@ def load_embeddings(path, role: str) -> EmbeddingSet:
     for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-        except RecursionError:
-            raise ParseError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
-        if not isinstance(obj, dict) or not {"entity_id", "role", "vector"} <= obj.keys():
-            raise ParseError(
-                f"{path}:{lineno}: expected object with entity_id, role, vector"
-            )
-        entity_id = obj["entity_id"]
-        if not isinstance(entity_id, str):
-            raise ParseError(f"{path}:{lineno}: entity_id must be a string, got {json.dumps(entity_id)}")
-        vector = obj["vector"]
-        # JSON true and false are Python ints too, so test exact types
-        if not isinstance(vector, list) or not {int, float}.issuperset(map(type, vector)):
-            raise ParseError(f"{path}:{lineno}: vector must be a list of numbers")
-        line_role = str(obj["role"])
-        try:
-            vector = list(map(float, vector))
-        except OverflowError:
-            raise ParseError(f"{path}:{lineno}: vector holds an integer too large for a float") from None
-        if line_role not in ROLES:
-            raise ParseError(f"{path}:{lineno}: role must be one of {ROLES}, got {line_role!r}")
-        if line_role != role:
-            raise ParseError(f"{path}:{lineno}: role must be {role!r} in a file of {role}s, got {line_role!r}")
-        if not vector:
-            raise ParseError(f"{path}:{lineno}: embedding {entity_id!r} has empty vector")
-        if not all(map(math.isfinite, vector)):
-            raise ParseError(f"{path}:{lineno}: embedding {entity_id!r} has non-finite entries")
-        ids.append(entity_id)
-        vectors.append(vector)
+        obj = parse_json(line, f"{path}:{lineno}")
+        if not _is_embedding(obj, role):
+            for msg in violations(obj, schema("embedding"), ("embedding",)):
+                raise ParseError(f"{path}:{lineno}: {msg}")
+            raise ParseError(f"{path}:{lineno}: role must be {role!r} in a file of {role}s, got {obj['role']!r}")
+        ids.append(obj["entity_id"])
+        vectors.append(obj["vector"])
     try:
         return EmbeddingSet(ids, vectors)
     except ContractError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, ParseError, TrainingError
 from .metrics import pcc
-from .provenance import atomic_write_text, canonical_json, read_json
+from .provenance import atomic_write_text, canonical_json, read_json, schema, violations
 from .tables import AlignedScores, ScoreTable
 
 WEIGHT_PROVENANCES = ("uniform", "pcc", "manual")
@@ -362,62 +362,52 @@ def apply_fusion(method, test: AlignedScores) -> ScoreTable:
 
 def fuser_to_dict(fuser: FusionWeights | PerceptronFuser) -> dict:
     """JSON-ready form of a fitted fuser, for reuse across runs: its kind,
-    then exactly the fields of its dataclass."""
+    then exactly the fields of its dataclass, each tuple as a list."""
     if isinstance(fuser, FusionWeights):
-        return {"kind": "weights", **asdict(fuser)}
-    if isinstance(fuser, PerceptronFuser):
-        return {"kind": "perceptron", **asdict(fuser)}
-    raise ContractError(f"cannot serialize {fuser!r}")
+        kind = "weights"
+    elif isinstance(fuser, PerceptronFuser):
+        kind = "perceptron"
+    else:
+        raise ContractError(f"cannot serialize {fuser!r}")
+    return {"kind": kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(fuser).items()}}
 
 
 def fuser_from_dict(doc) -> FusionWeights | PerceptronFuser:
     """The fuser a :func:`fuser_to_dict` document records, ignoring other keys
-    (an artifact's provenance); a missing or mistyped key is a ParseError."""
-    if type(doc) is not dict or type(doc.get("training_log", {})) is not dict:
-        raise ParseError(f"malformed fuser document: it and its training_log must be objects, got {doc!r}")
+    (an artifact's provenance). The document is checked against
+    schemas/fuser_<kind>.schema.json; a fault is a :class:`ParseError`."""
+    if type(doc) is not dict:
+        raise ParseError(f"fuser document must be an object, got {doc!r}")
+    kind = doc.get("kind")
+    if kind not in ("weights", "perceptron"):
+        raise ParseError(f"unknown fuser kind {kind!r}")
+    for msg in violations(doc, schema(f"fuser_{kind}"), ("fuser document",)):
+        raise ParseError(msg)
+    ids = tuple(doc["matcher_ids"])
     try:
-        kind = doc["kind"]
-        ids = _field(doc, "matcher_ids", str, many=True)
         if kind == "weights":
             raw = doc.get("raw_pcc")
             return FusionWeights(
                 ids,
-                _field(doc, "weights", float, many=True),
-                _field(doc, "provenance", str),
-                None if raw is None else _field(doc, "raw_pcc", float, many=True),
-                _field(doc, "notes", str, many=True) if "notes" in doc else (),
+                tuple(map(float, doc["weights"])),
+                doc["provenance"],
+                None if raw is None else tuple(map(float, raw)),
+                tuple(doc.get("notes", ())),
             )
-        if kind == "perceptron":
-            log = doc["training_log"]
-            return PerceptronFuser(
-                ids,
-                _field(doc, "coefficients", float, many=True),
-                _field(doc, "bias", float),
-                TrainingLog(
-                    _field(log, "initial_loss", float),
-                    _field(log, "final_loss", float),
-                    _field(log, "epochs_run", int),
-                    log.get("stop_reason"),
-                ),
-            )
-    except KeyError as exc:
-        raise ParseError(f"malformed fuser document: missing key {exc}") from None
-    except (ValueError, OverflowError, ContractError) as exc:
-        raise ParseError(f"malformed fuser document: {exc}") from None
-    raise ParseError(f"unknown fuser kind {kind!r}")
-
-
-_JSON_TYPES = {float: ((int, float), "number"), int: ((int,), "integer"), str: ((str,), "string")}
-
-
-def _field(doc: dict, key: str, convert, many: bool = False):
-    """``doc[key]`` converted by ``convert``, or with ``many`` a list of such
-    values as a tuple. The JSON type must match exactly: true is no number."""
-    values = doc[key] if many else [doc[key]]
-    types, name = _JSON_TYPES[convert]
-    if type(values) not in (list, tuple) or not all(type(v) in types for v in values):
-        raise ValueError(f"{key!r} must be a {'list of ' * many}JSON {name}{'s' * many}, got {doc[key]!r}")
-    return tuple(map(convert, values)) if many else convert(values[0])
+        log = doc["training_log"]
+        return PerceptronFuser(
+            ids,
+            tuple(map(float, doc["coefficients"])),
+            float(doc["bias"]),
+            TrainingLog(
+                float(log["initial_loss"]),
+                float(log["final_loss"]),
+                int(log["epochs_run"]),  # the schema reads 2.0 as an integer
+                log.get("stop_reason"),
+            ),
+        )
+    except ContractError as exc:
+        raise ParseError(f"fuser document: {exc}") from None
 
 
 def save_fuser(fuser: FusionWeights | PerceptronFuser, path) -> None:

@@ -353,6 +353,19 @@ def _text_codes(column: list) -> tuple[np.ndarray, list]:
     return np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), list(distinct)
 
 
+def _plain_body(path: Path, header: tuple[str, ...]) -> list[str] | None:
+    """The body lines of a file with no ``"`` and no CR whose first line is
+    ``header``, without the empty line after a last LF; None for any other
+    file."""
+    text = read_text(path)
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if lines[0] != ",".join(header):
+        return None
+    return lines[1:-1] if lines[-1] == "" else lines[1:]
+
+
 def _plain_columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | None:
     """The columns of a plain CSV file, or None for any other file.
 
@@ -362,15 +375,9 @@ def _plain_columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | Non
     one split of the joined body lines gives every field, and column k is
     every ``len(header)``-th field from the k-th.
     """
-    text = read_text(path)
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
+    body = _plain_body(path, header)
     width = len(header)
-    if lines[0] != ",".join(header):
-        return None
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    if list(map(str.count, body, repeat(","))).count(width - 1) != len(body):
+    if body is None or list(map(str.count, body, repeat(","))).count(width - 1) != len(body):
         return None
     fields = ",".join(body).split(",") if body else []
     return [fields[k::width] for k in range(width)]
@@ -559,12 +566,8 @@ def _same_pairs(path: Path, first_id: str, first_cut: str) -> tuple[str, list[st
     file's eight pair fields: in a plain file LF only starts lines, and
     every line of the first file starts with ``first_id``.
     """
-    text = read_text(path)
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    if lines[0] != ",".join(SCORE_CSV_HEADER) or not body:
+    body = _plain_body(path, SCORE_CSV_HEADER)
+    if not body:
         return None
     parts = list(map(str.rpartition, body, repeat(",")))
     matcher_id = parts[0][0].partition(",")[0]
@@ -660,7 +663,7 @@ def normalize_scores(table: ScoreTable) -> ScoreTable:
     the declared range (order-preserving, so rank metrics are unaffected)."""
     lo, hi = table.declared_range
     if not hi > lo:
-        raise ContractError(f"affine_to_unit needs hi > lo, got [{lo}, {hi}]")
+        raise ContractError(f"normalize_scores needs hi > lo, got [{lo}, {hi}]")
     return ScoreTable(table.matcher_id, (0.0, 1.0), table.columns, (table.scores - lo) / (hi - lo))
 
 

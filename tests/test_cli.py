@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scorefuse.cli import _load_tables, main
+from scorefuse.kinds import FITTED_KINDS
 from scorefuse.tables import SCORE_CSV_HEADER, load_score_table, write_score_table
 
 from helpers import table
@@ -72,9 +73,9 @@ def test_score_command_writes_csv(tmp_path, embedding_files, capsys):
         ("refs", {"entity_id": "r1", "role": "probe", "vector": [1.0, 0.0]},
          "refs.jsonl:1: role must be 'reference' in a file of references, got 'probe'"),
         ("refs", {"entity_id": "r1", "role": "reference", "vector": [True, False]},
-         "refs.jsonl:1: vector must be a list of numbers"),
+         "refs.jsonl:1: embedding: vector entry True must be a finite number, got True"),
         ("probes", {"entity_id": None, "role": "probe", "vector": [1.0, 0.0]},
-         "probes.jsonl:1: entity_id must be a string, got null"),
+         "probes.jsonl:1: embedding: 'entity_id' must be a string, got None"),
     ],
 )
 def test_score_command_refuses_wrong_role_and_boolean_entries(tmp_path, embedding_files, capsys, which, row,
@@ -119,7 +120,8 @@ def test_score_command_empty_pairs(tmp_path, embedding_files, capsys):
         ("cosine", [1e300, 1e300], [1.0, 2.0], 4, "squared norm of embedding 'r1' is not finite"),
         ("euclidean_posterior", [1e300, 1e300], [-1e300, -1e300], 4,
          "squared distance of pair ('p1', 'r1') is not finite"),
-        ("cosine", [1.0, 10**400], [1.0, 0.0], 3, "refs.jsonl:1: vector holds an integer too large for a float"),
+        ("cosine", [1.0, 10**400], [1.0, 0.0], 3,
+         f"refs.jsonl:1: embedding: vector entry {10**400} must be a finite number"),
     ],
 )
 def test_score_command_refuses_vectors_out_of_float_range(tmp_path, embedding_files, capsys, metric, ref, probe,
@@ -209,7 +211,8 @@ def test_wide_range_inputs_fuse_and_correlate_as_their_normalized_files(tmp_path
     for root, declared in ((wide, ["--input-range", "-1", "1"]), (unit, [])):
         a, b, va, vb = (root / f"{name}.csv" for name in names)
         out = root / "out"
-        assert run(["fuse", "--method", method, "--inputs", a, b, "--validation", va, vb, *declared,
+        validation = ["--validation", va, vb] if method in FITTED_KINDS else []
+        assert run(["fuse", "--method", method, "--inputs", a, b, *validation, *declared,
                     "--out-dir", out, "--seed", 5]) == 0
         assert run(["correlate", "--inputs", a, b, *declared, "--out", out / "c.csv"]) == 0
     written = _outputs_but_digests(unit / "out")
@@ -246,6 +249,23 @@ def test_a_perceptron_flag_with_another_method_is_a_usage_error(tmp_path, capsys
              flag, value, "--out-dir", tmp_path / "out"])
     assert exc.value.code == 2
     assert f"{flag} is only read by --method perceptron, got --method {method}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fuse_validation_with_a_fixed_rule_is_a_usage_error(tmp_path, capsys):
+    """No fixed rule reads validation files, so they are refused before any
+    input is read rather than hashed into the artifacts."""
+    missing = [tmp_path / "missing_a.csv", tmp_path / "missing_b.csv"]
+    for method in ("avg", "bayes", "weighted"):
+        weights = ["--weights-file", tmp_path / "w.json"] if method == "weighted" else []
+        argv = ["fuse", "--method", method, "--inputs", *missing, "--validation", *missing, *weights,
+                "--out-dir", tmp_path / "out"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"--validation is only read by --method pcc_avg or perceptron, got --method {method}" in (
+            capsys.readouterr().err
+        )
     assert not (tmp_path / "out").exists()
 
 

@@ -205,11 +205,15 @@ def test_embedding_validation(tmp_path):
     f = tmp_path / "e.jsonl"
     good = {"entity_id": "g", "role": "probe", "vector": [1.0]}
     for entry, message in [
-        ({"role": "gallery", "vector": [1.0]}, "role must be one of ('reference', 'probe'), got 'gallery'"),
-        ({"role": "probe", "vector": []}, "embedding 'e' has empty vector"),
-        ({"role": "probe", "vector": [math.nan]}, "embedding 'e' has non-finite entries"),
-        ({"role": "probe", "vector": [1.0, 10**400]}, "vector holds an integer too large for a float"),
-        ({"role": "probe", "vector": [True, 0.0]}, "vector must be a list of numbers"),
+        ({"role": "gallery", "vector": [1.0]},
+         "embedding: 'role' must be one of ['reference', 'probe'], got 'gallery'"),
+        ({"role": None, "vector": [1.0]}, "embedding: 'role' must be one of ['reference', 'probe'], got None"),
+        ({"vector": [1.0]}, "embedding: missing key 'role'"),
+        ({"role": "probe", "vector": []}, "embedding: 'vector' must have at least 1 entry, got []"),
+        ({"role": "probe", "vector": [math.nan]}, "embedding: vector entry nan must be a finite number, got nan"),
+        ({"role": "probe", "vector": [1.0, 10**400]},
+         f"embedding: vector entry {10**400} must be a finite number, got {10**400}"),
+        ({"role": "probe", "vector": [True, 0.0]}, "embedding: vector entry True must be a finite number, got True"),
         ({"role": "reference", "vector": [1.0]}, "role must be 'probe' in a file of probes, got 'reference'"),
     ]:
         f.write_text(json.dumps(good) + "\n" + json.dumps({"entity_id": "e", **entry}) + "\n", encoding="utf-8")
@@ -229,4 +233,4 @@ def test_an_entity_id_that_is_not_a_string_is_a_parse_error(tmp_path, entity_id)
     )
     with pytest.raises(ParseError) as exc:
         load_embeddings(f, "probe")
-    assert str(exc.value) == f"{f}:2: entity_id must be a string, got {json.dumps(json.loads(entity_id))}"
+    assert str(exc.value) == f"{f}:2: embedding: 'entity_id' must be a string, got {json.loads(entity_id)!r}"

@@ -306,12 +306,12 @@ def test_fuser_round_trip_via_json(tmp_path):
 @pytest.mark.parametrize(
     "edit, words",
     [
-        (lambda doc: doc.update(bias="0.5"), "'bias' must be a JSON number"),
-        (lambda doc: doc.update(coefficients=[1.0, True]), "'coefficients' must be a list of JSON numbers"),
-        (lambda doc: doc["training_log"].update(epochs_run=2.5), "'epochs_run' must be a JSON integer"),
+        (lambda doc: doc.update(bias="0.5"), "'bias' must be a finite number, got '0.5'"),
+        (lambda doc: doc.update(coefficients=[1.0, True]), "coefficients entry True must be a finite number"),
+        (lambda doc: doc["training_log"].update(epochs_run=2.5), "'training_log': 'epochs_run' must be an integer"),
         (lambda doc: doc["training_log"].pop("final_loss"), "missing key 'final_loss'"),
-        (lambda doc: doc.update(training_log=[]), "training_log must be objects"),
-        (lambda doc: doc.update(bias=float("nan")), "must be finite"),
+        (lambda doc: doc.update(training_log=[]), "'training_log' must be an object, got []"),
+        (lambda doc: doc.update(bias=float("nan")), "finite number, got nan"),
     ],
 )
 def test_perceptron_documents_refuse_mistyped_fields(edit, words):
@@ -320,6 +320,14 @@ def test_perceptron_documents_refuse_mistyped_fields(edit, words):
     edit(doc)
     with pytest.raises(ParseError, match=re.escape(words)):
         fuser_from_dict(doc)
+
+
+def test_perceptron_documents_read_integral_numbers_as_integers():
+    """As the grid config's integers do, ``epochs_run`` may be written 2.0."""
+    fuser = train_perceptron(_informative_and_noise(n=200, seed=40), PerceptronHyper(max_epochs=20))
+    doc = fuser_to_dict(fuser)
+    doc["training_log"]["epochs_run"] = float(doc["training_log"]["epochs_run"])
+    assert fuser_from_dict(doc) == fuser
 
 
 def test_perceptron_documents_with_a_training_log_seed_still_load():

@@ -26,6 +26,7 @@ from scorefuse.fusion import (
     save_fuser,
     train_perceptron,
 )
+from scorefuse.kinds import FITTED_KINDS
 from scorefuse.tables import AlignedScores, load_score_table
 
 from helpers import columns, pair
@@ -190,8 +191,9 @@ def test_fuse_gives_the_bits_of_the_matching_grid_cell(tmp_path, monkeypatch):
 
     for method in ("avg", "bayes", "pcc_avg", "weighted", "perceptron"):
         out = tmp_path / method
-        argv = ["fuse", "--method", method, "--inputs", *files("test"), "--validation", *files("validation"),
-                "--out-dir", str(out)]
+        argv = ["fuse", "--method", method, "--inputs", *files("test"), "--out-dir", str(out)]
+        if method in FITTED_KINDS:  # --validation is a usage error with any other method
+            argv += ["--validation", *files("validation")]
         if method == "weighted":
             argv += ["--weights-file", str(demo / "weights.json")]
         if method == "perceptron":  # --max-epochs is a usage error with any other method

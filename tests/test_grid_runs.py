@@ -509,7 +509,7 @@ def test_fuse_hyper_flag_out_of_range_is_a_usage_error(demo_config, tmp_path, fl
 
 
 @pytest.mark.parametrize("command", ["fuse", "eval", "correlate"])
-@pytest.mark.parametrize("bounds", [("1", "0"), ("0", "inf"), ("nan", "1")])
+@pytest.mark.parametrize("bounds", [("1", "0"), ("0", "inf"), ("nan", "1"), ("0.5", "0.5")])
 def test_input_range_must_be_finite_and_ordered(demo_config, tmp_path, command, bounds):
     inputs = sorted((demo_config.parent / "scores").glob("m[12]__demo-cam1-1__test.csv"))
     out = tmp_path / "out"
@@ -781,20 +781,21 @@ def test_input_that_is_not_utf8_is_a_parse_error(contract_demo, tmp_path, reader
     assert not out.exists() and not (demo / "results-weights").exists()
 
 
-@pytest.mark.parametrize("reader", ["grid-config", "weights-file", "embeddings"])
-def test_json_nested_too_deeply_is_a_parse_error(contract_demo, tmp_path, reader):
-    deep = "[" * 200_000 + "]" * 200_000  # deeper than the interpreter's recursion limit
+def _json_fault(contract_demo: Path, tmp_path: Path, reader: str, text: str) -> str:
+    """The stderr of a command whose ``reader`` reads the JSON ``text`` (an
+    embeddings file's second line), with the file's name and line written
+    ``<where>``, after checking that the command exits 3 and writes nothing."""
     scores = sorted((contract_demo.parent / "scores").glob("m[12]__demo-cam1-1__test.csv"))
     out = tmp_path / "out"
     bad = tmp_path / ("bad.jsonl" if reader == "embeddings" else "bad.json")
     if reader == "embeddings":
-        bad.write_text('{"entity_id": "r1", "role": "reference", "vector": [1.0]}\n' + deep + "\n", encoding="utf-8")
+        bad.write_text('{"entity_id": "r1", "role": "reference", "vector": [1.0]}\n' + text + "\n", encoding="utf-8")
         pairs = tmp_path / "pairs.csv"
         pairs.write_text(",".join(PAIRS_CSV_HEADER) + "\np1,r1,s1,s2,0,cam0,1.0,unit\n", encoding="utf-8")
         argv = ["score", "--references", bad, "--probes", bad, "--pairs", pairs, "--metric", "cosine",
                 "--out", out / "s.csv"]
     else:
-        bad.write_text(deep, encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
         argv = {
             "grid-config": ["grid", "--config", bad],
             "weights-file": ["fuse", "--method", "weighted", "--inputs", *scores, "--weights-file", bad,
@@ -802,9 +803,22 @@ def test_json_nested_too_deeply_is_a_parse_error(contract_demo, tmp_path, reader
         }[reader]
     code, err = cli(*argv)
     assert code == 3, err
-    where = f"{bad}:2:" if reader == "embeddings" else f"{bad}:"
-    assert f"{where} invalid JSON (nested too deeply)" in err and "Traceback" not in err
+    assert "Traceback" not in err
     assert not out.exists() and not (tmp_path / "results").exists()
+    where = f"{bad}:2:" if reader == "embeddings" else f"{bad}:"
+    return err.replace(where, "<where>")
+
+
+@pytest.mark.parametrize("reader", ["grid-config", "weights-file", "embeddings"])
+def test_json_nested_too_deeply_is_a_parse_error(contract_demo, tmp_path, reader):
+    deep = "[" * 200_000 + "]" * 200_000  # deeper than the interpreter's recursion limit
+    assert "<where> invalid JSON (nested too deeply)" in _json_fault(contract_demo, tmp_path, reader, deep)
+
+
+@pytest.mark.parametrize("reader", ["grid-config", "weights-file", "embeddings"])
+def test_json_integer_with_too_many_digits_is_a_parse_error(contract_demo, tmp_path, reader):
+    long = "[" + "1" * 5000 + "]"  # more digits than int() converts
+    assert "<where> invalid JSON (integer with too many digits)" in _json_fault(contract_demo, tmp_path, reader, long)
 
 
 # ---------------------------------------------------------------- weights files
@@ -814,18 +828,20 @@ _WEIGHTS = {"kind": "weights", "matcher_ids": ["m1", "m2"], "weights": [2.0, 1.0
 
 # name -> (weights document for matchers m1 m2, words the error must name)
 WEIGHTS_FAULTS = {
-    "weights-text-and-bool": ({**_WEIGHTS, "weights": ["0.5", True]}, "'weights' must be a list of JSON numbers"),
+    "weights-text-and-bool": ({**_WEIGHTS, "weights": ["0.5", True]}, "weights entry '0.5' must be a finite number"),
     "weights-missing": ({k: v for k, v in _WEIGHTS.items() if k != "weights"}, "missing key 'weights'"),
-    "weights-negative": ({**_WEIGHTS, "weights": [-1.0, 2.0]}, "weights must be finite and >= 0"),
-    "weights-huge-integer": ({**_WEIGHTS, "weights": [10**400, 1]}, "malformed fuser document"),
-    "matcher-ids-text": ({**_WEIGHTS, "matcher_ids": "m1m2"}, "'matcher_ids' must be a list of JSON strings"),
+    "weights-negative": ({**_WEIGHTS, "weights": [-1.0, 2.0]}, "weights entry -1.0 must be >= 0"),
+    "weights-huge-integer": ({**_WEIGHTS, "weights": [10**400, 1]}, "must be a finite number, got 1000"),
+    "matcher-ids-text": ({**_WEIGHTS, "matcher_ids": "m1m2"}, "'matcher_ids' must be a list, got 'm1m2'"),
     "matcher-ids-reordered": (
         {**_WEIGHTS, "matcher_ids": ["m2", "m1"]},
         "weights cover matchers ('m2', 'm1'), expected ('m1', 'm2')",
     ),
-    "provenance-number": ({**_WEIGHTS, "provenance": 1}, "'provenance' must be a JSON string"),
-    "raw-pcc-text": ({**_WEIGHTS, "raw_pcc": ["0.1", 0.2]}, "'raw_pcc' must be a list of JSON numbers"),
-    "not-an-object": ([1], "malformed fuser document: it and its training_log must be objects"),
+    "provenance-number": (
+        {**_WEIGHTS, "provenance": 1}, "'provenance' must be one of ['uniform', 'pcc', 'manual'], got 1"
+    ),
+    "raw-pcc-text": ({**_WEIGHTS, "raw_pcc": ["0.1", 0.2]}, "raw_pcc entry '0.1' must be a finite number"),
+    "not-an-object": ([1], "fuser document must be an object, got [1]"),
 }
 
 
