@@ -83,7 +83,6 @@ _PUBLIC = {
         "rate_at_operating_point",
     ),
     "protocol": (
-        "ExperimentPlan",
         "ExperimentResult",
         "MethodSpec",
         "PlanItem",

@@ -134,8 +134,11 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     table = load_score_table(args.scores, tuple(args.input_range))
-    report = metrics.evaluate_table(table)
-    curves = metrics.build_curves(table)
+    try:
+        report = metrics.evaluate_table(table)
+        curves = metrics.build_curves(table)
+    except ContractError as exc:  # too few scores of a class, or none
+        raise type(exc)(f"{args.scores}: {exc}") from None
     inputs = _digests([args.scores])
     out_dir = Path(args.out_dir)
     write_json_artifact(
@@ -336,7 +339,7 @@ def _plan_groups(doc: dict, config_dir: Path, plan) -> dict[_Group, dict[str, Pa
     """
     files = {(e["matcher_id"], _setting(e), e["split"]): config_dir / e["path"] for e in doc["score_files"]}
     groups: dict[_Group, dict[str, Path | None]] = {}
-    for item in plan.items:
+    for item in plan:
         for group in _item_groups(item):
             paths = {matcher: files.get((matcher, *group)) for matcher in doc["matchers"]}
             if group[1] != "train" or None not in paths.values():
@@ -415,6 +418,10 @@ def cmd_grid(args) -> int:
     methods = [_method_from_config(entry, config_dir) for entry in doc["methods"]]
     groups = _plan_groups(doc, config_dir, plan)
     config_digest = {str(config_path): sha256_file(config_path)}
+    # each weights file, hashed into the inputs of the method that reads it
+    weights_digests = {
+        m["method_id"]: _digests([config_dir / m["weights_file"]]) for m in doc["methods"] if "weights_file" in m
+    }
 
     # results are taken in plan order, so an OSError surfaces at the same
     # group at every --jobs
@@ -445,7 +452,7 @@ def cmd_grid(args) -> int:
 
     ok_results: list[protocol.ExperimentResult] = []
     failures: list[dict] = []
-    for item, method in itertools.product(plan.items, methods):
+    for item, method in itertools.product(plan, methods):
         val_group, test_group, _ = _item_groups(item)
         try:
             ok_results.append(
@@ -454,7 +461,6 @@ def cmd_grid(args) -> int:
                     method,
                     _unwrap(loaded[val_group][0]),
                     _unwrap(loaded[test_group][0]),
-                    seed=seed,
                     fit=functools.partial(fit, item.train_setting),
                     leakage=functools.partial(leakage, item),
                 )
@@ -476,13 +482,13 @@ def cmd_grid(args) -> int:
 
     for res in ok_results:
         name = f"result__{res.item.key()}__{res.method_id}.json"
-        inputs = dict(config_digest)
+        inputs = dict(config_digest, **weights_digests.get(res.method_id, {}))
         for group in _item_groups(res.item):
             inputs.update(loaded.get(group, (None, {}))[1])
         write_json_artifact(out_dir / name, protocol.result_to_dict(res), seed=seed, inputs=inputs)
 
     all_inputs = dict(config_digest)
-    for _, digests in loaded.values():
+    for digests in [*(digests for _, digests in loaded.values()), *weights_digests.values()]:
         all_inputs.update(digests)
     failure_rows = [
         {k: f[k] for k in ("cell", "method_id", "error", "message")} for f in failures

@@ -1,12 +1,12 @@
 """Experiment grids over acquisition settings.
 
-A plan item pairs a train setting with a test setting; its kind records
-which setting fields differ (``intra`` = none, ``cross_distance`` /
-``cross_camera`` / ``cross_both`` within one dataset, ``cross_dataset``
-across datasets). Running an item fits any parametric fuser on the train
-setting's validation scores only, evaluates on the test setting's scores,
-and refuses to run if validation and test share comparison pairs
-(:func:`check_leakage`).
+A plan item pairs a train setting with a test setting; its kind, derived
+from the two, says which setting fields differ (``intra`` = none,
+``cross_distance`` / ``cross_camera`` / ``cross_both`` within one dataset,
+``cross_dataset`` across datasets). Running an item fits any parametric
+fuser on the train setting's validation scores only, evaluates on the test
+setting's scores, and refuses to run if validation and test share
+comparison pairs (:func:`check_leakage`).
 """
 
 from __future__ import annotations
@@ -48,25 +48,13 @@ def classify_pair(train: SettingDescriptor, test: SettingDescriptor) -> str:
 class PlanItem:
     train_setting: SettingDescriptor
     test_setting: SettingDescriptor
-    kind: str
 
-    def __post_init__(self):
-        if self.kind not in PLAN_KINDS:
-            raise ContractError(f"kind must be one of {PLAN_KINDS}, got {self.kind!r}")
-        actual = classify_pair(self.train_setting, self.test_setting)
-        if actual != self.kind:
-            raise ContractError(
-                f"kind {self.kind!r} inconsistent with settings "
-                f"({self.train_setting} -> {self.test_setting}, which is {actual!r})"
-            )
+    @property
+    def kind(self) -> str:
+        return classify_pair(self.train_setting, self.test_setting)
 
     def key(self) -> str:
         return f"{self.kind}__{self.train_setting.key()}__{self.test_setting.key()}"
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    items: tuple[PlanItem, ...]
 
 
 @dataclass(frozen=True)
@@ -101,44 +89,27 @@ class ExperimentResult:
     item: PlanItem
     method_id: str
     report: MetricsReport
-    seed: int
     provenance: Mapping[str, str]
     fitted: dict | None = None
 
 
-def _setting_sort_key(s: SettingDescriptor):
-    return (s.dataset_id, s.camera_id, s.distance_m)
+def plan_experiments(settings: list[SettingDescriptor], kinds) -> tuple[PlanItem, ...]:
+    """The plan items of the requested kinds, in a fixed order.
 
-
-def plan_experiments(settings: list[SettingDescriptor], kinds) -> ExperimentPlan:
-    """Enumerate plan items for the requested kinds, in a fixed order.
-
-    Intra yields one item per setting; each cross kind yields every ordered
-    (train, test) pair whose differing fields match that kind. Items are
-    ordered by kind (as listed in PLAN_KINDS), then lexicographically by
-    setting fields.
+    Every ordered (train, test) pair of settings whose kind is requested is
+    an item, intra pairs included. Items are ordered by kind (as listed in
+    PLAN_KINDS), then lexicographically by setting fields.
     """
     if not settings:
         raise ContractError("plan_experiments needs at least one setting")
     if len(set(settings)) != len(settings):
         raise ContractError("settings must be distinct")
-    kinds = set(kinds)
-    unknown = kinds - set(PLAN_KINDS)
+    unknown = set(kinds) - set(PLAN_KINDS)
     if unknown:
         raise ContractError(f"unknown plan kinds: {sorted(unknown)}")
-    ordered = sorted(settings, key=_setting_sort_key)
-    items = []
-    for kind in PLAN_KINDS:
-        if kind not in kinds:
-            continue
-        if kind == "intra":
-            items.extend(PlanItem(s, s, "intra") for s in ordered)
-            continue
-        for train in ordered:
-            for test in ordered:
-                if train != test and classify_pair(train, test) == kind:
-                    items.append(PlanItem(train, test, kind))
-    return ExperimentPlan(tuple(items))
+    ordered = sorted(settings, key=lambda s: (s.dataset_id, s.camera_id, s.distance_m))
+    items = [item for train in ordered for test in ordered if (item := PlanItem(train, test)).kind in kinds]
+    return tuple(sorted(items, key=lambda item: PLAN_KINDS.index(item.kind)))
 
 
 def _check_settings(aligned: AlignedScores, expected: SettingDescriptor, role: str) -> None:
@@ -207,7 +178,6 @@ def run_experiment(
     val_scores: AlignedScores | None,
     test_scores: AlignedScores,
     *,
-    seed: int,
     fit: Callable[[MethodSpec, AlignedScores], FusionWeights | PerceptronFuser] = fit_method,
     leakage: Callable[[AlignedScores, AlignedScores], None] = check_leakage,
 ) -> ExperimentResult:
@@ -233,7 +203,7 @@ def run_experiment(
         prov["validation_scores_sha256"] = val_scores.sha256
     report = evaluate_table(fused)
     fitted = None if fuser is None else fuser_to_dict(fuser)
-    return ExperimentResult(item, method.method_id, report, seed, prov, fitted)
+    return ExperimentResult(item, method.method_id, report, prov, fitted)
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name not in ("n_mated", "n_nonmated"))
@@ -285,7 +255,6 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "test_setting": asdict(result.item.test_setting),
         "method_id": result.method_id,
         "metrics": asdict(result.report),
-        "seed": result.seed,
         "provenance": dict(sorted(result.provenance.items())),
         "fitted": result.fitted,
     }

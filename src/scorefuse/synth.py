@@ -43,6 +43,9 @@ class GaussianScoreModel:
             raise ContractError("sigmas must be strictly positive")
         if self.n_mated < 1 or self.n_nonmated < 1:
             raise ContractError("class sizes must be positive")
+        if 8 * (self.n_mated + self.n_nonmated) > 2**48:  # the most x86-64 or arm64 user space maps
+            sizes = f"n_mated={self.n_mated} and n_nonmated={self.n_nonmated}"
+            raise ContractError(f"class sizes {sizes}: their scores alone exceed the 2**48 bytes a process maps")
 
 
 def synthetic_pairs(n_mated: int, n: int, tag: str, setting: SettingDescriptor) -> PairColumns:
@@ -59,7 +62,6 @@ def synthetic_pairs(n_mated: int, n: int, tag: str, setting: SettingDescriptor) 
         [f"{tag}r{d}" for d in digits],
         subjects,
         subjects[:n_mated] + [f"{tag}t{d}" for d in digits[n_mated:]],
-        np.arange(n) < n_mated,
         np.zeros(n, dtype=np.intp),
         (setting,),
     )

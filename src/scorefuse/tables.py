@@ -74,14 +74,6 @@ class SettingDescriptor:
 DEFAULT_SETTING = SettingDescriptor("synthcam", 1.0, "synthetic")
 
 
-def _check_mated(mated: bool, probe_subject: str, reference_subject: str) -> None:
-    if mated != (probe_subject == reference_subject):
-        raise ContractError(
-            f"mated={mated} inconsistent with subjects "
-            f"{probe_subject!r} vs {reference_subject!r}"
-        )
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -99,12 +91,6 @@ def _first_true(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     i = int(np.argmax(mask)) if len(mask) else 0
     return i if len(mask) and mask[i] else None
-
-
-def _inconsistent(mated: np.ndarray, probe_subjects, reference_subjects) -> int | None:
-    """First row whose ``mated`` flag disagrees with subject equality."""
-    same = np.asarray(probe_subjects, dtype=object) == np.asarray(reference_subjects, dtype=object)
-    return _first_true(np.asarray(mated, dtype=bool) != same)
 
 
 def _decoded(values, codes: np.ndarray) -> np.ndarray:
@@ -126,11 +112,12 @@ class PairColumns:
     """Comparison pairs stored as columns.
 
     ``probe_ids``, ``reference_ids``, ``probe_subjects`` and
-    ``reference_subjects`` are object arrays of ``str``, ``mated`` is a bool
-    array and ``setting_codes`` an int array indexing ``settings``, a tuple of
-    distinct :class:`SettingDescriptor`. Arrays are read-only, so every table
-    over the same pairs (each matcher's scores, a fused column) shares one
-    instance and its cached key index.
+    ``reference_subjects`` are object arrays of ``str`` and ``setting_codes``
+    an int array indexing ``settings``, a tuple of distinct
+    :class:`SettingDescriptor`. ``mated`` is derived, the bool array of
+    subject equality. Arrays are read-only, so every table over the same
+    pairs (each matcher's scores, a fused column) shares one instance and its
+    cached key index.
 
     A pickle, such as a forked loader's result, holds each text column as
     its distinct strings and a code per row, in the smallest unsigned integer
@@ -144,7 +131,6 @@ class PairColumns:
         reference_ids,
         probe_subjects,
         reference_subjects,
-        mated,
         setting_codes,
         settings,
     ):
@@ -153,20 +139,17 @@ class PairColumns:
             for col in (probe_ids, reference_ids, probe_subjects, reference_subjects)
         ]
         self.probe_ids, self.reference_ids, self.probe_subjects, self.reference_subjects = text
-        self.mated = _frozen(np.array(mated, dtype=bool).reshape(-1))
         self.setting_codes = _frozen(np.array(setting_codes, dtype=np.intp).reshape(-1))
         self.settings = tuple(settings)
-        n = len(self.mated)
-        if any(len(col) != n for col in text) or len(self.setting_codes) != n:
+        n = len(self.setting_codes)
+        if any(len(col) != n for col in text):
             raise ContractError("pair columns must have equal lengths")
+        self.mated = _frozen(self.probe_subjects == self.reference_subjects)
         if len(set(self.settings)) != len(self.settings):
             raise ContractError("settings must be distinct")
         codes = self.setting_codes
         if n and (codes.min() < 0 or codes.max() >= len(self.settings)):
             raise ContractError("setting code out of range")
-        bad = _inconsistent(self.mated, self.probe_subjects, self.reference_subjects)
-        if bad is not None:
-            _check_mated(bool(self.mated[bad]), self.probe_subjects[bad], self.reference_subjects[bad])
 
     def __getstate__(self) -> dict:
         state = {name: value for name, value in self.__dict__.items() if name != "key_index"}
@@ -448,13 +431,13 @@ def _pair_columns(fields) -> PairColumns | None:
     for column in (cams, dsets):
         column_codes, distinct = _text_codes(column)
         codes, first = _first_appearance(codes * len(distinct) + column_codes)
-    mated = np.array(flags, dtype=object) == "1"
     try:
         settings = [SettingDescriptor(cams[i], float(distances[i]), dsets[i]) for i in first.tolist()]
-        columns = PairColumns(probes, refs, psubs, rsubs, mated, codes, settings)
+        columns = PairColumns(probes, refs, psubs, rsubs, codes, settings)
     except ContractError:
         return None
-    return columns if columns.first_duplicate() is None else None
+    same_mated = np.array_equal(np.array(flags, dtype=object) == "1", columns.mated)
+    return columns if same_mated and columns.first_duplicate() is None else None
 
 
 def _checked_table(path: Path, declared_range, columns) -> ScoreTable:
@@ -511,9 +494,10 @@ def _first_error(path: Path, header: tuple[str, ...], rows, declared_range) -> N
         seen[key] = line
         try:
             SettingDescriptor(cam, values[0], dset)
-            _check_mated(flag == "1", psub, rsub)
         except ContractError as exc:
             raise error(ParseError, str(exc)) from None
+        if (flag == "1") != (psub == rsub):
+            raise error(ParseError, f"mated={flag == '1'} inconsistent with subjects {psub!r} vs {rsub!r}")
     raise AssertionError(f"{path}: a column check failed on no row")
 
 

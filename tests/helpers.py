@@ -24,10 +24,11 @@ def pair(i: int, mated: bool, tag: str = "", setting: SettingDescriptor = SETTIN
 
 
 def columns(rows) -> PairColumns:
-    """The :class:`PairColumns` of pair rows (a trailing score is ignored)."""
+    """The :class:`PairColumns` of pair rows (the mated flag, derived from the
+    subjects, and a trailing score are ignored)."""
     rows = list(rows)
     settings = list(dict.fromkeys(row[5] for row in rows))
-    fields = [[row[k] for row in rows] for k in range(5)]
+    fields = [[row[k] for row in rows] for k in range(4)]
     return PairColumns(*fields, [settings.index(row[5]) for row in rows], settings)
 
 

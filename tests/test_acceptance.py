@@ -218,18 +218,18 @@ def test_c09_protocol_grid(tmp_path):
         ("cross_both", 4),
     ):
         plan = plan_experiments(settings, {kind})
-        assert len(plan.items) == expected, kind
-        assert all(i.kind == kind for i in plan.items)
+        assert len(plan) == expected, kind
+        assert all(i.kind == kind for i in plan)
 
     # injected validation/test overlap raises the leakage error
     base = make_complementary_matchers(1.0, 200, seed=1)
     setting = settings[0]
     pairs = columns((*row[:5], setting) for row in rows_of(base.columns))
     stamped = AlignedScores(base.matcher_ids, pairs, base.matrix)
-    item = PlanItem(setting, setting, "intra")
+    item = PlanItem(setting, setting)
     method = MethodSpec("avg", "avg", base.matcher_ids)
     with pytest.raises(LeakageError):
-        run_experiment(item, method, stamped, stamped, seed=0)
+        run_experiment(item, method, stamped, stamped)
 
     # rerun with the same seed is byte-identical
     demo_dir = tmp_path / "demo"

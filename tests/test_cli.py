@@ -422,17 +422,25 @@ def test_eval_chance_and_separated(tmp_path, capsys):
         (["fuse", "--method", "avg", "--inputs", "empty.csv", "a.csv", "--out-dir", "out"], "table is empty"),
         (["fuse", "--method", "avg", "--inputs", "a.csv", "empty.csv", "--out-dir", "out"], "table is empty"),
         (["correlate", "--inputs", "a.csv", "empty.csv", "--out", "out.json"], "table is empty"),
+        (["eval", "--scores", "mated.csv", "--out-dir", "out"],
+         "curves need at least one mated and one non-mated score"),
+        (["eval", "--scores", "thin.csv", "--out-dir", "out"], "cohens_d needs at least 2 samples per class"),
     ],
 )
 def test_header_only_score_file_is_a_contract_error(tmp_path, capsys, command, message):
     """A score file with a header and no rows loads as an empty table, which
-    the command then refuses."""
+    the command then refuses; eval names the file, as it does for a file of
+    one class or of one score per class."""
     _write_table(tmp_path / "a.csv", [0.9, 0.7], [0.2, 0.1], "a")
+    _write_table(tmp_path / "mated.csv", [0.9, 0.7], [], "a")
+    _write_table(tmp_path / "thin.csv", [0.9], [0.2], "a")
     (tmp_path / "empty.csv").write_text(",".join(SCORE_CSV_HEADER) + "\n", encoding="utf-8")
     code = run([tmp_path / arg if arg == "out" or arg.endswith((".csv", ".json")) else arg for arg in command])
     err = capsys.readouterr().err
     assert code == 4
     assert message in err and "Traceback" not in err
+    if command[0] == "eval":
+        assert f"{tmp_path / command[2]}: " in err
 
 
 def test_eval_rerun_is_byte_identical(tmp_path, capsys):

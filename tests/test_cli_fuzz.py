@@ -240,7 +240,7 @@ def test_star_import_binds_every_public_name():
     exec("from scorefuse import *", names)
     del names["__builtins__"]
     assert sorted(names) == sorted(scorefuse.__all__) == [
-        "AlignedScores", "CorrelationMatrix", "EmbeddingSet", "ExperimentPlan", "ExperimentResult",
+        "AlignedScores", "CorrelationMatrix", "EmbeddingSet", "ExperimentResult",
         "FusionWeights", "GaussianScoreModel", "MethodSpec", "MetricsReport", "PerceptronFuser",
         "PerceptronHyper", "PlanItem", "ScoreTable", "SettingDescriptor", "ThresholdCurves",
         "aggregate_results", "align_tables", "analytic_auc", "analytic_cohens_d", "analytic_eer",

@@ -106,7 +106,7 @@ def test_batch_score_equals_per_pair_arithmetic_bit_for_bit(metric, dim):
     keys = rng.choice(n_refs * n_probes, size=n_pairs, replace=False)
     probe_ids = [f"p{k % n_probes}" for k in keys]
     ref_ids = [f"r{k // n_probes}" for k in keys]
-    pairs = PairColumns(probe_ids, ref_ids, probe_ids, ref_ids, [False] * n_pairs, [0] * n_pairs, [SETTING])
+    pairs = PairColumns(probe_ids, ref_ids, probe_ids, ref_ids, [0] * n_pairs, [SETTING])
     got = batch_score(refs, probes, pairs, metric).scores
     assert np.array_equal(got, _reference_scores(refs, probes, pairs, metric))
 

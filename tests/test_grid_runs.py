@@ -885,6 +885,24 @@ def test_weights_files_need_only_the_fields_they_fuse_with(contract_demo, comman
     assert out.exists()
 
 
+def test_grid_records_the_weights_file_digest(contract_demo):
+    demo = contract_demo.parent
+    weights = demo / "weights-digest.json"
+    out = demo / "results-weights-digest"
+    argv = [str(a) for a in _weights_argv(contract_demo, weights, "grid", out)]
+    recorded = []
+    for first_weight in (2.0, 3.0):
+        weights.write_text(json.dumps({**_WEIGHTS, "weights": [first_weight, 1.0]}), encoding="utf-8")
+        assert main(argv) == 0
+        docs = [json.loads(path.read_text()) for path in sorted(out.glob("result__*.json"))]
+        assert len(docs) == 2
+        docs += [json.loads((out / name).read_text()) for name in ("summary.json", "summary.csv.meta.json")]
+        digests = {doc["input_digests"][str(weights)] for doc in docs}
+        assert digests == {scorefuse.provenance.sha256_file(weights)}
+        recorded.append(digests)
+    assert recorded[0] != recorded[1]
+
+
 def test_fuse_weights_file_needs_the_weighted_method(contract_demo, tmp_path):
     scores = sorted((contract_demo.parent / "scores").glob("m[12]__demo-cam1-1__test.csv"))
     out = tmp_path / "out"
@@ -939,6 +957,25 @@ def test_synth_mistyped_model_file_is_a_parse_error(tmp_path, edit, key):
     assert code == 3, err
     assert f"{model}: " in err and repr(key) in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+@pytest.mark.parametrize(
+    "source, size", [("flag", 10**15), ("flag", 10**30), ("model-file", 10**15), ("model-file", 1e300)]
+)
+def test_synth_class_size_beyond_the_address_space_is_a_contract_error(tmp_path, capsys, source, size):
+    """From 10**15 rows up, the scores alone exceed any address space, so a
+    missing check would fail to allocate, not fill the memory."""
+    out = tmp_path / "out" / "s.csv"
+    if source == "flag":
+        argv = ["synth", "--n-mated", str(size), "--out", str(out)]
+    else:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**_MODEL, "n_mated": size}), encoding="utf-8")
+        argv = ["synth", "--model-file", str(model), "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"class sizes n_mated={int(size)} and n_nonmated=" in err and "2**48 bytes" in err
+    assert not out.parent.exists()
 
 
 def _usage_error(capsys, *argv) -> str:

@@ -48,24 +48,24 @@ def test_classify_pairs():
 def test_plan_intra_counts():
     settings = [S("cam1", d, "d") for d in (1.0, 2.6, 4.2)]
     plan = plan_experiments(settings, {"intra"})
-    assert len(plan.items) == 3
-    assert all(i.kind == "intra" and i.train_setting == i.test_setting for i in plan.items)
+    assert len(plan) == 3
+    assert all(i.kind == "intra" and i.train_setting == i.test_setting for i in plan)
 
 
 def test_plan_cross_distance_counts():
     settings = [S("cam1", d, "d") for d in (1.0, 2.6, 4.2)]
     plan = plan_experiments(settings, {"cross_distance"})
-    assert len(plan.items) == 6  # 3 x 2 ordered pairs
-    assert all(i.kind == "cross_distance" for i in plan.items)
+    assert len(plan) == 6  # 3 x 2 ordered pairs
+    assert all(i.kind == "cross_distance" for i in plan)
     # ordered: both directions present
-    keys = {(i.train_setting.distance_m, i.test_setting.distance_m) for i in plan.items}
+    keys = {(i.train_setting.distance_m, i.test_setting.distance_m) for i in plan}
     assert (1.0, 4.2) in keys and (4.2, 1.0) in keys
 
 
 def test_plan_cross_both_on_2x2():
     plan = plan_experiments(grid_2x2(), {"cross_both"})
-    assert len(plan.items) == 4
-    for item in plan.items:
+    assert len(plan) == 4
+    for item in plan:
         assert item.train_setting.camera_id != item.test_setting.camera_id
         assert item.train_setting.distance_m != item.test_setting.distance_m
 
@@ -75,9 +75,9 @@ def test_plan_partitions_all_ordered_pairs():
     kinds = {"cross_distance", "cross_camera", "cross_both"}
     plan = plan_experiments(settings, kinds)
     n = len(settings)
-    assert len(plan.items) == n * (n - 1)
+    assert len(plan) == n * (n - 1)
     by_kind = {}
-    for item in plan.items:
+    for item in plan:
         by_kind.setdefault(item.kind, 0)
         by_kind[item.kind] += 1
     assert by_kind == {"cross_distance": 4, "cross_camera": 4, "cross_both": 4}
@@ -86,8 +86,8 @@ def test_plan_partitions_all_ordered_pairs():
 def test_plan_cross_dataset():
     settings = [S("cam1", 1.0, "d1"), S("cam1", 1.0, "d2")]
     plan = plan_experiments(settings, {"cross_dataset"})
-    assert len(plan.items) == 2
-    assert all(i.kind == "cross_dataset" for i in plan.items)
+    assert len(plan) == 2
+    assert all(i.kind == "cross_dataset" for i in plan)
 
 
 def test_plan_ordering_is_deterministic():
@@ -95,7 +95,7 @@ def test_plan_ordering_is_deterministic():
     a = plan_experiments(list(reversed(settings)), {"intra", "cross_both"})
     b = plan_experiments(settings, {"intra", "cross_both"})
     assert a == b
-    assert [i.kind for i in a.items[:4]] == ["intra"] * 4
+    assert [i.kind for i in a[:4]] == ["intra"] * 4
 
 
 def test_plan_errors():
@@ -105,13 +105,6 @@ def test_plan_errors():
         plan_experiments([S("c", 1.0, "d")] * 2, {"intra"})
     with pytest.raises(ContractError):
         plan_experiments([S("c", 1.0, "d")], {"sideways"})
-
-
-def test_plan_item_consistency_checked():
-    with pytest.raises(ContractError):
-        PlanItem(S("cam1", 1.0, "d"), S("cam1", 2.6, "d"), "intra")
-    with pytest.raises(ContractError):
-        PlanItem(S("cam1", 1.0, "d"), S("cam2", 2.6, "d"), "cross_distance")
 
 
 def _val_and_test(setting_train, setting_test, seed=0):
@@ -131,26 +124,25 @@ def _val_and_test(setting_train, setting_test, seed=0):
 
 def test_run_experiment_single_equals_direct_report():
     setting = S("cam1", 1.0, "d")
-    item = PlanItem(setting, setting, "intra")
+    item = PlanItem(setting, setting)
     val, test = _val_and_test(setting, setting)
     method = MethodSpec("m1", "single", ("matcher_1",))
-    result = run_experiment(item, method, val, test, seed=5)
+    result = run_experiment(item, method, val, test)
     from scorefuse.fusion import apply_fusion
 
     direct = evaluate_table(apply_fusion("avg", test.select(["matcher_1"])))
     assert result.report == direct
-    assert result.seed == 5
     assert "test_scores_sha256" in result.provenance
 
 
 def test_run_experiment_leakage_guard():
     setting = S("cam1", 1.0, "d")
-    item = PlanItem(setting, setting, "intra")
+    item = PlanItem(setting, setting)
     val, test = _val_and_test(setting, setting)
     # inject an overlapping pair id space: reuse the test table as validation
     method = MethodSpec("avg", "avg", ("matcher_1", "matcher_2"))
     with pytest.raises(LeakageError, match="pair"):
-        run_experiment(item, method, test, test, seed=0)
+        run_experiment(item, method, test, test)
 
 
 def test_check_leakage_names_the_shared_pairs():
@@ -170,37 +162,37 @@ def test_check_leakage_names_the_shared_pairs():
 
 def test_run_experiment_checks_settings_and_matchers():
     train_s, test_s = S("cam1", 1.0, "d"), S("cam1", 2.6, "d")
-    item = PlanItem(train_s, test_s, "cross_distance")
+    item = PlanItem(train_s, test_s)
     val, test = _val_and_test(train_s, test_s)
     missing = MethodSpec("x", "avg", ("matcher_1", "nope"))
     with pytest.raises(ContractError, match="nope"):
-        run_experiment(item, missing, val, test, seed=0)
+        run_experiment(item, missing, val, test)
 
-    wrong_item = PlanItem(test_s, test_s, "intra")  # val came from train_s
+    wrong_item = PlanItem(test_s, test_s)  # val came from train_s
     method = MethodSpec("avg", "avg", ("matcher_1", "matcher_2"))
     with pytest.raises(ContractError, match="validation"):
-        run_experiment(wrong_item, method, val, test, seed=0)
+        run_experiment(wrong_item, method, val, test)
 
-    swapped = PlanItem(train_s, train_s, "intra")  # test came from test_s
+    swapped = PlanItem(train_s, train_s)  # test came from test_s
     with pytest.raises(ContractError, match="test"):
-        run_experiment(swapped, method, val, test, seed=0)
+        run_experiment(swapped, method, val, test)
 
 
 def test_run_experiment_parametric_needs_validation():
     setting = S("cam1", 1.0, "d")
-    item = PlanItem(setting, setting, "intra")
+    item = PlanItem(setting, setting)
     _, test = _val_and_test(setting, setting)
     method = MethodSpec("pcc", "pcc_avg", ("matcher_1", "matcher_2"))
     with pytest.raises(ContractError, match="validation"):
-        run_experiment(item, method, None, test, seed=0)
+        run_experiment(item, method, None, test)
 
 
 def test_run_experiment_perceptron_close_to_avg_on_symmetric_matchers():
     setting = S("cam1", 1.0, "d")
-    item = PlanItem(setting, setting, "intra")
+    item = PlanItem(setting, setting)
     val, test = _val_and_test(setting, setting, seed=33)
     avg_res = run_experiment(
-        item, MethodSpec("avg", "avg", ("matcher_1", "matcher_2")), val, test, seed=1
+        item, MethodSpec("avg", "avg", ("matcher_1", "matcher_2")), val, test
     )
     per_res = run_experiment(
         item,
@@ -212,7 +204,6 @@ def test_run_experiment_perceptron_close_to_avg_on_symmetric_matchers():
         ),
         val,
         test,
-        seed=1,
     )
     # equal-quality symmetric matchers: stacking cannot beat or trail the
     # plain average by much
@@ -224,11 +215,11 @@ def test_run_experiment_perceptron_close_to_avg_on_symmetric_matchers():
 
 def test_run_experiment_is_deterministic():
     setting = S("cam1", 1.0, "d")
-    item = PlanItem(setting, setting, "intra")
+    item = PlanItem(setting, setting)
     val, test = _val_and_test(setting, setting, seed=8)
     method = MethodSpec("pcc", "pcc_avg", ("matcher_1", "matcher_2"))
-    r1 = run_experiment(item, method, val, test, seed=2)
-    r2 = run_experiment(item, method, val, test, seed=2)
+    r1 = run_experiment(item, method, val, test)
+    r2 = run_experiment(item, method, val, test)
     assert result_to_dict(r1) == result_to_dict(r2)
     doc = result_to_dict(r1)
     assert set(doc["metrics"]) == {f.name for f in fields(MetricsReport)}
@@ -242,13 +233,13 @@ def _result(method_id, kind, auc_pct, distance=1.0):
 
     setting = S("cam1", distance, "d")
     if kind == "intra":
-        item = PlanItem(setting, setting, "intra")
+        item = PlanItem(setting, setting)
     else:
-        item = PlanItem(setting, S("cam1", distance + 1.0, "d"), "cross_distance")
+        item = PlanItem(setting, S("cam1", distance + 1.0, "d"))
     base = aligned({"m": [0.9, 0.8, 0.2, 0.1]}, [True, True, False, False])
     report = evaluate_table(apply_fusion("avg", base))
     report = replace(report, auc_pct=auc_pct)  # pin the value being aggregated
-    return ExperimentResult(item, method_id, report, seed=0, provenance={})
+    return ExperimentResult(item, method_id, report, provenance={})
 
 
 def test_aggregate_mean_and_sd():

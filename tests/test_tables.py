@@ -98,8 +98,8 @@ def test_record_invariants():
         SettingDescriptor("c", 0.0, "d")
     with pytest.raises(RangeViolationError):
         ScoreTable("m", (0.0, 1.0), columns([pair(0, True)]), [math.inf])
-    with pytest.raises(ContractError):
-        columns([("p", "r", "s1", "s2", True, SETTING)])
+    # mated is derived from the subjects, so a row's flag cannot disagree
+    assert columns([("p", "r", "s1", "s2", True, SETTING)]).mated.tolist() == [False]
 
 
 def test_normalize_cosine_endpoints():
