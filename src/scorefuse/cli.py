@@ -195,39 +195,37 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _given_or_default(args, defaults: dict) -> dict:
-    """Each argument named in ``defaults``: its value, or its default where not given."""
-    given = {name: getattr(args, name) for name in defaults}
-    return {name: default if given[name] is None else given[name] for name, default in defaults.items()}
+def _given_or_default(given: dict, defaults: dict) -> dict:
+    """Each value named in ``defaults``: ``given``'s if not None, else the default; as the default's type."""
+    return {name: type(v)(v if given.get(name) is None else given[name]) for name, v in defaults.items()}
 
 
 def cmd_synth(args) -> int:
+    seed = 0 if args.seed is None else args.seed
     if args.demo:
-        config = demo.build_demo(args.demo, args.seed)
+        config = demo.build_demo(args.demo, seed)
         print(f"demo written; run: scorefuse grid --config {config}")
         return 0
+    given, where, inputs = vars(args), "", {}  # each model field but the seed has its flag
     if args.model_file:
-        doc = read_json(args.model_file)
-        for msg in violations(doc, schema("model"), ("model",)):
-            raise ParseError(f"{args.model_file}: {msg}")
-        model = synth.GaussianScoreModel(
-            mu_nonmated=float(doc["mu_nonmated"]),
-            sigma_nonmated=float(doc["sigma_nonmated"]),
-            mu_mated=float(doc["mu_mated"]),
-            sigma_mated=float(doc["sigma_mated"]),
-            n_mated=int(doc["n_mated"]),
-            n_nonmated=int(doc["n_nonmated"]),
-            seed=int(doc.get("seed", args.seed)),
-            clamp=doc.get("clamp", False),
-        )
+        given, where = read_json(args.model_file), f"{args.model_file}: "
+        for msg in violations(given, schema("model"), ("model",)):
+            raise ParseError(f"{where}{msg}")
+        if "seed" in given and args.seed is not None:
+            raise ContractError(f"{where}the file sets seed {given['seed']}, so --seed {args.seed} would be ignored")
+        seed = int(given.get("seed", seed))
         inputs = _digests([args.model_file])
-    else:  # each model field but the seed has its flag
-        model = synth.GaussianScoreModel(**_given_or_default(args, _MODEL_DEFAULTS), seed=args.seed)
-        inputs = {}
-    flags = _given_or_default(args, _TABLE_DEFAULTS)
+    flags = _given_or_default(vars(args), _TABLE_DEFAULTS)
     setting = SettingDescriptor(flags["camera"], flags["distance"], flags["dataset"])
-    table = synth.generate_scores(model, matcher_id=flags["matcher_id"], setting=setting, id_tag=flags["id_tag"])
-    write_csv_artifact(args.out, score_table_csv_text(table), seed=model.seed, inputs=inputs)
+    try:
+        model = synth.GaussianScoreModel(**_given_or_default(given, _MODEL_DEFAULTS), seed=seed)
+        table = synth.generate_scores(model, matcher_id=flags["matcher_id"], setting=setting, id_tag=flags["id_tag"])
+        text = score_table_csv_text(table)
+    except ContractError as exc:
+        raise ContractError(f"{where}{exc}") from None
+    except MemoryError:
+        raise ContractError(f"{where}{model.sizes}: their table does not fit in memory") from None
+    write_csv_artifact(args.out, text, seed=model.seed, inputs=inputs)
     print(f"wrote {len(table)} synthetic scores to {args.out}")
     return 0
 
@@ -663,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help=f"(default {_TABLE_DEFAULTS['dataset']})")
     p.add_argument("--id-tag", help="prefix for generated pair ids (default none)")
     p.add_argument("--demo", default=None, metavar="DIR", help="write the demo grid instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="(default 0, or the model file's seed)")
     p.set_defaults(fn=cmd_synth)
 
     return parser

@@ -201,6 +201,14 @@ def _bayes(mat: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(log_odds), _TINY, _BELOW_ONE)
 
 
+def _labels(validation: AlignedScores) -> np.ndarray:
+    """The validation rows' mated labels as 0.0 / 1.0, which a fit needs of both."""
+    labels = validation.mated_mask.astype(np.float64)
+    if not 0 < int(labels.sum()) < len(labels):
+        raise ContractError("validation scores must contain both classes")
+    return labels
+
+
 def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
     """Weight each matcher by the correlation of its validation scores with
     the mated labels (0/1); negative correlations clamp to weight 0.
@@ -209,10 +217,7 @@ def estimate_pcc_weights(validation: AlignedScores) -> FusionWeights:
     weight 0 with a recorded note; if everything clamps to 0 the fall-back
     is uniform weights (provenance ``uniform``).
     """
-    labels = validation.mated_mask.astype(np.float64)
-    n_mated = int(labels.sum())
-    if n_mated == 0 or n_mated == len(labels):
-        raise ContractError("validation scores must contain both classes")
+    labels = _labels(validation)
     raw: list[float] = []
     notes: list[str] = []
     for j, mid in enumerate(validation.matcher_ids):
@@ -290,10 +295,7 @@ def train_perceptron(
     (``converged``) or after ``max_epochs`` iterations (``max_iter``).
     """
     hyper = hyper or PerceptronHyper()
-    y = validation.mated_mask.astype(np.float64)
-    n_mated = int(y.sum())
-    if n_mated == 0 or n_mated == len(y):
-        raise ContractError("validation scores must contain both classes")
+    y = _labels(validation)
     n, n_feat = validation.matrix.shape
     x = np.column_stack([validation.matrix, np.ones(n)])  # last column fits the bias
     penalty = np.full(n_feat + 1, RIDGE)

@@ -123,53 +123,36 @@ def auc(curves: ThresholdCurves) -> float:
     return total / (2.0 * n1 * n0)
 
 
-def eer(curves: ThresholdCurves) -> float:
-    """Equal error rate by linear interpolation at the FMR/FNMR crossing.
+def _read_off(pinned: np.ndarray, other: np.ndarray, j: int, q: float) -> float:
+    """``other[j]`` if ``pinned[j] == q``, else ``other`` interpolated linearly
+    to where ``pinned`` crosses ``q`` between sweep points j - 1 and j."""
+    if pinned[j] == q:
+        return float(other[j])
+    alpha = (q - pinned[j - 1]) / (pinned[j] - pinned[j - 1])
+    return float(other[j - 1] + alpha * (other[j] - other[j - 1]))
 
-    If some threshold has FMR == FNMR exactly, that common value is
-    returned; otherwise the two rates are interpolated linearly across the
-    single sign change of FMR - FNMR (the difference is non-increasing, so
-    the bracket is unique).
-    """
+
+def eer(curves: ThresholdCurves) -> float:
+    """FMR read off where the non-increasing FMR - FNMR first reaches 0:
+    their common value on a hit, else interpolated across the sign change."""
     d = curves.fmr - curves.fnmr
-    zeros = np.flatnonzero(d == 0.0)
-    if len(zeros):
-        return float(curves.fmr[zeros[0]])
-    i = int(np.flatnonzero((d[:-1] > 0.0) & (d[1:] < 0.0))[0])
-    alpha = d[i] / (d[i] - d[i + 1])
-    return float(curves.fmr[i] + alpha * (curves.fmr[i + 1] - curves.fmr[i]))
+    return _read_off(d, curves.fmr, int(np.argmax(d <= 0.0)), 0.0)
 
 
 def rate_at_operating_point(
     curves: ThresholdCurves, *, fmr: float | None = None, fnmr: float | None = None
 ) -> float:
-    """Complementary error rate with one rate pinned at ``q``.
-
-    Exactly one of ``fmr``/``fnmr`` must be given, with 0 < q < 1. The
-    threshold is moved just far enough that the pinned rate reaches q
-    (ties broken toward the stricter threshold), interpolating linearly
-    between adjacent sweep points, and the other rate at that operating
-    point is returned.
-    """
+    """The complementary rate read off where the pinned rate, exactly one of
+    ``fmr``/``fnmr`` at 0 < q < 1, reaches q, ties toward the stricter threshold."""
     if (fmr is None) == (fnmr is None):
         raise ContractError("fix exactly one of fmr or fnmr")
     q = fmr if fmr is not None else fnmr
     if not (0.0 < q < 1.0):
         raise ContractError(f"operating point must be in (0, 1), got {q}")
-    if fmr is not None:
-        # first threshold (smallest movement from the permissive end) with FMR <= q
-        j = int(np.argmax(curves.fmr <= q))
-        if curves.fmr[j] == q:
-            return float(curves.fnmr[j])
-        alpha = (curves.fmr[j - 1] - q) / (curves.fmr[j - 1] - curves.fmr[j])
-        return float(curves.fnmr[j - 1] + alpha * (curves.fnmr[j] - curves.fnmr[j - 1]))
-    # last threshold with FNMR <= q
-    below = np.flatnonzero(curves.fnmr <= q)
-    j = int(below[-1])
-    if curves.fnmr[j] == q:
-        return float(curves.fmr[j])
-    alpha = (q - curves.fnmr[j]) / (curves.fnmr[j + 1] - curves.fnmr[j])
-    return float(curves.fmr[j] + alpha * (curves.fmr[j + 1] - curves.fmr[j]))
+    if fmr is not None:  # the first point with FMR <= q
+        return _read_off(curves.fmr, curves.fnmr, int(np.argmax(curves.fmr <= q)), q)
+    # the first point with FNMR > q; on an exact hit, the one before it (alpha 0)
+    return _read_off(curves.fnmr, curves.fmr, int(np.argmax(curves.fnmr > q)), q)
 
 
 def cohens_d(table) -> float:

@@ -169,15 +169,14 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _envelope(seed: int, inputs: dict[str, str]) -> dict:
+    """The provenance every artifact records: tool version, run seed, input digests."""
+    return {"tool_version": tool_version(), "seed": seed, "input_digests": dict(sorted(inputs.items()))}
+
+
 def write_json_artifact(path, payload: dict, *, seed: int, inputs: dict[str, str]) -> None:
     """Write a JSON artifact with the standard provenance envelope."""
-    doc = {
-        "tool_version": tool_version(),
-        "seed": seed,
-        "input_digests": dict(sorted(inputs.items())),
-        **payload,
-    }
-    atomic_write_text(path, canonical_json(doc))
+    atomic_write_text(path, canonical_json({**_envelope(seed, inputs), **payload}))
 
 
 def write_csv_artifact(path, text: str, *, seed: int, inputs: dict[str, str]) -> None:
@@ -187,8 +186,6 @@ def write_csv_artifact(path, text: str, *, seed: int, inputs: dict[str, str]) ->
     meta = {
         "artifact": path.name,
         "artifact_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "tool_version": tool_version(),
-        "seed": seed,
-        "input_digests": dict(sorted(inputs.items())),
+        **_envelope(seed, inputs),
     }
     atomic_write_text(path.with_name(path.name + ".meta.json"), canonical_json(meta))

@@ -44,8 +44,16 @@ class GaussianScoreModel:
         if self.n_mated < 1 or self.n_nonmated < 1:
             raise ContractError("class sizes must be positive")
         if 8 * (self.n_mated + self.n_nonmated) > 2**48:  # the most x86-64 or arm64 user space maps
-            sizes = f"n_mated={self.n_mated} and n_nonmated={self.n_nonmated}"
-            raise ContractError(f"class sizes {sizes}: their scores alone exceed the 2**48 bytes a process maps")
+            raise ContractError(f"{self.sizes}: their scores alone exceed the 2**48 bytes a process maps")
+
+    @property
+    def sizes(self) -> str:
+        """The class sizes as errors name them, each above 10**15 in short form such as 1e+300."""
+        from decimal import Context
+
+        shown = [n if n <= 10**15 else f"{Context(prec=6).create_decimal(n).normalize():g}" for n in
+                 (self.n_mated, self.n_nonmated)]
+        return "class sizes n_mated={} and n_nonmated={}".format(*shown)
 
 
 def synthetic_pairs(n_mated: int, n: int, tag: str, setting: SettingDescriptor) -> PairColumns:

@@ -662,8 +662,9 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
     Every table must be declared [0, 1] and nonempty, and all tables must
     cover exactly the same keys; a key missing anywhere is an
     :class:`AlignmentError` (silent inner joins would corrupt protocol
-    comparisons). Ground truth and metadata must agree per key. Row order
-    follows the first table; matcher order follows the input order.
+    comparisons). Settings and subjects, which fix ground truth, must agree
+    per key. Row order follows the first table; matcher order follows the
+    input order.
     """
     if not tables:
         raise ContractError("align_tables needs at least one table")
@@ -714,7 +715,6 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
         matrix[:, j] = t.scores[idx]
         setting_codes = _setting_remap(other.settings, base.settings)[other.setting_codes[idx]]
         checks = (
-            other.mated[idx] != base.mated,
             setting_codes != base.setting_codes,
             (other.probe_subjects[idx] != base.probe_subjects)
             | (other.reference_subjects[idx] != base.reference_subjects),
@@ -725,6 +725,6 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
                 conflicts.append((row, j, k))
     if conflicts:
         row, _, k = min(conflicts)
-        what = ("mated flags", "settings", "subjects")[k]
+        what = ("settings", "subjects")[k]
         raise ConsistencyError(f"conflicting {what} for pair {base.key(row)}")
     return AlignedScores(tuple(ids), base, matrix)

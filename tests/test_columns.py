@@ -581,7 +581,7 @@ def _conflicting(t: ScoreTable, row: int, **changes) -> ScoreTable:
 @pytest.mark.parametrize(
     "changes, what",
     [
-        ({"mated": False, "reference_subject": "zz"}, "mated flags"),
+        ({"mated": False, "reference_subject": "zz"}, "subjects"),  # ground truth is subject equality
         ({"setting": SettingDescriptor("cam9", 1.0, "unit")}, "settings"),
         ({"probe_subject": "s99", "reference_subject": "s99"}, "subjects"),
     ],

@@ -32,12 +32,12 @@ from helpers import table
 SRC = Path(scorefuse.__file__).resolve().parents[1]
 
 
-def cli(*argv, cwd=None):
+def cli(*argv, cwd=None, preexec_fn=None):
     """``scorefuse`` as a separate process: (exit code, stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "scorefuse.cli", *map(str, argv)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stderr
 
@@ -964,18 +964,60 @@ def test_synth_mistyped_model_file_is_a_parse_error(tmp_path, edit, key):
 )
 def test_synth_class_size_beyond_the_address_space_is_a_contract_error(tmp_path, capsys, source, size):
     """From 10**15 rows up, the scores alone exceed any address space, so a
-    missing check would fail to allocate, not fill the memory."""
+    missing check would fail to allocate, not fill the memory. A size above
+    10**15 is named in short form, and a model file's error names the file."""
     out = tmp_path / "out" / "s.csv"
+    where = "error: "
     if source == "flag":
         argv = ["synth", "--n-mated", str(size), "--out", str(out)]
     else:
         model = tmp_path / "model.json"
         model.write_text(json.dumps({**_MODEL, "n_mated": size}), encoding="utf-8")
         argv = ["synth", "--model-file", str(model), "--out", str(out)]
+        where += f"{model}: "
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert f"class sizes n_mated={int(size)} and n_nonmated=" in err and "2**48 bytes" in err
+    shown = {10**15: "1000000000000000", 10**30: "1e+30", 1e300: "1e+300"}[size]
+    assert err.startswith(f"{where}class sizes n_mated={shown} and n_nonmated=") and "2**48 bytes" in err
     assert not out.parent.exists()
+
+
+def test_synth_class_size_beyond_the_memory_is_a_contract_error(tmp_path):
+    """10**12 rows pass the 2**48-byte bound, but not a 3-GB address space.
+    The child process caps its own address space first: uncapped, under
+    memory overcommit, the allocation could succeed and fill the memory."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+
+    out = tmp_path / "out" / "z.csv"
+    code, err = cli("synth", "--n-mated", 10**12, "--out", out, preexec_fn=cap)
+    assert code == 4, err
+    assert "class sizes n_mated=1000000000000 and n_nonmated=1000" in err and "memory" in err
+    assert "Traceback" not in err and not out.parent.exists()
+
+
+def _recorded_seed(csv_path: Path) -> int:
+    return json.loads(csv_path.with_name(csv_path.name + ".meta.json").read_text(encoding="utf-8"))["seed"]
+
+
+def test_synth_seed_flag_beside_a_model_file_seed_is_a_contract_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**_MODEL, "seed": 1}), encoding="utf-8")
+    out = tmp_path / "out" / "a.csv"
+    assert main(["synth", "--model-file", str(model), "--seed", "5", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ") and "seed 1" in err and "--seed 5" in err
+    assert not out.parent.exists()
+    # the file's seed alone, --seed with a file that sets none, and no seed at all
+    assert main(["synth", "--model-file", str(model), "--out", str(out)]) == 0
+    assert _recorded_seed(out) == 1
+    model.write_text(json.dumps(_MODEL), encoding="utf-8")
+    assert main(["synth", "--model-file", str(model), "--seed", "5", "--out", str(out)]) == 0
+    assert _recorded_seed(out) == 5
+    assert main(["synth", "--n-mated", "3", "--out", str(out)]) == 0
+    assert _recorded_seed(out) == 0
 
 
 def _usage_error(capsys, *argv) -> str:

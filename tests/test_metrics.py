@@ -1,4 +1,6 @@
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,42 @@ def test_operating_points_separated_and_chance():
         rate_at_operating_point(chance)
     with pytest.raises(ContractError):
         rate_at_operating_point(chance, fmr=1.5)
+
+
+# two exact sweeps (dyadic rates, so no rounding): threshold -> (FMR, FNMR)
+# eight per class: 4 -> (5/8, 1/8), 5 -> (1/2, 1/4), 6 -> (3/8, 3/8), 7 -> (1/4, 1/2)
+EIGHT = ([2, 4, 5, 6, 7, 8, 9, 10], [0, 1, 3, 4, 5, 6, 7, 11])
+# four per class: 3 -> (1/2, 1/4), 4 -> (1/2, 1/2), 5 -> (1/2, 3/4), 6 -> (1/4, 3/4)
+FOUR = ([1, 3, 4, 6], [0, 2, 5, 7])
+
+
+@pytest.mark.parametrize(
+    "scores, pinned, q, expected",
+    [
+        # FMR hits q at a sweep point: the first such point's FNMR
+        (EIGHT, "fmr", 0.25, F(1, 2)),
+        (EIGHT, "fmr", 0.5, F(1, 4)),
+        (FOUR, "fmr", 0.5, F(1, 4)),
+        (FOUR, "fmr", 0.25, F(3, 4)),
+        # six mated: the FNMR step 1/3 -> 5/6 into the hit does not add back to
+        # the nearest double of 5/6, so the hit must return the point's rate
+        (([2, 3, 5, 5, 5, 8], [2, 5, 5, 11]), "fmr", 0.25, float(F(5, 6))),
+        # FNMR hits q at a sweep point: the last such point's FMR
+        (EIGHT, "fnmr", 0.25, F(1, 2)),
+        (EIGHT, "fnmr", 0.5, F(1, 4)),
+        (FOUR, "fnmr", 0.25, F(1, 2)),
+        (FOUR, "fnmr", 0.5, F(1, 2)),
+        # FMR equals FNMR at a sweep point: the EER is that common value
+        (EIGHT, "eer", 0.0, F(3, 8)),
+        (FOUR, "eer", 0.0, F(1, 2)),
+        # no hit: halfway from FNMR 1/8 (threshold 4) to 1/4 (threshold 5)
+        (EIGHT, "fnmr", 0.1875, F(9, 16)),
+    ],
+)
+def test_read_off_exact_hits(scores, pinned, q, expected):
+    curves = curves_from_scores(*(np.array(s, dtype=np.float64) for s in scores))
+    value = eer(curves) if pinned == "eer" else rate_at_operating_point(curves, **{pinned: q})
+    assert value == expected
 
 
 def test_operating_point_matches_gaussian_closed_form():

@@ -156,7 +156,7 @@ def test_align_conflicting_mated_flag_is_an_error():
     first, second = rows_of(t1.columns)  # the first with the same key, flipped ground truth
     conflicting = (*first[:2], "other1", "other2", False, first[5])
     t2 = ScoreTable("b", (0.0, 1.0), columns([conflicting, second]), [0.9, t1.scores[1]])
-    with pytest.raises(ConsistencyError, match="mated"):
+    with pytest.raises(ConsistencyError, match="conflicting subjects"):  # ground truth is subject equality
         align_tables([t1, t2])
 
 
