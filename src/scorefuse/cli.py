@@ -154,8 +154,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    if len(args.inputs) < 2:
-        raise ContractError("need >= 2 matchers to correlate")
     inputs: dict[str, str] = {}
     matrix = metrics.correlation_matrix(align_tables(_load_tables(args.inputs, args.input_range, inputs)))
     ids = matrix.matcher_ids
@@ -238,7 +236,8 @@ def _validate_grid_config(doc, config_path: Path) -> None:
     rules that schema does not state: each method's matchers are among the
     config's and its id is unique, a method has the keys its kind reads and
     no other (``single``: one matcher, ``weighted``: a ``weights_file``,
-    ``hyper`` only for ``perceptron``), no two settings share a key, no
+    ``hyper`` only for ``perceptron``), no two settings share a key, each
+    kind pairs some train and test setting, so that it runs cells, no
     two score files share a (matcher, setting, split), every file name is
     one the system can open, ``output_dir`` is a relative path inside the
     config file's directory, and every camera, dataset and method id, which
@@ -277,6 +276,11 @@ def _validate_grid_config(doc, config_path: Path) -> None:
         first = first_with_key.setdefault(key, entry)
         if first is not entry:
             fail(f"settings entries {first!r} and {entry!r} share the key {key!r} of their result file names")
+    settings = [_setting(entry) for entry in doc["settings"]]
+    paired = {protocol.classify_pair(train, test) for train in settings for test in settings}
+    for kind in doc["kinds"]:
+        if kind not in paired:
+            fail(f"kind {kind!r} pairs none of the settings, so it would run no cell")
     first_with_file: dict[tuple, dict] = {}
     for entry in doc["score_files"]:
         first = first_with_file.setdefault((entry["matcher_id"], _setting(entry), entry["split"]), entry)
@@ -403,6 +407,19 @@ def _unwrap(outcome):
     return outcome
 
 
+def _once(fn):
+    """``fn``, run once per distinct arguments; a failure is raised again at each return to them."""
+
+    @functools.cache
+    def outcome(*args):
+        try:
+            return fn(*args)
+        except ScoreFuseError as exc:
+            return exc
+
+    return lambda *args: _unwrap(outcome(*args))
+
+
 def cmd_grid(args) -> int:
     config_path = Path(args.config)
     doc = read_json(config_path)
@@ -428,28 +445,11 @@ def cmd_grid(args) -> int:
         mapper = map if pool is None else pool.map
         loaded = dict(zip(groups, mapper(_load_group, groups, groups.values())))
 
-    done: dict[tuple, object] = {}
-
-    def once(key: tuple, fn, *args):
-        """``fn(*args)``, run once per ``key``; a failure is raised again in
-        every cell that comes back to the key."""
-        if key not in done:
-            try:
-                done[key] = fn(*args)
-            except ScoreFuseError as exc:
-                done[key] = exc
-        return _unwrap(done[key])
-
-    def fit(setting: SettingDescriptor, method: protocol.MethodSpec, val_scores: AlignedScores):
-        """``fit_method`` for the train ``setting``, fitted once."""
-        return once(("fit", setting, method.method_id), protocol.fit_method, method, val_scores)
-
-    def leakage(item: protocol.PlanItem, val_scores: AlignedScores, test_scores: AlignedScores):
-        """``check_leakage`` of the validation and test groups that ``item`` reads, checked once."""
-        once(("leakage", item.train_setting, item.test_setting), protocol.check_leakage, val_scores, test_scores)
-
+    # one aligned table per group: a fit per (train setting, method), a check per (train, test) setting
+    fit, leakage = _once(protocol.fit_method), _once(protocol.check_leakage)
     ok_results: list[protocol.ExperimentResult] = []
     failures: list[dict] = []
+    exit_code = 0  # the first failing cell's
     for item, method in itertools.product(plan, methods):
         val_group, test_group, _ = _item_groups(item)
         try:
@@ -459,8 +459,8 @@ def cmd_grid(args) -> int:
                     method,
                     _unwrap(loaded[val_group][0]),
                     _unwrap(loaded[test_group][0]),
-                    fit=functools.partial(fit, item.train_setting),
-                    leakage=functools.partial(leakage, item),
+                    fit=fit,
+                    leakage=leakage,
                 )
             )
         except ScoreFuseError as exc:
@@ -473,10 +473,10 @@ def cmd_grid(args) -> int:
                     "cell": item.key(),
                     "method_id": method.method_id,
                     "error": type(exc).__name__,
-                    "exit_code": exc.exit_code,
                     "message": str(exc),
                 }
             )
+            exit_code = exit_code or exc.exit_code
 
     for res in ok_results:
         name = f"result__{res.item.key()}__{res.method_id}.json"
@@ -488,16 +488,13 @@ def cmd_grid(args) -> int:
     all_inputs = dict(config_digest)
     for digests in [*(digests for _, digests in loaded.values()), *weights_digests.values()]:
         all_inputs.update(digests)
-    failure_rows = [
-        {k: f[k] for k in ("cell", "method_id", "error", "message")} for f in failures
-    ]
     if ok_results:
         summaries = {gb: protocol.aggregate_results(ok_results, gb) for gb in group_by}
     else:
         summaries = {}
     write_json_artifact(
         out_dir / "summary.json",
-        {"summary": summaries, "failures": failure_rows},
+        {"summary": summaries, "failures": failures},
         seed=seed,
         inputs=all_inputs,
     )
@@ -508,14 +505,12 @@ def cmd_grid(args) -> int:
         write_csv_artifact(out_dir / "summary.csv", text, seed=seed, inputs=all_inputs)
 
     print(f"{len(ok_results)} cell(s) completed, {len(failures)} failed; results in {out_dir}")
-    if failures:
-        for failure in failure_rows:
-            print(
-                f"FAILED {failure['cell']} {failure['method_id']}: {failure['message']}",
-                file=sys.stderr,
-            )
-        return failures[0]["exit_code"]
-    return 0
+    for failure in failures:
+        print(
+            f"FAILED {failure['cell']} {failure['method_id']}: {failure['message']}",
+            file=sys.stderr,
+        )
+    return exit_code
 
 
 # ---------------------------------------------------------------- parser
@@ -681,6 +676,11 @@ def main(argv=None) -> int:
     if args.command == "fuse" and args.method not in FITTED_KINDS and args.validation:
         fitted = " or ".join(FITTED_KINDS)
         parser.error(f"--validation is only read by --method {fitted}, got --method {args.method}")
+    if args.command == "fuse" and args.validation and len(args.validation) != len(args.inputs):
+        n_val, n_in = len(args.validation), len(args.inputs)
+        parser.error(f"--validation names {n_val} file(s) and --inputs {n_in}; the fit needs one per input")
+    if args.command == "correlate" and len(args.inputs) < 2:
+        parser.error(f"correlate needs >= 2 matchers, one per --inputs file, got {len(args.inputs)}")
     if args.command == "fuse" and args.method != "perceptron":
         for name in _HYPER_FLAGS:
             if getattr(args, name) is not None:

@@ -269,6 +269,21 @@ def test_fuse_validation_with_a_fixed_rule_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method", FITTED_KINDS)
+@pytest.mark.parametrize("n_inputs, n_validation", [(2, 1), (2, 3), (1, 2)])
+def test_fuse_validation_count_other_than_inputs_is_a_usage_error(tmp_path, capsys, method, n_inputs, n_validation):
+    """The fit needs one validation file per input; the count is checked
+    before any file is read, so missing files do not change the exit code."""
+    inputs = [tmp_path / f"missing_{k}.csv" for k in range(n_inputs)]
+    validation = [tmp_path / f"missing_val_{k}.csv" for k in range(n_validation)]
+    with pytest.raises(SystemExit) as exc:
+        run(["fuse", "--method", method, "--inputs", *inputs, "--validation", *validation,
+             "--out-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert f"--validation names {n_validation} file(s) and --inputs {n_inputs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fuse_perceptron_emits_parameter_json(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     va, vb = tmp_path / "va.csv", tmp_path / "vb.csv"
@@ -481,8 +496,19 @@ def test_correlate_duplicate_and_independent(tmp_path, capsys):
     assert lines[0] == "matcher_id,a,b"
     assert lines[1].split(",")[2] == "1.0"
 
-    assert run(["correlate", "--inputs", a, "--out", out]) == 4
+    with pytest.raises(SystemExit) as exc:
+        run(["correlate", "--inputs", a, "--out", out])
+    assert exc.value.code == 2
     assert ">= 2 matchers" in capsys.readouterr().err
+
+
+def test_correlate_one_input_is_a_usage_error_before_it_is_read(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["correlate", "--inputs", tmp_path / "missing.csv", "--out", out])
+    assert exc.value.code == 2
+    assert "correlate needs >= 2 matchers, one per --inputs file, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_correlate_zero_variance_named(tmp_path, capsys):

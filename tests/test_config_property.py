@@ -48,6 +48,7 @@ CODE_RULES = (
     "needs a 'weights_file'",
     "is only read by kind",
     "name the same matcher, setting and split",
+    "pairs none of the settings",
 )
 
 

@@ -705,6 +705,43 @@ def test_configs_the_schema_rejects_are_refused(tmp_path):
     assert (demo / "results" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, distances",
+    # the contract demo's settings are cam1 at 1 m and 2.6 m, in one dataset;
+    # intra pairs every setting with itself, so no config leaves it unpaired
+    [("cross_distance", {1.0}), ("cross_camera", {1.0, 2.6}), ("cross_both", {1.0, 2.6}),
+     ("cross_dataset", {1.0, 2.6})],
+)
+def test_a_kind_that_pairs_none_of_the_settings_is_a_parse_error(contract_demo, capsys, kind, distances):
+    """Refused before any score file is opened: the files named do not exist."""
+
+    def mutation(config):
+        config["kinds"] = ["intra", kind]
+        config["settings"] = [s for s in config["settings"] if s["distance_m"] in distances]
+        for entry in config["score_files"]:
+            entry["path"] = "missing/" + entry["path"]
+
+    _, path = _mutated(contract_demo, mutation)
+    assert main(["grid", "--config", str(path)]) == 3
+    assert f"{path}: kind {kind!r} pairs none of the settings" in capsys.readouterr().err
+    assert not (contract_demo.parent / "results-mutated").exists()
+
+
+def test_the_demo_has_no_cross_dataset_cell(tmp_path, capsys):
+    """The demo holds one dataset: a cross_dataset grid on it is refused
+    before its score files are read, here deleted, and nothing is written."""
+    demo = tmp_path / "demo"
+    assert main(["synth", "--demo", str(demo)]) == 0
+    shutil.rmtree(demo / "scores")
+    config_path = demo / "config.json"
+    config = json.loads(config_path.read_text())
+    config["kinds"] = ["cross_dataset"]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["grid", "--config", str(config_path)]) == 3
+    assert f"{config_path}: kind 'cross_dataset' pairs none of the settings" in capsys.readouterr().err
+    assert sorted(p.name for p in demo.iterdir()) == ["config.json"]
+
+
 def test_schema_enums_match_the_protocol():
     schema = json.loads((SRC / "scorefuse" / "schemas" / "grid_config.schema.json").read_text())
     properties = schema["properties"]
