@@ -135,8 +135,8 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     table = load_score_table(args.scores, tuple(args.input_range))
     try:
-        report = metrics.evaluate_table(table)
         curves = metrics.build_curves(table)
+        report = metrics.evaluate_table(table, curves)
     except ContractError as exc:  # too few scores of a class, or none
         raise type(exc)(f"{args.scores}: {exc}") from None
     inputs = _digests([args.scores])

@@ -112,14 +112,15 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1)
 
 
-def _score_rows(refs: np.ndarray, probes: np.ndarray, cosine: bool, ref_ids, probe_ids) -> np.ndarray:
+def _score_rows(refs: np.ndarray, probes: np.ndarray, cosine: bool, pair_of) -> np.ndarray:
     """Score each row of ``refs`` against the same row of ``probes``.
 
     Cosine is ``dot / (|ref| |probe|)`` clamped into [-1, 1], each norm the
     square root of a squared norm; the posterior is ``1 / (d + 1)``. The
     first row whose cosine has a zero norm (reference, then probe), or whose
     arithmetic leaves the float range, raises :class:`ContractError` naming
-    the embedding, from ``ref_ids`` / ``probe_ids``, or the pair.
+    the embedding or the pair, whose (probe id, reference id) is
+    ``pair_of(row)``.
     """
     with np.errstate(all="ignore"):
         if cosine:
@@ -143,7 +144,7 @@ def _score_rows(refs: np.ndarray, probes: np.ndarray, cosine: bool, ref_ids, pro
     bad = np.flatnonzero(failed.any(axis=1))
     if len(bad):
         row = int(bad[0])
-        ref, probe = ref_ids[row], probe_ids[row]
+        probe, ref = pair_of(row)
         message = checks[int(np.argmax(failed[row]))][1]
         raise ContractError(message.format(ref=ref, probe=probe, pair=(probe, ref)))
     return scores
@@ -154,7 +155,7 @@ def _score_pair(x, y, cosine: bool) -> float:
     b = np.asarray(y, dtype=np.float64).reshape(1, -1)
     if a.shape != b.shape:
         raise ContractError(f"dimension mismatch: 'x' has {a.shape[1]}, 'y' has {b.shape[1]}")
-    return float(_score_rows(a, b, cosine, ["x"], ["y"])[0])
+    return float(_score_rows(a, b, cosine, lambda row: ("y", "x"))[0])
 
 
 def score_euclidean(x, y) -> float:
@@ -188,16 +189,16 @@ def batch_score(
         raise ContractError(f"metric must be one of {METRICS}, got {metric!r}")
     cosine = metric == "cosine"
     declared = (-1.0, 1.0) if cosine else (0.0, 1.0)
-    probe_ids, ref_ids = pairs.probe_ids.tolist(), pairs.reference_ids.tolist()
-    probe_rows = np.fromiter(map(probes.entries.get, probe_ids, repeat(-1)), np.intp, len(probe_ids))
-    ref_rows = np.fromiter(map(refs.entries.get, ref_ids, repeat(-1)), np.intp, len(ref_ids))
+    # each distinct id is looked up once
+    ids = pairs.ids
+    probe_rows = np.fromiter(map(probes.entries.get, ids, repeat(-1)), np.intp, len(ids))[pairs.probe_codes]
+    ref_rows = np.fromiter(map(refs.entries.get, ids, repeat(-1)), np.intp, len(ids))[pairs.reference_codes]
     unknown = np.flatnonzero((probe_rows < 0) | (ref_rows < 0))
     n = int(unknown[0]) if len(unknown) else len(pairs)  # rows before the first unknown id
     dim, probe_dim = refs.matrix.shape[1], probes.matrix.shape[1]
     if n and dim != probe_dim:
-        raise ContractError(
-            f"dimension mismatch: {ref_ids[0]!r} has {dim}, {probe_ids[0]!r} has {probe_dim}"
-        )
+        probe, ref = pairs.key(0)
+        raise ContractError(f"dimension mismatch: {ref!r} has {dim}, {probe!r} has {probe_dim}")
     scores = np.empty(n, dtype=np.float64)
     step = max(1, _BLOCK_BYTES // (2 * 8 * dim))
     for start in range(0, n, step):
@@ -206,10 +207,9 @@ def batch_score(
             refs.matrix[ref_rows[block]],
             probes.matrix[probe_rows[block]],
             cosine,
-            pairs.reference_ids[block],
-            pairs.probe_ids[block],
+            lambda row: pairs.key(start + row),
         )
     if n < len(pairs):
-        missing = probe_ids[n] if probe_rows[n] < 0 else ref_ids[n]
+        missing = pairs.key(n)[0 if probe_rows[n] < 0 else 1]
         raise UnknownEntityError(f"unknown entity id {missing!r}")
     return ScoreTable(matcher_id or metric, declared, pairs, scores)

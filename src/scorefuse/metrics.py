@@ -197,9 +197,9 @@ def correlation_matrix(aligned: AlignedScores) -> CorrelationMatrix:
     return CorrelationMatrix(aligned.matcher_ids, tuple(tuple(row) for row in values))
 
 
-def evaluate_table(table) -> MetricsReport:
-    """All five headline metrics for one labeled score column."""
-    curves = build_curves(table)
+def evaluate_table(table, curves: ThresholdCurves | None = None) -> MetricsReport:
+    """All five headline metrics for one labeled score column, read off ``curves or build_curves(table)``."""
+    curves = build_curves(table) if curves is None else curves
     return MetricsReport(
         auc_pct=100.0 * auc(curves),
         eer_pct=100.0 * eer(curves),

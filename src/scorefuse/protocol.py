@@ -28,7 +28,7 @@ from .fusion import (
 )
 from .kinds import FITTED_KINDS, METHOD_KINDS, PLAN_KINDS
 from .metrics import MetricsReport, evaluate_table
-from .tables import AlignedScores, ScoreTable, SettingDescriptor
+from .tables import AlignedScores, ScoreTable, SettingDescriptor, shared_pairs
 
 
 def classify_pair(train: SettingDescriptor, test: SettingDescriptor) -> str:
@@ -135,9 +135,9 @@ def fit_method(method: MethodSpec, val_scores: AlignedScores) -> FusionWeights |
 
 def check_leakage(val_scores: AlignedScores, test_scores: AlignedScores) -> None:
     """Raise :class:`LeakageError` if the validation and test scores share a comparison pair."""
-    overlap = val_scores.keys() & test_scores.keys()
+    overlap = shared_pairs(val_scores.columns, test_scores.columns)
     if overlap:
-        shown = ", ".join(map(str, sorted(overlap)[:5]))
+        shown = ", ".join(map(str, overlap[:5]))
         raise LeakageError(
             f"{len(overlap)} comparison pair(s) appear in both validation and "
             f"test partitions: {shown}"

@@ -22,7 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
@@ -94,105 +94,110 @@ def _first_true(mask: np.ndarray) -> int | None:
 
 
 def _decoded(values, codes: np.ndarray) -> np.ndarray:
-    """The object array of ``values[code]`` for every row's code."""
+    """The read-only object array of ``values[code]`` for every row's code."""
     table = np.empty(len(values), dtype=object)
     table[:] = values
-    return table[codes]
+    return _frozen(table[codes])
 
 
-def _per_row(values, codes: np.ndarray) -> list:
-    """``values[code]`` for every row's code."""
-    return _decoded(values, codes).tolist()
+_LOW = (1 << 32) - 1  # the reference code's bits of a key
 
 
-_TEXT_COLUMNS = ("probe_ids", "reference_ids", "probe_subjects", "reference_subjects")
+def _pair_keys(probe_codes: np.ndarray, reference_codes: np.ndarray) -> np.ndarray:
+    """Each row's int64 key ``(probe_code << 32) | reference_code``, negative if a code is."""
+    return (probe_codes.astype(np.int64) << 32) | reference_codes
+
+
+def _remap(values, onto) -> np.ndarray:
+    """Index into ``onto`` of each of ``values``, -1 where absent."""
+    where = dict(zip(onto, range(len(onto))))
+    return np.fromiter(map(where.get, values, repeat(-1)), np.intp, len(values))
 
 
 class PairColumns:
-    """Comparison pairs stored as columns.
+    """Comparison pairs stored as columns of integer codes.
 
-    ``probe_ids``, ``reference_ids``, ``probe_subjects`` and
-    ``reference_subjects`` are object arrays of ``str`` and ``setting_codes``
-    an int array indexing ``settings``, a tuple of distinct
-    :class:`SettingDescriptor`. ``mated`` is derived, the bool array of
-    subject equality. Arrays are read-only, so every table over the same
-    pairs (each matcher's scores, a fused column) shares one instance and its
-    cached key index.
-
-    A pickle, such as a forked loader's result, holds each text column as
-    its distinct strings and a code per row, in the smallest unsigned integer
-    type that numbers them, and no key index; the key index is built again
-    on first use.
+    ``ids`` holds the distinct probe and reference ids, ``subjects`` the
+    distinct subjects, in order of first appearance. Row i's key is the
+    int64 ``keys[i] = (probe_code << 32) | reference_code``, codes into
+    ``ids``; both subject code columns index ``subjects`` and
+    ``setting_codes`` indexes ``settings``, distinct
+    :class:`SettingDescriptor`. ``mated`` is subject code equality.
+    ``probe_ids`` and the other text columns are decoded on each read.
+    Arrays are read-only, so every table over the same pairs shares one
+    instance.
     """
 
-    def __init__(
-        self,
-        probe_ids,
-        reference_ids,
-        probe_subjects,
-        reference_subjects,
-        setting_codes,
-        settings,
-    ):
-        text = [
-            _frozen(np.array(col, dtype=object).reshape(-1))
-            for col in (probe_ids, reference_ids, probe_subjects, reference_subjects)
-        ]
-        self.probe_ids, self.reference_ids, self.probe_subjects, self.reference_subjects = text
+    def __init__(self, probe_ids, reference_ids, probe_subjects, reference_subjects, setting_codes, settings):
         self.setting_codes = _frozen(np.array(setting_codes, dtype=np.intp).reshape(-1))
         self.settings = tuple(settings)
         n = len(self.setting_codes)
-        if any(len(col) != n for col in text):
+        if any(len(col) != n for col in (probe_ids, reference_ids, probe_subjects, reference_subjects)):
             raise ContractError("pair columns must have equal lengths")
-        self.mated = _frozen(self.probe_subjects == self.reference_subjects)
+        id_codes, ids = _text_codes([*probe_ids, *reference_ids])
+        subject_codes, subjects = _text_codes([*probe_subjects, *reference_subjects])
+        self.ids, self.subjects = tuple(ids), tuple(subjects)
+        self.keys = _frozen(_pair_keys(id_codes[:n], id_codes[n:]))
+        self.probe_subject_codes = _frozen(subject_codes[:n])
+        self.reference_subject_codes = _frozen(subject_codes[n:])
+        self.mated = _frozen(self.probe_subject_codes == self.reference_subject_codes)
         if len(set(self.settings)) != len(self.settings):
             raise ContractError("settings must be distinct")
         codes = self.setting_codes
         if n and (codes.min() < 0 or codes.max() >= len(self.settings)):
             raise ContractError("setting code out of range")
 
-    def __getstate__(self) -> dict:
-        state = {name: value for name, value in self.__dict__.items() if name != "key_index"}
-        for name in _TEXT_COLUMNS:
-            codes, distinct = _text_codes(state[name].tolist())
-            state[name] = (distinct, codes.astype(np.min_scalar_type(len(distinct))))
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name in _TEXT_COLUMNS:
-            state[name] = _decoded(*state[name])
-        _frozen_state(self, state)
+    __setstate__ = _frozen_state
 
     def __len__(self) -> int:
         return len(self.mated)
 
+    probe_codes = property(lambda self: self.keys >> 32)
+    reference_codes = property(lambda self: self.keys & _LOW)
+    probe_ids = property(lambda self: _decoded(self.ids, self.probe_codes))
+    reference_ids = property(lambda self: _decoded(self.ids, self.reference_codes))
+    probe_subjects = property(lambda self: _decoded(self.subjects, self.probe_subject_codes))
+    reference_subjects = property(lambda self: _decoded(self.subjects, self.reference_subject_codes))
+
     def key(self, i: int) -> tuple[str, str]:
-        return (self.probe_ids[i], self.reference_ids[i])
+        """Row ``i``'s (probe_id, reference_id)."""
+        key = int(self.keys[i])
+        return (self.ids[key >> 32], self.ids[key & _LOW])
 
     @cached_property
-    def key_index(self) -> dict[tuple[str, str], int]:
-        """Row of each (probe_id, reference_id) key (the last, if repeated)."""
-        keys = zip(self.probe_ids.tolist(), self.reference_ids.tolist())
-        return dict(zip(keys, range(len(self))))
-
     def first_duplicate(self) -> int | None:
-        """First row whose key appeared on an earlier row, or None."""
-        if len(self.key_index) == len(self):
+        """First row whose key appeared on an earlier row, or None: the
+        least row after the first of a run of equal keys in stable order.
+        Computed once, as every table over these pairs checks it."""
+        ordered = np.sort(self.keys)
+        if not np.any(ordered[1:] == ordered[:-1]):
             return None
-        seen = set()
-        for i, key in enumerate(zip(self.probe_ids.tolist(), self.reference_ids.tolist())):
-            if key in seen:
-                return i
-            seen.add(key)
+        order = np.argsort(self.keys, kind="stable")
+        later = order[1:][self.keys[order[1:]] == self.keys[order[:-1]]]
+        return int(later.min())
 
     def setting_fields(self) -> tuple[list, list, list]:
         """Per-row camera_id, distance_m and dataset_id."""
         s, codes = self.settings, self.setting_codes
         return (
-            _per_row([x.camera_id for x in s], codes),
-            _per_row([x.distance_m for x in s], codes),
-            _per_row([x.dataset_id for x in s], codes),
+            _decoded([x.camera_id for x in s], codes).tolist(),
+            _decoded([x.distance_m for x in s], codes).tolist(),
+            _decoded([x.dataset_id for x in s], codes).tolist(),
         )
+
+
+def shared_pairs(a: PairColumns, b: PairColumns) -> list[tuple[str, str]]:
+    """The (probe_id, reference_id) keys that ``a`` and ``b`` both hold, sorted.
+
+    Returns at once when the two share no id. Otherwise ``b``'s keys are
+    coded in ``a``'s ids, compared with ``a``'s keys, and only the rows
+    found are decoded.
+    """
+    if set(a.ids).isdisjoint(b.ids):
+        return []
+    onto = _remap(b.ids, a.ids)
+    keys = _pair_keys(onto[b.probe_codes], onto[b.reference_codes])
+    return sorted(map(b.key, np.flatnonzero(np.isin(keys, a.keys)).tolist()))
 
 
 class ScoreTable:
@@ -209,7 +214,7 @@ class ScoreTable:
         if len(scores) != len(columns):
             raise ContractError(f"{len(scores)} scores for {len(columns)} pairs")
         outside = _first_true(~((lo <= scores) & (scores <= hi)))
-        dup = columns.first_duplicate()
+        dup = columns.first_duplicate
         if outside is not None and (dup is None or outside <= dup):
             raise RangeViolationError(
                 f"score {float(scores[outside])!r} for pair {columns.key(outside)} outside "
@@ -285,10 +290,6 @@ class AlignedScores:
             raise ContractError(f"matchers not present in aligned scores: {missing}")
         return AlignedScores(tuple(matcher_ids), self.columns, self.matrix[:, cols])
 
-    def keys(self):
-        """The (probe_id, reference_id) keys, as a set-like view."""
-        return self.columns.key_index.keys()
-
     @cached_property
     def sha256(self) -> str:
         """Digest of matcher ids, row keys, labels, settings and scores.
@@ -305,8 +306,8 @@ class AlignedScores:
         rows = zip(
             c.probe_ids.tolist(),
             c.reference_ids.tolist(),
-            _per_row(["0", "1"], c.mated.astype(np.intp)),
-            _per_row([s.key() for s in c.settings], c.setting_codes),
+            _decoded(["0", "1"], c.mated.astype(np.intp)).tolist(),
+            _decoded([s.key() for s in c.settings], c.setting_codes).tolist(),
         )
         h.update("".join(f"{p}|{r}|{m}|{k}\x00" for p, r, m, k in rows).encode("utf-8"))
         h.update(self.matrix.tobytes())
@@ -328,12 +329,15 @@ def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _text_codes(column: list) -> tuple[np.ndarray, list]:
     """Codes numbering the distinct strings of ``column`` in order of first
-    appearance, and those strings."""
-    if not column or column.count(column[0]) == len(column):
+    appearance, and those strings: ``dict.setdefault`` maps each string to
+    the row where it first appears, and the rank of that row is its code."""
+    if not column or (column[-1] == column[0] and column.count(column[0]) == len(column)):
         return np.zeros(len(column), dtype=np.intp), column[:1]
-    distinct = dict.fromkeys(column)
-    codes = dict(zip(distinct, range(len(distinct))))
-    return np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), list(distinct)
+    first_row: dict[str, int] = {}
+    rows = np.fromiter(map(first_row.setdefault, column, count()), np.intp, len(column))
+    rank = np.empty(len(column), dtype=np.intp)
+    rank[np.fromiter(first_row.values(), np.intp, len(first_row))] = np.arange(len(first_row))
+    return rank[rows], list(first_row)
 
 
 def _plain_body(path: Path, header: tuple[str, ...]) -> list[str] | None:
@@ -437,7 +441,7 @@ def _pair_columns(fields) -> PairColumns | None:
     except ContractError:
         return None
     same_mated = np.array_equal(np.array(flags, dtype=object) == "1", columns.mated)
-    return columns if same_mated and columns.first_duplicate() is None else None
+    return columns if same_mated and columns.first_duplicate is None else None
 
 
 def _checked_table(path: Path, declared_range, columns) -> ScoreTable:
@@ -616,22 +620,19 @@ def score_table_csv_text(table: ScoreTable) -> str:
     """The canonical CSV form (repr floats, LF newlines)."""
     c = table.columns
     cams, dists, dsets = c.setting_fields()
-    texts = [
+    rows = zip(
+        repeat(table.matcher_id),
         c.probe_ids.tolist(),
         c.reference_ids.tolist(),
         c.probe_subjects.tolist(),
         c.reference_subjects.tolist(),
-    ]
-    rows = zip(
-        repeat(table.matcher_id),
-        *texts,
-        _per_row(["0", "1"], c.mated.astype(np.intp)),
+        _decoded(["0", "1"], c.mated.astype(np.intp)).tolist(),
         cams,
         map(repr, dists),
         dsets,
         map(repr, table.scores.tolist()),
     )
-    plain = all(map(plain_fields, [[table.matcher_id], *texts, cams, dsets]))
+    plain = all(map(plain_fields, [[table.matcher_id], c.ids, c.subjects, cams, dsets]))
     return csv_text(SCORE_CSV_HEADER, rows, plain)
 
 
@@ -651,9 +652,14 @@ def normalize_scores(table: ScoreTable) -> ScoreTable:
     return ScoreTable(table.matcher_id, (0.0, 1.0), table.columns, (table.scores - lo) / (hi - lo))
 
 
-def _setting_remap(settings: tuple, onto: tuple) -> np.ndarray:
-    """Index into ``onto`` of each setting, -1 where absent."""
-    return np.array([onto.index(s) if s in onto else -1 for s in settings], dtype=np.intp)
+def _gather(base: PairColumns, other: PairColumns) -> np.ndarray | None:
+    """The row of ``other`` that holds each of ``base``'s keys, or None if
+    some key is missing from ``other``."""
+    onto = _remap(other.ids, base.ids)
+    keys = _pair_keys(onto[other.probe_codes], onto[other.reference_codes])
+    order = np.argsort(keys)
+    rows = order[np.minimum(np.searchsorted(keys, base.keys, sorter=order), len(keys) - 1)]
+    return rows if np.array_equal(keys[rows], base.keys) else None
 
 
 def align_tables(tables: list[ScoreTable]) -> AlignedScores:
@@ -683,20 +689,11 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
     base = tables[0].columns
     if all(t.columns is base for t in tables[1:]):
         return AlignedScores(tuple(ids), base, np.column_stack([t.scores for t in tables]))
-    # keys are unique per table, so the base key index lists every row's key
-    # in row order, and equal lengths and no failed lookup mean every table
-    # covers exactly the base keys
-    base_keys = base.key_index
-    try:
-        gathers = [
-            np.fromiter(map(t.columns.key_index.__getitem__, base_keys), np.intp, len(base_keys))
-            for t in tables[1:]
-        ]
-        complete = all(len(t) == len(base) for t in tables)
-    except KeyError:
-        complete = False
-    if not complete:
-        key_sets = [t.columns.key_index.keys() for t in tables]
+    # keys are unique per table, so equal lengths and every base key found
+    # mean every table covers exactly the base keys
+    gathers = [_gather(base, t.columns) for t in tables[1:]]
+    if any(idx is None for idx in gathers) or any(len(t) != len(base) for t in tables):
+        key_sets = [set(zip(t.columns.probe_ids.tolist(), t.columns.reference_ids.tolist())) for t in tables]
         all_keys = set().union(*key_sets)
         for t, keys in zip(tables, key_sets):
             missing = sorted(all_keys - keys)
@@ -713,11 +710,12 @@ def align_tables(tables: list[ScoreTable]) -> AlignedScores:
     for j, (t, idx) in enumerate(zip(tables[1:], gathers), 1):
         other = t.columns
         matrix[:, j] = t.scores[idx]
-        setting_codes = _setting_remap(other.settings, base.settings)[other.setting_codes[idx]]
+        setting_codes = _remap(other.settings, base.settings)[other.setting_codes[idx]]
+        subjects = _remap(other.subjects, base.subjects)
         checks = (
             setting_codes != base.setting_codes,
-            (other.probe_subjects[idx] != base.probe_subjects)
-            | (other.reference_subjects[idx] != base.reference_subjects),
+            (subjects[other.probe_subject_codes[idx]] != base.probe_subject_codes)
+            | (subjects[other.reference_subject_codes[idx]] != base.reference_subject_codes),
         )
         for k, mask in enumerate(checks):
             row = _first_true(mask)

@@ -458,7 +458,12 @@ def test_header_only_score_file_is_a_contract_error(tmp_path, capsys, command, m
         assert f"{tmp_path / command[2]}: " in err
 
 
-def test_eval_rerun_is_byte_identical(tmp_path, capsys):
+def test_eval_rerun_is_byte_identical(tmp_path, capsys, monkeypatch):
+    import scorefuse.metrics
+
+    built = []
+    build_curves = scorefuse.metrics.build_curves
+    monkeypatch.setattr(scorefuse.metrics, "build_curves", lambda t: built.append(t) or build_curves(t))
     f = tmp_path / "t.csv"
     _write_table(f, [0.9, 0.8, 0.6], [0.1, 0.2, 0.7], "m")
     out = tmp_path / "o"
@@ -466,6 +471,7 @@ def test_eval_rerun_is_byte_identical(tmp_path, capsys):
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert run(["eval", "--scores", f, "--out-dir", out, "--seed", 4]) == 0
     assert first == {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(built) == 2  # once per run: the report is read off the written curves
     assert set(first) == {
         "report.json", "curves.csv", "curves.csv.meta.json", "roc.csv", "roc.csv.meta.json",
     }

@@ -19,7 +19,7 @@ from scorefuse.protocol import (
     run_experiment,
 )
 from scorefuse.synth import make_complementary_matchers
-from scorefuse.tables import AlignedScores, SettingDescriptor
+from scorefuse.tables import AlignedScores, PairColumns, SettingDescriptor
 
 from helpers import aligned, columns, rows_of
 
@@ -158,6 +158,23 @@ def test_check_leakage_names_the_shared_pairs():
     assert str(exc.value) == (
         "2 comparison pair(s) appear in both validation and test partitions: ('p1', 'r1'), ('p3', 'r3')"
     )
+
+
+def test_check_leakage_on_crossed_and_disjoint_ids(monkeypatch):
+    def scores(*keys):
+        rows = [(p, r, "s", "s", True, S("c", 1.0, "d")) for p, r in keys]
+        return AlignedScores(("m",), columns(rows), np.full((len(keys), 1), 0.5))
+
+    # every id of the test pair is a validation id, but the pair is not one
+    val = scores(("p1", "r2"), ("p3", "r3"))
+    check_leakage(val, scores(("p2", "r1")))
+    with pytest.raises(LeakageError) as exc:
+        check_leakage(val, scores(("p2", "r1"), ("p3", "r3")))
+    assert str(exc.value) == "1 comparison pair(s) appear in both validation and test partitions: ('p3', 'r3')"
+    # ids that no validation pair holds end the check before any key is read
+    other = scores(("q1", "t1"), ("q2", "t2"))
+    monkeypatch.setattr(PairColumns, "keys", property(lambda self: pytest.fail("keys read")), raising=False)
+    check_leakage(val, other)
 
 
 def test_run_experiment_checks_settings_and_matchers():
