@@ -325,45 +325,36 @@ def _method_from_config(entry: dict, config_dir: Path) -> protocol.MethodSpec:
 _Group = tuple[SettingDescriptor, str]  # (setting, split)
 
 
-def _item_groups(item: protocol.PlanItem) -> tuple[_Group, _Group, _Group]:
-    """A plan item's validation, test and train groups."""
-    return (item.train_setting, "validation"), (item.test_setting, "test"), (item.train_setting, "train")
+def _item_groups(item: protocol.PlanItem) -> tuple[_Group, _Group]:
+    """A plan item's validation and test groups."""
+    return (item.train_setting, "validation"), (item.test_setting, "test")
 
 
 def _plan_groups(doc: dict, config_dir: Path, plan) -> dict[_Group, dict[str, Path | None]]:
-    """Each (setting, split) group the plan uses, mapped to ``{matcher: path
+    """Each (setting, split) group the plan reads, mapped to ``{matcher: path
     or None}`` in config order, None where the config declares no file.
 
-    The groups are each plan item's validation, test and train groups, in
-    order of first use. No method reads the train split; a train group is
-    listed, so that its files are hashed, only when every matcher declares a
-    file for it.
+    The groups are each plan item's validation and test groups, in order of
+    first use.
     """
     files = {(e["matcher_id"], _setting(e), e["split"]): config_dir / e["path"] for e in doc["score_files"]}
     groups: dict[_Group, dict[str, Path | None]] = {}
     for item in plan:
         for group in _item_groups(item):
-            paths = {matcher: files.get((matcher, *group)) for matcher in doc["matchers"]}
-            if group[1] != "train" or None not in paths.values():
-                groups.setdefault(group, paths)
+            groups.setdefault(group, {matcher: files.get((matcher, *group)) for matcher in doc["matchers"]})
     return groups
 
 
-def _load_group(
-    group: _Group, paths: dict[str, Path | None]
-) -> tuple[AlignedScores | ScoreFuseError | None, dict[str, str]]:
+def _load_group(group: _Group, paths: dict[str, Path | None]) -> tuple[AlignedScores | ScoreFuseError, dict[str, str]]:
     """Load and align the score files of one (setting, split) group.
 
     ``paths`` is the group's entry of :func:`_plan_groups`. :func:`_load_tables`
     hashes each file once it has loaded, and the aligned table's digest is computed
     here, so a worker process returns it with the table. Returns the aligned
     table, or the error that stopped the group, with the digests made up to
-    that point. A train group's files are only hashed, and its table is
-    None. An ``OSError`` propagates.
+    that point. An ``OSError`` propagates.
     """
     setting, split = group
-    if split == "train":
-        return None, {str(path): sha256_file(path) for path in paths.values()}
     digests: dict[str, str] = {}
     try:
         declared = list(itertools.takewhile(lambda path: path is not None, paths.values()))
@@ -432,6 +423,11 @@ def cmd_grid(args) -> int:
     plan = protocol.plan_experiments([_setting(entry) for entry in doc["settings"]], doc["kinds"])
     methods = [_method_from_config(entry, config_dir) for entry in doc["methods"]]
     groups = _plan_groups(doc, config_dir, plan)
+    # no cell reads a train file: each plan train setting's declared ones are hashed into its cells' inputs
+    train_files: dict[SettingDescriptor, list[Path]] = {item.train_setting: [] for item in plan}
+    for e in doc["score_files"]:
+        if e["split"] == "train" and e["matcher_id"] in doc["matchers"] and _setting(e) in train_files:
+            train_files[_setting(e)].append(config_dir / e["path"])
     config_digest = {str(config_path): sha256_file(config_path)}
     # each weights file, hashed into the inputs of the method that reads it
     weights_digests = {
@@ -443,7 +439,10 @@ def cmd_grid(args) -> int:
     pool = _fork_pool(min(args.jobs, len(groups)))
     with pool or contextlib.nullcontext():
         mapper = map if pool is None else pool.map
-        loaded = dict(zip(groups, mapper(_load_group, groups, groups.values())))
+        outcomes = mapper(_load_group, groups, groups.values())
+        # hashed here while the workers load; a worker pool submits every load before this
+        train_digests = {setting: _digests(paths) for setting, paths in train_files.items()}
+        loaded = dict(zip(groups, outcomes))
 
     # one aligned table per group: a fit per (train setting, method), a check per (train, test) setting
     fit, leakage = _once(protocol.fit_method), _once(protocol.check_leakage)
@@ -451,7 +450,7 @@ def cmd_grid(args) -> int:
     failures: list[dict] = []
     exit_code = 0  # the first failing cell's
     for item, method in itertools.product(plan, methods):
-        val_group, test_group, _ = _item_groups(item)
+        val_group, test_group = _item_groups(item)
         try:
             ok_results.append(
                 protocol.run_experiment(
@@ -482,11 +481,12 @@ def cmd_grid(args) -> int:
         name = f"result__{res.item.key()}__{res.method_id}.json"
         inputs = dict(config_digest, **weights_digests.get(res.method_id, {}))
         for group in _item_groups(res.item):
-            inputs.update(loaded.get(group, (None, {}))[1])
+            inputs.update(loaded[group][1])
+        inputs.update(train_digests[res.item.train_setting])
         write_json_artifact(out_dir / name, protocol.result_to_dict(res), seed=seed, inputs=inputs)
 
     all_inputs = dict(config_digest)
-    for digests in [*(digests for _, digests in loaded.values()), *weights_digests.values()]:
+    for digests in [*(d for _, d in loaded.values()), *train_digests.values(), *weights_digests.values()]:
         all_inputs.update(digests)
     if ok_results:
         summaries = {gb: protocol.aggregate_results(ok_results, gb) for gb in group_by}

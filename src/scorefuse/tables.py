@@ -120,8 +120,8 @@ class PairColumns:
     ``ids`` holds the distinct probe and reference ids, ``subjects`` the
     distinct subjects, in order of first appearance. Row i's key is the
     int64 ``keys[i] = (probe_code << 32) | reference_code``, codes into
-    ``ids``; both subject code columns index ``subjects`` and
-    ``setting_codes`` indexes ``settings``, distinct
+    ``ids``; both int32 subject code columns index ``subjects`` and the
+    int32 ``setting_codes`` index ``settings``, distinct
     :class:`SettingDescriptor`. ``mated`` is subject code equality.
     ``probe_ids`` and the other text columns are decoded on each read.
     Arrays are read-only, so every table over the same pairs shares one
@@ -129,23 +129,23 @@ class PairColumns:
     """
 
     def __init__(self, probe_ids, reference_ids, probe_subjects, reference_subjects, setting_codes, settings):
-        self.setting_codes = _frozen(np.array(setting_codes, dtype=np.intp).reshape(-1))
+        codes = np.array(setting_codes, dtype=np.intp).reshape(-1)
         self.settings = tuple(settings)
-        n = len(self.setting_codes)
+        n = len(codes)
         if any(len(col) != n for col in (probe_ids, reference_ids, probe_subjects, reference_subjects)):
             raise ContractError("pair columns must have equal lengths")
         id_codes, ids = _text_codes([*probe_ids, *reference_ids])
         subject_codes, subjects = _text_codes([*probe_subjects, *reference_subjects])
         self.ids, self.subjects = tuple(ids), tuple(subjects)
         self.keys = _frozen(_pair_keys(id_codes[:n], id_codes[n:]))
-        self.probe_subject_codes = _frozen(subject_codes[:n])
-        self.reference_subject_codes = _frozen(subject_codes[n:])
+        self.probe_subject_codes = _frozen(subject_codes[:n].astype(np.int32))
+        self.reference_subject_codes = _frozen(subject_codes[n:].astype(np.int32))
         self.mated = _frozen(self.probe_subject_codes == self.reference_subject_codes)
         if len(set(self.settings)) != len(self.settings):
             raise ContractError("settings must be distinct")
-        codes = self.setting_codes
         if n and (codes.min() < 0 or codes.max() >= len(self.settings)):
             raise ContractError("setting code out of range")
+        self.setting_codes = _frozen(codes.astype(np.int32))
 
     __setstate__ = _frozen_state
 

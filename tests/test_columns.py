@@ -529,6 +529,7 @@ def test_pickled_pair_columns_send_each_distinct_string_once():
         assert getattr(c, name).dtype == getattr(pairs, name).dtype and not getattr(c, name).flags.writeable, name
     for name, value in vars(c).items():
         assert not isinstance(value, np.ndarray) or not value.flags.writeable, name
+    assert c.setting_codes.dtype == c.probe_subject_codes.dtype == c.reference_subject_codes.dtype == np.int32
     assert c.settings == pairs.settings and np.array_equal(copy.matrix, aligned.matrix)
     assert copy.sha256 == digest
     assert AlignedScores(copy.matcher_ids, c, copy.matrix).sha256 == digest  # recomputed from the copy
@@ -552,8 +553,8 @@ def _scaled_grid_pairs(rows: int) -> PairColumns:
 
 @pytest.mark.slow
 def test_pair_columns_retain_codes_and_distinct_strings_only():
-    # Measured on Python 3.11: 54.9 B/row, that is 8 B of key, 16 B of
-    # subject codes, 8 B of setting code and 1 B of mated flag per row, plus
+    # Measured on Python 3.11: 42.9 B/row, that is 8 B of key, 8 B of
+    # subject codes, 4 B of setting code and 1 B of mated flag per row, plus
     # the 6 x 10^4 distinct strings. A per-row string column (about 57 B/row
     # of fresh strings, or 8 B/row of references to the distinct ones) or a
     # per-row key dict (about 130 B/row) exceeds the bound.

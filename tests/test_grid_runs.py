@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import scorefuse
+import scorefuse.cli
 import scorefuse.protocol
 import scorefuse.provenance
 from scorefuse.cli import main
@@ -170,6 +171,24 @@ def test_malformed_train_file_is_hashed_not_loaded(tmp_path):
         doc = json.loads(path.read_text())
         assert doc["input_digests"][str(train)] == digest, path
         assert "train_scores_sha256" not in doc.get("provenance", {})
+
+
+def test_grid_loads_only_the_groups_its_cells_read(tmp_path, monkeypatch):
+    config_path = small_demo(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["score_files"] += [{**e, "split": "train"} for e in config["score_files"] if e["split"] == "validation"]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    splits = []
+    load_group = scorefuse.cli._load_group
+
+    def counted(group, paths):
+        splits.append(group[1])
+        return load_group(group, paths)
+
+    monkeypatch.setattr(scorefuse.cli, "_load_group", counted)
+    assert main(["grid", "--config", str(config_path), "--jobs", "1"]) == 0
+    # 2 intra plan items, each with its validation and test group; the train files are only hashed
+    assert sorted(splits) == ["test", "test", "validation", "validation"]
 
 
 # ---------------------------------------------------------------- one fit per train setting
@@ -397,7 +416,7 @@ def _declare_train(demo: Path, every_matcher: bool) -> None:
         ("undeclared", _undeclared, 4, "no score file declared for matcher 'm2', setting demo-cam1-2.6"),
         ("missing-file", lambda demo: (demo / EDITED).unlink(), 7, "i/o error: [Errno 2] No such file"),
         ("missing-train-file", lambda demo: _declare_train(demo, True), 7, "i/o error: [Errno 2] No such file"),
-        ("partial-train", lambda demo: _declare_train(demo, False), 0, None),  # no train group: nothing hashed
+        ("partial-train", lambda demo: _declare_train(demo, False), 7, "i/o error: [Errno 2] No such file"),
     ],
 )
 def test_grid_outputs_do_not_depend_on_jobs(tmp_path, capsys, case, edit, code, message):
