@@ -349,10 +349,9 @@ def _load_group(group: _Group, paths: dict[str, Path | None]) -> tuple[AlignedSc
     """Load and align the score files of one (setting, split) group.
 
     ``paths`` is the group's entry of :func:`_plan_groups`. :func:`_load_tables`
-    hashes each file once it has loaded, and the aligned table's digest is computed
-    here, so a worker process returns it with the table. Returns the aligned
-    table, or the error that stopped the group, with the digests made up to
-    that point. An ``OSError`` propagates.
+    hashes each file once it has loaded. Returns the aligned table, or the
+    error that stopped the group, with the file digests made up to that
+    point. An ``OSError`` propagates.
     """
     setting, split = group
     digests: dict[str, str] = {}
@@ -364,9 +363,7 @@ def _load_group(group: _Group, paths: dict[str, Path | None]) -> tuple[AlignedSc
                 f"no score file declared for matcher {list(paths)[len(declared)]!r}, "
                 f"setting {setting.key()}, split {split!r}"
             )
-        aligned = align_tables(tables)
-        aligned.sha256  # cached on the table, so it travels with it
-        return aligned, digests
+        return align_tables(tables), digests
     except ScoreFuseError as exc:
         return exc, digests
 
@@ -598,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=_finite_float(0.0),
-        help="stop the perceptron fit once an iteration lowers its objective by less (perceptron only)",
+        help="stop the perceptron fit once an iteration lowers its objective by no more (perceptron only)",
     )
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)

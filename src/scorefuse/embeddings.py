@@ -9,7 +9,6 @@ embedding: ``{"entity_id": "...", "role": "reference"|"probe",
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParseError, UnknownEntityError
 from .kinds import METRICS
-from .provenance import not_utf8, parse_json, schema, violations
+from .provenance import finite, not_utf8, parse_json, schema, violations
 from .tables import PairColumns, ScoreTable
 
 # bytes of gathered reference and probe vectors that batch_score holds at once
@@ -76,10 +75,7 @@ def _is_embedding(obj, role: str) -> bool:
         and {int, float}.issuperset(map(type, vector))
     ):
         return False
-    try:
-        return all(map(math.isfinite, vector))
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return finite(*vector)
 
 
 def load_embeddings(path, role: str) -> EmbeddingSet:

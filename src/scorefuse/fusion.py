@@ -10,7 +10,6 @@ like any single matcher's.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParseError, TrainingError
 from .metrics import pcc
-from .provenance import atomic_write_text, canonical_json, read_json, schema, violations
+from .provenance import atomic_write_text, canonical_json, finite, read_json, schema, violations
 from .tables import AlignedScores, ScoreTable
 
 WEIGHT_PROVENANCES = ("uniform", "pcc", "manual")
@@ -44,7 +43,7 @@ class FusionWeights:
             raise ContractError("weights and matcher_ids must have equal length")
         if self.provenance not in WEIGHT_PROVENANCES:
             raise ContractError(f"provenance must be one of {WEIGHT_PROVENANCES}")
-        if any(w < 0 or not math.isfinite(w) for w in self.weights):
+        if not finite(*self.weights) or any(w < 0 for w in self.weights):
             raise ContractError(f"weights must be finite and >= 0, got {self.weights}")
         if not any(w > 0 for w in self.weights):
             raise ContractError("weight sum must be positive")
@@ -78,7 +77,7 @@ class PerceptronFuser:
     def __post_init__(self):
         if len(self.coefficients) != len(self.matcher_ids):
             raise ContractError("coefficients and matcher_ids must have equal length")
-        if not all(math.isfinite(c) for c in self.coefficients) or not math.isfinite(self.bias):
+        if not finite(*self.coefficients, self.bias):
             raise ContractError("perceptron parameters must be finite")
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
@@ -249,13 +248,13 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and finite(value)
 
 
 @dataclass(frozen=True)
 class PerceptronHyper:
     """Fit settings. ``max_epochs`` caps the Newton iterations; the fit stops
-    earlier once an iteration lowers the objective by less than
+    earlier once an iteration lowers the objective by no more than
     ``tolerance``."""
 
     max_epochs: int = 10000
@@ -291,7 +290,7 @@ def train_perceptron(
     start at zero, so the fit is deterministic. Each iteration solves one
     (N+1)x(N+1) Newton system and halves the step until the objective does
     not increase, so the loss never ends above where it began. The fit stops
-    once an iteration lowers the objective by less than ``tolerance``
+    once an iteration lowers the objective by no more than ``tolerance``
     (``converged``) or after ``max_epochs`` iterations (``max_iter``).
     """
     hyper = hyper or PerceptronHyper()
@@ -328,7 +327,7 @@ def train_perceptron(
             break
         decrease = value - trial_value
         theta, value, p = trial, trial_value, trial_p
-        if decrease < hyper.tolerance:
+        if decrease <= hyper.tolerance:
             stop_reason = "converged"
             break
     log = TrainingLog(initial_loss, _cross_entropy(p, y), iterations, stop_reason)

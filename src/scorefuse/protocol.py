@@ -12,7 +12,7 @@ comparison pairs (:func:`check_leakage`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class ExperimentResult:
     item: PlanItem
     method_id: str
     report: MetricsReport
-    provenance: Mapping[str, str]
     fitted: dict | None = None
 
 
@@ -197,13 +196,8 @@ def run_experiment(
     if val_scores is not None:
         _check_settings(val_scores, item.train_setting, "validation")
     fused, fuser = fuse_method(method, val_scores, test_scores, fit, leakage)
-
-    prov = {"test_scores_sha256": test_scores.sha256}
-    if val_scores is not None:
-        prov["validation_scores_sha256"] = val_scores.sha256
-    report = evaluate_table(fused)
     fitted = None if fuser is None else fuser_to_dict(fuser)
-    return ExperimentResult(item, method.method_id, report, prov, fitted)
+    return ExperimentResult(item, method.method_id, evaluate_table(fused), fitted)
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport) if f.name not in ("n_mated", "n_nonmated"))
@@ -255,6 +249,5 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "test_setting": asdict(result.item.test_setting),
         "method_id": result.method_id,
         "metrics": asdict(result.report),
-        "provenance": dict(sorted(result.provenance.items())),
         "fitted": result.fitted,
     }

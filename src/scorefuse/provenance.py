@@ -79,12 +79,17 @@ def schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _finite_number(value) -> bool:
-    """Whether ``value`` is a JSON number that is finite as a float."""
+def finite(*values) -> bool:
+    """Whether every one of the numbers ``values`` is finite as a float."""
     try:
-        return type(value) in (int, float) and math.isfinite(value)
+        return all(map(math.isfinite, values))
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a JSON number that is finite as a float."""
+    return type(value) in (int, float) and finite(value)
 
 
 _TYPES = {  # JSON Schema type: (test, how a message names it)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ContractError, UnsupportedOracleError
 from .metrics import class_scores
+from .provenance import finite
 from .rng import SplitMix64, normal_cdf, normal_quantile, substream_seed
 from .tables import DEFAULT_SETTING, AlignedScores, PairColumns, ScoreTable, SettingDescriptor
 
@@ -37,7 +38,7 @@ class GaussianScoreModel:
 
     def __post_init__(self):
         for name in ("mu_nonmated", "sigma_nonmated", "mu_mated", "sigma_mated"):
-            if not math.isfinite(getattr(self, name)):
+            if not finite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma_nonmated <= 0 or self.sigma_mated <= 0:
             raise ContractError("sigmas must be strictly positive")

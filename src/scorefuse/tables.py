@@ -17,7 +17,6 @@ with ``repr`` so a canonical file round-trips byte-identically.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import threading
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from .errors import (
     ParseError,
     RangeViolationError,
 )
-from .provenance import atomic_write_text, not_utf8, read_text
+from .provenance import atomic_write_text, finite, not_utf8, read_text
 
 SCORE_CSV_HEADER = (
     "matcher_id",
@@ -64,6 +63,8 @@ class SettingDescriptor:
     def __post_init__(self):
         if not (self.distance_m > 0):
             raise ContractError(f"distance_m must be positive, got {self.distance_m}")
+        if not finite(self.distance_m):
+            raise ContractError(f"distance_m must be finite, got {self.distance_m}")
 
     def key(self) -> str:
         """Stable short label, e.g. for file names: dataset-camera-distance."""
@@ -208,7 +209,7 @@ class ScoreTable:
 
     def __init__(self, matcher_id: str, declared_range, columns: PairColumns, scores):
         lo, hi = declared_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        if not (finite(lo, hi) and lo <= hi):
             raise ContractError(f"invalid declared_range [{lo}, {hi}]")
         scores = _frozen(np.array(scores, dtype=np.float64).reshape(-1))
         if len(scores) != len(columns):
@@ -289,29 +290,6 @@ class AlignedScores:
         if missing:
             raise ContractError(f"matchers not present in aligned scores: {missing}")
         return AlignedScores(tuple(matcher_ids), self.columns, self.matrix[:, cols])
-
-    @cached_property
-    def sha256(self) -> str:
-        """Digest of matcher ids, row keys, labels, settings and scores.
-
-        The hashed bytes are each matcher id plus NUL, then per row
-        ``probe|reference|mated 0/1|setting key`` plus NUL, then the
-        row-major float64 matrix.
-        """
-        c = self.columns
-        h = hashlib.sha256()
-        for mid in self.matcher_ids:
-            h.update(mid.encode("utf-8"))
-            h.update(b"\x00")
-        rows = zip(
-            c.probe_ids.tolist(),
-            c.reference_ids.tolist(),
-            _decoded(["0", "1"], c.mated.astype(np.intp)).tolist(),
-            _decoded([s.key() for s in c.settings], c.setting_codes).tolist(),
-        )
-        h.update("".join(f"{p}|{r}|{m}|{k}\x00" for p, r, m, k in rows).encode("utf-8"))
-        h.update(self.matrix.tobytes())
-        return h.hexdigest()
 
 
 # ---------------------------------------------------------------- CSV input
@@ -427,8 +405,6 @@ def _pair_columns(fields) -> PairColumns | None:
     try:
         distance_of = {text: float(text) for text in dict.fromkeys(dists)}
     except ValueError:
-        return None
-    if not all(map(math.isfinite, distance_of.values())):
         return None
     distances = np.fromiter(map(distance_of.__getitem__, dists), np.float64, len(dists))
     codes, first = _first_appearance(distances)

@@ -406,6 +406,18 @@ def test_fuse_leakage_between_validation_and_inputs(tmp_path, capsys):
     assert "validation" in capsys.readouterr().err
 
 
+def test_fuse_validation_of_other_matchers_is_a_contract_error(tmp_path, capsys):
+    inputs = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
+    validation = [tmp_path / "v2.csv", tmp_path / "v3.csv"]
+    for path, matcher_id, tag in zip(inputs + validation, ["m1", "m2", "m2", "m3"], ["test-"] * 2 + ["val-"] * 2):
+        _write_table(path, [0.9, 0.8], [0.2, 0.1], matcher_id, tag=tag)
+    code = run(["fuse", "--method", "pcc_avg", "--inputs", *inputs, "--validation", *validation,
+                "--out-dir", tmp_path / "out"])
+    assert code == 4
+    assert "validation matchers ('m2', 'm3') do not match inputs ('m1', 'm2')" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_chance_and_separated(tmp_path, capsys):
     chance = tmp_path / "chance.csv"
     stream_scores = np.linspace(0.01, 0.99, 500).tolist()

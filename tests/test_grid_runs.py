@@ -170,7 +170,7 @@ def test_malformed_train_file_is_hashed_not_loaded(tmp_path):
     for path in cells + [results / "summary.json"]:
         doc = json.loads(path.read_text())
         assert doc["input_digests"][str(train)] == digest, path
-        assert "train_scores_sha256" not in doc.get("provenance", {})
+        assert "provenance" not in doc, path  # the envelope is the only record of inputs
 
 
 def test_grid_loads_only_the_groups_its_cells_read(tmp_path, monkeypatch):
@@ -571,6 +571,10 @@ def _repeat_score_file(config):
     config["score_files"].append(dict(config["score_files"][0]))
 
 
+def _repeat_method(config):
+    config["methods"].append(dict(config["methods"][0]))
+
+
 # (mutation, words the error must name); each breaks grid_config.schema.json,
 # except those in CODE_RULES, which break a rule the schema does not state
 CONFIG_MUTATIONS = {
@@ -647,6 +651,7 @@ CONFIG_MUTATIONS = {
         _repeat_score_file,
         ["score_files entries", "'path': 'scores/baseline__demo-cam1-1__validation.csv'", "name the same matcher"],
     ),
+    "method-id-repeat": (_repeat_method, ["'method_id' values must be unique, got ['avg', 'avg']"]),
 }
 CODE_RULES = {
     "output-dir-escapes",
@@ -666,6 +671,7 @@ CODE_RULES = {
     "weights-file-not-weighted",
     "hyper-not-perceptron",
     "score-files-repeat",
+    "method-id-repeat",
 }
 
 

@@ -84,6 +84,13 @@ def test_iteration_cap_reports_max_iter():
     assert log.final_loss < log.initial_loss
 
 
+def test_zero_tolerance_stops_once_the_objective_stops_falling():
+    val = _noisy(500, 3, 2)
+    log = train_perceptron(val, PerceptronHyper(tolerance=0.0)).training_log
+    assert log.stop_reason == "converged" and log.epochs_run < 100
+    assert log.final_loss == pytest.approx(train_perceptron(val).training_log.final_loss, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

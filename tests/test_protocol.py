@@ -132,7 +132,6 @@ def test_run_experiment_single_equals_direct_report():
 
     direct = evaluate_table(apply_fusion("avg", test.select(["matcher_1"])))
     assert result.report == direct
-    assert "test_scores_sha256" in result.provenance
 
 
 def test_run_experiment_leakage_guard():
@@ -256,7 +255,7 @@ def _result(method_id, kind, auc_pct, distance=1.0):
     base = aligned({"m": [0.9, 0.8, 0.2, 0.1]}, [True, True, False, False])
     report = evaluate_table(apply_fusion("avg", base))
     report = replace(report, auc_pct=auc_pct)  # pin the value being aggregated
-    return ExperimentResult(item, method_id, report, provenance={})
+    return ExperimentResult(item, method_id, report)
 
 
 def test_aggregate_mean_and_sd():

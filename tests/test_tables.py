@@ -11,6 +11,8 @@ from scorefuse.errors import (
     ParseError,
     RangeViolationError,
 )
+from scorefuse.fusion import FusionWeights, PerceptronFuser, PerceptronHyper, TrainingLog
+from scorefuse.synth import GaussianScoreModel
 from scorefuse.tables import (
     ScoreTable,
     SettingDescriptor,
@@ -100,6 +102,27 @@ def test_record_invariants():
         ScoreTable("m", (0.0, 1.0), columns([pair(0, True)]), [math.inf])
     # mated is derived from the subjects, so a row's flag cannot disagree
     assert columns([("p", "r", "s1", "s2", True, SETTING)]).mated.tolist() == [False]
+
+
+HUGE = 10**400  # an integer beyond the float range, where math.isfinite raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScoreTable("m", (0.0, HUGE), columns([pair(0, True)]), [0.5]), "invalid declared_range"),
+        (lambda: FusionWeights(("a",), (HUGE,), "manual"), "weights must be finite"),
+        (lambda: PerceptronFuser(("a",), (1.0,), HUGE, TrainingLog(1.0, 1.0, 1)), "parameters must be finite"),
+        (lambda: PerceptronHyper(tolerance=HUGE), "tolerance must be a finite number"),
+        (lambda: GaussianScoreModel(0.2, HUGE, 0.8, 0.1, 1, 1, 1), "sigma_nonmated must be finite"),
+        (lambda: SettingDescriptor("c", math.inf, "d"), "distance_m must be finite, got inf"),
+    ],
+    ids=["score-table-range", "fusion-weights", "perceptron-bias", "hyper-tolerance", "gaussian-sigma",
+         "setting-distance"],
+)
+def test_constructors_refuse_numbers_not_finite_as_floats(build, message):
+    with pytest.raises(ContractError, match=message):
+        build()
 
 
 def test_normalize_cosine_endpoints():
