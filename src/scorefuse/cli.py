@@ -1,10 +1,12 @@
 """Command-line surface: score, fuse, eval, grid, correlate, synth.
 
 Exit codes: 0 success, 2 usage, 3 parse, 4 contract violation, 5 alignment,
-6 leakage, 7 I/O. Every emitted artifact records the tool version, the run
-seed and the SHA-256 digests of its inputs (JSON artifacts inline, CSV
-artifacts in a ``.meta.json`` sidecar), so identical inputs reproduce
-byte-identical outputs.
+6 leakage, 7 I/O. Every emitted artifact records the tool version, the seed
+and the SHA-256 digests of its inputs (JSON artifacts inline, CSV artifacts
+in a ``.meta.json`` sidecar), so identical inputs reproduce byte-identical
+outputs. The seed is ``synth``'s, which draws the scores, and ``grid``'s
+config ``seed``; ``score``, ``fuse``, ``eval`` and ``correlate`` draw no
+random number, take no seed and record 0.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def cmd_score(args) -> int:
     if args.normalize:
         table = normalize_scores(table)
     inputs = _digests([args.references, args.probes, args.pairs])
-    write_csv_artifact(args.out, score_table_csv_text(table), seed=args.seed, inputs=inputs)
+    write_csv_artifact(args.out, score_table_csv_text(table), inputs=inputs)
     print(f"wrote {len(table)} scores to {args.out}")
     return 0
 
@@ -117,14 +119,9 @@ def cmd_fuse(args) -> int:
     fused, fitted = protocol.fuse_method(spec, val, test)
 
     out_csv = out_dir / f"fused_{method}.csv"
-    write_csv_artifact(out_csv, score_table_csv_text(fused), seed=args.seed, inputs=inputs)
+    write_csv_artifact(out_csv, score_table_csv_text(fused), inputs=inputs)
     if fitted is not None:
-        write_json_artifact(
-            out_dir / f"fuser_{method}.json",
-            fusion.fuser_to_dict(fitted),
-            seed=args.seed,
-            inputs=inputs,
-        )
+        write_json_artifact(out_dir / f"fuser_{method}.json", fusion.fuser_to_dict(fitted), inputs=inputs)
     print(f"wrote fused scores ({method}) to {out_csv}")
     return 0
 
@@ -141,11 +138,9 @@ def cmd_eval(args) -> int:
         raise type(exc)(f"{args.scores}: {exc}") from None
     inputs = _digests([args.scores])
     out_dir = Path(args.out_dir)
-    write_json_artifact(
-        out_dir / "report.json", {"metrics": asdict(report)}, seed=args.seed, inputs=inputs
-    )
-    write_csv_artifact(out_dir / "curves.csv", metrics.curves_csv_text(curves), seed=args.seed, inputs=inputs)
-    write_csv_artifact(out_dir / "roc.csv", metrics.roc_csv_text(curves), seed=args.seed, inputs=inputs)
+    write_json_artifact(out_dir / "report.json", {"metrics": asdict(report)}, inputs=inputs)
+    write_csv_artifact(out_dir / "curves.csv", metrics.curves_csv_text(curves), inputs=inputs)
+    write_csv_artifact(out_dir / "roc.csv", metrics.roc_csv_text(curves), inputs=inputs)
     print(metrics.format_report(report, args.precision))
     return 0
 
@@ -159,7 +154,7 @@ def cmd_correlate(args) -> int:
     ids = matrix.matcher_ids
     rows = ((mid, *map(repr, row)) for mid, row in zip(ids, matrix.values))
     text = csv_text(("matcher_id", *ids), rows, plain_fields(ids))
-    write_csv_artifact(args.out, text, seed=args.seed, inputs=inputs)
+    write_csv_artifact(args.out, text, inputs=inputs)
     print(text, end="")
     return 0
 
@@ -579,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher-id", default=None, help="matcher id for the output table")
     p.add_argument("--normalize", action="store_true", help="affine-map scores into [0, 1]")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_score)
 
     p = sub.add_parser("fuse", help="fuse aligned score tables with one rule")
@@ -598,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop the perceptron fit once an iteration lowers its objective by no more (perceptron only)",
     )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("eval", help="compute the metric report for one score CSV")
@@ -608,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--precision", type=_int_at_least(0), default=2, help="decimals in the printed report"
     )
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("grid", help="run an experiment grid from a config JSON")
@@ -626,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True)
     _add_input_range(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("synth", help="generate synthetic labeled score tables")

@@ -1,10 +1,10 @@
 """Reproducibility plumbing: digests, canonical JSON, UTF-8 reads, atomic writes.
 
 Output artifacts never contain timestamps or environment data, only the
-tool version, the run seed and input digests, so re-running a command with
-identical inputs reproduces byte-identical files. CSV artifacts keep the
-canonical table format and carry their provenance in a ``<name>.meta.json``
-sidecar instead.
+tool version, the seed that drew their numbers and input digests, so
+re-running a command with identical inputs reproduces byte-identical files.
+CSV artifacts keep the canonical table format and carry their provenance in
+a ``<name>.meta.json`` sidecar instead.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def schema(name: str) -> dict:
 
 
 def finite(*values) -> bool:
-    """Whether every one of the numbers ``values`` is finite as a float."""
+    """Whether every one of ``values`` is a number finite as a float."""
     try:
         return all(map(math.isfinite, values))
-    except OverflowError:  # an integer beyond the float range
+    except (OverflowError, TypeError):  # an integer beyond the float range, or not a number
         return False
 
 
@@ -175,16 +175,18 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _envelope(seed: int, inputs: dict[str, str]) -> dict:
-    """The provenance every artifact records: tool version, run seed, input digests."""
+    """The provenance every artifact records: tool version, seed, input digests.
+
+    ``seed`` is the seed that drew the artifact's numbers, 0 for a command that draws none."""
     return {"tool_version": tool_version(), "seed": seed, "input_digests": dict(sorted(inputs.items()))}
 
 
-def write_json_artifact(path, payload: dict, *, seed: int, inputs: dict[str, str]) -> None:
+def write_json_artifact(path, payload: dict, *, seed: int = 0, inputs: dict[str, str]) -> None:
     """Write a JSON artifact with the standard provenance envelope."""
     atomic_write_text(path, canonical_json({**_envelope(seed, inputs), **payload}))
 
 
-def write_csv_artifact(path, text: str, *, seed: int, inputs: dict[str, str]) -> None:
+def write_csv_artifact(path, text: str, *, seed: int = 0, inputs: dict[str, str]) -> None:
     """Write a CSV artifact plus its ``.meta.json`` provenance sidecar."""
     path = Path(path)
     atomic_write_text(path, text)

@@ -12,6 +12,7 @@ whole metric and fusion stack testable without any real dataset.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class GaussianScoreModel:
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma_nonmated <= 0 or self.sigma_mated <= 0:
             raise ContractError("sigmas must be strictly positive")
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_mated, self.n_nonmated)):
+            raise ContractError(f"class sizes must be integers, got {self.n_mated!r} and {self.n_nonmated!r}")
         if self.n_mated < 1 or self.n_nonmated < 1:
             raise ContractError("class sizes must be positive")
         if 8 * (self.n_mated + self.n_nonmated) > 2**48:  # the most x86-64 or arm64 user space maps

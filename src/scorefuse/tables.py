@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,6 +62,8 @@ class SettingDescriptor:
     dataset_id: str
 
     def __post_init__(self):
+        if not isinstance(self.distance_m, numbers.Real):
+            raise ContractError(f"distance_m must be a number, got {self.distance_m!r}")
         if not (self.distance_m > 0):
             raise ContractError(f"distance_m must be positive, got {self.distance_m}")
         if not finite(self.distance_m):

@@ -259,7 +259,7 @@ def test_c10_end_to_end_demo(tmp_path, capsys):
     assert (
         main(
             ["fuse", "--method", "pcc_avg", "--inputs", *fuse_inputs,
-             "--validation", *fuse_val, "--out-dir", str(demo_dir / "fused"), "--seed", "11"]
+             "--validation", *fuse_val, "--out-dir", str(demo_dir / "fused")]
         )
         == 0
     )
@@ -267,7 +267,7 @@ def test_c10_end_to_end_demo(tmp_path, capsys):
     assert fused_csv.exists()
 
     assert (
-        main(["eval", "--scores", str(fused_csv), "--out-dir", str(demo_dir / "eval"), "--seed", "11"])
+        main(["eval", "--scores", str(fused_csv), "--out-dir", str(demo_dir / "eval")])
         == 0
     )
     report = json.loads((demo_dir / "eval" / "report.json").read_text())

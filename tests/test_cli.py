@@ -213,7 +213,7 @@ def test_wide_range_inputs_fuse_and_correlate_as_their_normalized_files(tmp_path
         out = root / "out"
         validation = ["--validation", va, vb] if method in FITTED_KINDS else []
         assert run(["fuse", "--method", method, "--inputs", a, b, *validation, *declared,
-                    "--out-dir", out, "--seed", 5]) == 0
+                    "--out-dir", out]) == 0
         assert run(["correlate", "--inputs", a, b, *declared, "--out", out / "c.csv"]) == 0
     written = _outputs_but_digests(unit / "out")
     assert _outputs_but_digests(wide / "out") == written
@@ -295,7 +295,7 @@ def test_fuse_perceptron_emits_parameter_json(tmp_path):
     _write_table(vb, non[::-1], mated[::-1], "b", tag="v-")
     code = run(
         ["fuse", "--method", "perceptron", "--inputs", a, b, "--validation", va, vb,
-         "--out-dir", tmp_path, "--max-epochs", 500, "--seed", 3]
+         "--out-dir", tmp_path, "--max-epochs", 500]
     )
     assert code == 0
     doc = json.loads((tmp_path / "fuser_perceptron.json").read_text())
@@ -303,7 +303,7 @@ def test_fuse_perceptron_emits_parameter_json(tmp_path):
     assert len(doc["coefficients"]) == 2
     assert "bias" in doc
     assert doc["training_log"]["epochs_run"] >= 1
-    assert doc["seed"] == 3 and doc["tool_version"]
+    assert doc["seed"] == 0 and doc["tool_version"]
     assert (tmp_path / "fused_perceptron.csv").exists()
 
 
@@ -479,9 +479,9 @@ def test_eval_rerun_is_byte_identical(tmp_path, capsys, monkeypatch):
     f = tmp_path / "t.csv"
     _write_table(f, [0.9, 0.8, 0.6], [0.1, 0.2, 0.7], "m")
     out = tmp_path / "o"
-    assert run(["eval", "--scores", f, "--out-dir", out, "--seed", 4]) == 0
+    assert run(["eval", "--scores", f, "--out-dir", out]) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert run(["eval", "--scores", f, "--out-dir", out, "--seed", 4]) == 0
+    assert run(["eval", "--scores", f, "--out-dir", out]) == 0
     assert first == {p.name: p.read_bytes() for p in out.iterdir()}
     assert len(built) == 2  # once per run: the report is read off the written curves
     assert set(first) == {
@@ -527,6 +527,27 @@ def test_correlate_one_input_is_a_usage_error_before_it_is_read(tmp_path, capsys
     assert exc.value.code == 2
     assert "correlate needs >= 2 matchers, one per --inputs file, got 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("score", ["--references", "r.jsonl", "--probes", "p.jsonl", "--pairs", "pairs.csv", "--metric", "cosine",
+                   "--out", "s.csv"]),
+        ("fuse", ["--method", "avg", "--inputs", "a.csv", "b.csv", "--out-dir", "out"]),
+        ("eval", ["--scores", "a.csv", "--out-dir", "out"]),
+        ("correlate", ["--inputs", "a.csv", "b.csv", "--out", "c.csv"]),
+    ],
+)
+def test_seed_on_a_command_that_draws_no_number_is_a_usage_error(tmp_path, capsys, monkeypatch, command, args):
+    """Only synth and the grid config take a seed; the other commands refuse
+    one before they read an input (none of these exists) or write a file."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--seed", 1])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_correlate_zero_variance_named(tmp_path, capsys):

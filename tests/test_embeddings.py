@@ -200,6 +200,16 @@ def test_load_embeddings_jsonl(tmp_path):
     with pytest.raises(ParseError, match="dimension"):
         load_embeddings(mixed, "reference")
 
+    for name, text, message in [
+        ("dup", "".join(json.dumps({**r, "entity_id": "r1"}) + "\n" for r in rows[:2]), "duplicate entity_id 'r1'"),
+        ("empty", "\n \n", "embedding set is empty"),
+    ]:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path, "reference")
+        assert (str(exc.value), exc.value.exit_code) == (f"{path}: {message}", 3)
+
 
 def test_embedding_validation(tmp_path):
     f = tmp_path / "e.jsonl"

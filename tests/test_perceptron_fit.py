@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from scorefuse import fusion
 from scorefuse.cli import main
 from scorefuse.errors import ContractError, ParseError
 from scorefuse.fusion import (
@@ -89,6 +90,24 @@ def test_zero_tolerance_stops_once_the_objective_stops_falling():
     log = train_perceptron(val, PerceptronHyper(tolerance=0.0)).training_log
     assert log.stop_reason == "converged" and log.epochs_run < 100
     assert log.final_loss == pytest.approx(train_perceptron(val).training_log.final_loss, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mated, non_mated, halved",
+    [([0.0, 0.999], [0.5, 0.5], True), ([0.9, 0.8], [0.1, 0.2], False)],
+    ids=["overshooting-step", "full-steps"],
+)
+def test_a_step_that_raises_the_objective_is_halved(monkeypatch, mated, non_mated, halved):
+    """The objective is evaluated once before the fit, once per step tried and
+    twice for the losses, so a fit that halves no step makes ``epochs_run + 3``
+    calls. On the first table the full Newton step overshoots."""
+    calls = []
+    monkeypatch.setattr(fusion, "_cross_entropy", lambda p, y: calls.append(1) or _cross_entropy(p, y))
+    val = aligned({"m": mated + non_mated}, [True] * len(mated) + [False] * len(non_mated))
+    log = train_perceptron(val).training_log
+    assert log.stop_reason == "converged" and log.final_loss <= log.initial_loss
+    extra = len(calls) - (log.epochs_run + 3)  # one per halving
+    assert extra > 0 if halved else extra == 0
 
 
 @pytest.mark.parametrize(

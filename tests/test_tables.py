@@ -116,9 +116,16 @@ HUGE = 10**400  # an integer beyond the float range, where math.isfinite raises 
         (lambda: PerceptronHyper(tolerance=HUGE), "tolerance must be a finite number"),
         (lambda: GaussianScoreModel(0.2, HUGE, 0.8, 0.1, 1, 1, 1), "sigma_nonmated must be finite"),
         (lambda: SettingDescriptor("c", math.inf, "d"), "distance_m must be finite, got inf"),
+        # a non-number is refused by the same ContractError, not a TypeError
+        (lambda: SettingDescriptor("c", "1", "d"), "distance_m must be a number, got '1'"),
+        (lambda: FusionWeights(("a",), ("1",), "manual"), "weights must be finite"),
+        (lambda: GaussianScoreModel(0.2, "0.1", 0.8, 0.1, 1, 1, 1), "sigma_nonmated must be finite"),
+        (lambda: GaussianScoreModel(0.2, 0.1, 0.8, 0.1, "1", 1, 1), "class sizes must be integers"),
+        (lambda: PerceptronFuser(("a",), ("1",), 0.0, TrainingLog(1.0, 1.0, 1)), "parameters must be finite"),
     ],
     ids=["score-table-range", "fusion-weights", "perceptron-bias", "hyper-tolerance", "gaussian-sigma",
-         "setting-distance"],
+         "setting-distance", "setting-distance-text", "fusion-weights-text", "gaussian-sigma-text",
+         "gaussian-size-text", "perceptron-coefficient-text"],
 )
 def test_constructors_refuse_numbers_not_finite_as_floats(build, message):
     with pytest.raises(ContractError, match=message):
